@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, rep_function, table_budget)
+from .repfn import BudgetExceeded, _inverses, rep_function, table_budget
 from .setalgebra import combine
 
 
@@ -131,9 +131,11 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     if nf * nb > budget or nf * nf > budget:
         raise BudgetExceeded("pair table exceeds budget")
 
+    # mul needs a/b as a field element: F_p only, and no b = 0 in F
+    fast_field = field.p < (1 << 31) if field.is_prime_mode else op == "add"
     if F.ints is not None and B.ints is not None and P.ints is not None \
-            and D.ints is not None and (not field.is_prime_mode
-                                        or field.p < (1 << 31)):
+            and D.ints is not None and fast_field \
+            and not (op == "mul" and 0 in F):
         p = field.p
         a = F.ints
         b = B.ints
@@ -142,8 +144,7 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
             pair = a[:, None] - a[None, :]
         else:
             grid = a[:, None] * b[None, :]
-            inv = np.asarray([pow(int(v), p - 2, p) for v in a], dtype=np.int64)
-            pair = a[:, None] * inv[None, :]
+            pair = a[:, None] * _inverses(a, p)[None, :]
         if p is not None:
             grid %= p
             pair %= p
@@ -157,10 +158,10 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
 
         popular = member(grid, P).astype(np.float64)  # nf x nb 0/1
         g = popular @ popular.T                       # g[i,j], exact in float64
-        pair_ok = member(pair, D)
-        total = float((g[pair_ok] ** 2).sum())
-        assert total < 2**53, "square-sum too large for exact float accumulation"
-        return int(round(total))
+        gi = g[member(pair, D)].astype(np.int64)
+        if float(gi.sum()) * float(gi.max(initial=0)) < 2**53:
+            return int(round(float(np.dot(gi, gi.astype(np.float64)))))
+        return int(np.dot(gi.astype(object), gi.astype(object)))
 
     fop = field.add if op == "add" else field.mul
     finv = field.sub if op == "add" else field.div

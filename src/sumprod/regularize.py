@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import ElemSet, GroundField
 from .energy import dyadic_extract, energy, energy_rep
-from .repfn import rep_function
+from .repfn import _inverses, rep_function
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -79,8 +79,7 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
         b = B.ints
         p = field.p
         if op == "div":
-            b = np.asarray([pow(int(v), p - 2, p) for v in B if v != 0],
-                           dtype=np.int64)
+            b = _inverses(b[b != 0], p)
         if op == "add":
             grid = t[:, None] + b[None, :]
         elif op == "sub":

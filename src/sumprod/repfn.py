@@ -127,49 +127,135 @@ def _int_fast_ok(A: ElemSet, B: ElemSet, op: str) -> bool:
     return amax < bound and bmax < bound
 
 
-def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str) -> np.ndarray:
-    """Sorted flat array of all |A||B| op-values (int fast path only).
+def _inverses(b: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p, checked.
 
-    Prime mode stays in int32 where p allows: add/sub use a shifted
-    subtraction plus one conditional correction instead of a modulo.
+    Square-and-multiply over the exponent p-2 stays exact in int64 because
+    p < 2^31 keeps every product below 2^62. Raises ArithmeticError unless
+    b * b^-1 == 1 (mod p) for every element, which also refuses 0.
+    """
+    if p >= 1 << 31:
+        raise ValueError(f"int64 inverses need p < 2^31, got {p}")
+    x = np.remainder(b, p, dtype=np.int64)
+    base = x.copy()
+    inv = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            np.multiply(inv, base, out=inv)
+            np.remainder(inv, p, out=inv)
+        np.multiply(base, base, out=base)
+        np.remainder(base, p, out=base)
+        e >>= 1
+    if not (x * inv % p == 1).all():
+        raise ArithmeticError(f"a value has no inverse mod {p}")
+    return inv
+
+
+def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
+                     support: bool = False) -> Tuple[np.ndarray, bool]:
+    """Sorted flat array of op-values over A x B (int fast path only).
+
+    Returns (flat, half). When B has A's contents, the answer follows from
+    the unordered pairs, and half is True:
+      sub   flat holds the class min(d, p-d) of d = a_j - a_i for i < j
+            (char0: d > 0); the diagonal is the known r(0) = |A|. Undo with
+            `_mirror_classes`.
+      add/mul, support=True: flat holds a_i op a_j for i <= j, which has the
+            same support as the full table.
+    Otherwise (div, or add/mul tables of multiplicities) flat holds all
+    |A||B| values. Prime mode stays in int32 where p allows: add/sub use a
+    shifted subtraction plus one conditional correction instead of a modulo.
     """
     field = A.field
     a = A.ints
-    b = B.ints
     p = field.p
+    half = (op == "sub" or support and op in ("add", "mul")) and \
+        (A is B or np.array_equal(a, B.ints))
+    b = B.ints
     if op == "div":
-        b = np.asarray([pow(int(v), p - 2, p) for v in b], dtype=np.int64)
+        b = _inverses(b, p)
         op = "mul"
     n, m = a.size, b.size
     small = p is not None and p <= (1 << 31) - 1
     dtype = np.int32 if small else np.int64
-    out = np.empty(n * m, dtype=dtype)
+    strict = int(op == "sub")  # sub skips the diagonal
+    size = (n * (n - 1) // 2 if strict else n * (n + 1) // 2) if half \
+        else n * m
+    out = np.empty(size, dtype=dtype)
     rows = max(1, _CHUNK // max(m, 1))
 
-    if small and op in ("add", "sub"):
-        a32 = a.astype(np.int32)
+    shifted = small and op in ("add", "sub")
+    if shifted:
+        a = a.astype(np.int32)
         # a+b mod p == a-(p-b) mod p; both cases become subtraction in (-p, p)
-        b32 = (p - b).astype(np.int32) if op == "add" else b.astype(np.int32)
+        b = (p - b).astype(np.int32) if op == "add" else b.astype(np.int32)
         p32 = np.int32(p)
-        for i0 in range(0, n, rows):
-            blk = a32[i0:i0 + rows, None] - b32[None, :]
+    filled = 0
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        # half: columns j >= i (> i for sub); the rest of the block is masked
+        j0 = i0 + strict if half else 0
+        blk_a = a[i0:i1, None]
+        blk_b = b[None, j0:]
+        if half and strict:
+            # a is sorted, so d = a_j - a_i lies in (0, p) for i < j
+            blk = blk_b - blk_a
+        elif shifted:
+            blk = blk_a - blk_b
             blk[blk < 0] += p32
-            out[i0 * m:i0 * m + blk.size] = blk.ravel()
-    else:
-        for i0 in range(0, n, rows):
-            blk_a = a[i0:i0 + rows, None]
+        else:
             if op == "add":
-                blk = blk_a + b[None, :]
+                blk = blk_a + blk_b
             elif op == "sub":
-                blk = blk_a - b[None, :]
+                blk = blk_a - blk_b
             else:
-                blk = blk_a * b[None, :]
+                blk = blk_a * blk_b
             if p is not None:
                 blk %= p
-            out[i0 * m:i0 * m + blk.size] = blk.ravel()
+        if half:
+            blk = blk[np.arange(j0, m)[None, :]
+                      >= np.arange(i0 + strict, i1 + strict)[:, None]]
+            if strict and p is not None:
+                np.minimum(blk, p - blk, out=blk)
+        else:
+            blk = blk.ravel()
+        out[filled:filled + blk.size] = blk
+        filled += blk.size
+    if filled != size:
+        raise RuntimeError(f"pair kernel filled {filled} of {size} slots")
 
     out.sort()  # SIMD introsort; much faster than radix here
-    return out
+    return out, half
+
+
+def _mirror_classes(vals: np.ndarray, counts: Optional[np.ndarray], n: int,
+                    p: Optional[int]):
+    """Sorted values and counts of r_{A-A} from a half-square sub table.
+
+    `vals` are the sorted classes c, `counts` their class counts g(c) (or
+    None when only the values are wanted). r(0) = |A| = n and
+    r(c) = r(-c) = g(c), where -c is p-c in F_p.
+    """
+    k = vals.size
+    if p is None:  # -c < 0 < c
+        zero, fwd, rev = k, slice(k + 1, None), slice(0, k)
+    else:          # 0 < c < p-c
+        zero, fwd, rev = 0, slice(1, k + 1), slice(k + 1, None)
+    out = np.empty(2 * k + 1, dtype=np.int64)
+    out[zero] = 0
+    out[fwd] = vals
+    if p is None:
+        np.negative(vals[::-1], out=out[rev])
+    else:
+        np.subtract(p, vals[::-1], out=out[rev])
+    if counts is not None:
+        mult = np.empty(2 * k + 1, dtype=np.int64)
+        mult[zero] = n
+        mult[fwd] = counts
+        mult[rev] = counts[::-1]
+        counts = mult
+    return out, counts
 
 
 def _rle(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,7 +303,11 @@ def rep_function(A: ElemSet, B: ElemSet, op: str,
                      np.zeros(0, dtype=np.int64), excluded, len(A), rhs)
 
     if _int_fast_ok(A, B2, op):
-        vals, counts = _rle(_flat_sorted_int(A, B2, op))
+        flat, half = _flat_sorted_int(A, B2, op)
+        vals, counts = _rle(flat)
+        del flat
+        if half:
+            vals, counts = _mirror_classes(vals, counts, len(A), field.p)
         return RepFn(field, op, vals, counts, excluded, len(A), rhs)
 
     table = _object_table(A, B2, op)
@@ -237,7 +327,7 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     if len(A) == 0 or len(B2) == 0:
         return np.zeros(1, dtype=np.int64)
     if _int_fast_ok(A, B2, op):
-        flat = _flat_sorted_int(A, B2, op)
+        flat, half = _flat_sorted_int(A, B2, op)
         total = flat.size
         eq = flat[1:] == flat[:-1]
         del flat
@@ -246,15 +336,22 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
         eq_idx = np.flatnonzero(eq)
         del eq
         if eq_idx.size == 0:
-            return np.asarray([0, total], dtype=np.int64)
-        brk = np.flatnonzero(np.diff(eq_idx) != 1)
-        run_len = np.diff(np.concatenate(
-            (np.asarray([-1], dtype=np.int64), brk,
-             np.asarray([eq_idx.size - 1], dtype=np.int64))))
-        mult = run_len + 1  # a run of r equal-adjacencies means r+1 copies
-        distinct = total - int(eq_idx.size)
-        hist = np.bincount(mult)
-        hist[1] = distinct - int(mult.size)
+            hist = np.asarray([0, total], dtype=np.int64)
+        else:
+            brk = np.flatnonzero(np.diff(eq_idx) != 1)
+            run_len = np.diff(np.concatenate(
+                (np.asarray([-1], dtype=np.int64), brk,
+                 np.asarray([eq_idx.size - 1], dtype=np.int64))))
+            mult = run_len + 1  # a run of r equal-adjacencies means r+1 copies
+            distinct = total - int(eq_idx.size)
+            hist = np.bincount(mult)
+            hist[1] = distinct - int(mult.size)
+        if half:
+            # a class count g(c) is the multiplicity of both c and -c, and 0
+            # is hit |A| times
+            n = len(A)
+            hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
+            hist[n] += 1
         return hist
     table = _object_table(A, B2, op)
     return np.bincount(np.asarray(list(table.values()), dtype=np.int64))

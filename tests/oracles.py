@@ -17,17 +17,27 @@ def naive_bilinear(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet) -> int:
 
 
 def naive_tautological(B: ElemSet, D: ElemSet, P: ElemSet) -> int:
-    f = B.field
+    return naive_pair_popularity(B, B, D, P, "add")
+
+
+def naive_pair_popularity(F: ElemSet, B: ElemSet, D: ElemSet, P: ElemSet,
+                          op: str) -> int:
+    """Tuples (a,b,c,d) in F^2 x B^2 with a∘b^-1 in D and a∘c, b∘c, a∘d,
+    b∘d all in P; pairs with b = 0 have no ratio and are skipped."""
+    f = F.field
+    fop = f.add if op == "add" else f.mul
     total = 0
-    for a in B:
-        for b in B:
-            if f.sub(a, b) not in D:
+    for a in F:
+        for b in F:
+            if op == "mul" and b == 0:
+                continue
+            if (f.sub(a, b) if op == "add" else f.div(a, b)) not in D:
                 continue
             for c in B:
-                if f.add(a, c) not in P or f.add(b, c) not in P:
+                if fop(a, c) not in P or fop(b, c) not in P:
                     continue
                 for d in B:
-                    if f.add(a, d) in P and f.add(b, d) in P:
+                    if fop(a, d) in P and fop(b, d) in P:
                         total += 1
     return total
 

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      energy, f_collision_count, tautological_count)
 
-from oracles import (naive_bilinear, naive_f_collision, naive_tautological)
+from sumprod.counting import _pair_popularity_square_sum
+
+from oracles import (naive_bilinear, naive_f_collision, naive_pair_popularity,
+                     naive_tautological)
 
 tiny = st.lists(st.integers(1, 25), min_size=1, max_size=6)
 tiny0 = st.lists(st.integers(-12, 12), min_size=1, max_size=6)
@@ -74,6 +77,24 @@ def test_tautological_vs_naive(b, d, p, prime):
     field = GroundField.prime(31) if prime else GroundField.char0()
     B, D, P = (ElemSet(field, v) for v in (b, d, p))
     assert tautological_count(B, D, P) == naive_tautological(B, D, P)
+
+
+def test_pair_popularity_mul_with_zero_in_pairs_from():
+    # a/0 is no ratio: an inverse of 0 taken as 0 counted such pairs (112)
+    F13 = GroundField.prime(13)
+    F, B, D, P = (ElemSet(F13, v) for v in ([0, 1, 2, 3], [1, 2, 4, 5],
+                                            [0, 1, 2, 7], [0, 2, 4, 5, 8, 10]))
+    assert naive_pair_popularity(F, B, D, P, "mul") == 70
+    assert _pair_popularity_square_sum(F, B, D, P, op="mul") == 70
+
+
+@settings(max_examples=30, deadline=None)
+@given(tiny0, tiny0, tiny0, tiny0, st.booleans())
+def test_pair_popularity_mul_vs_naive(f, b, d, p, prime):
+    field = GroundField.prime(31) if prime else GroundField.char0()
+    F, B, D, P = (ElemSet(field, v) for v in (f, b, d, p))
+    assert _pair_popularity_square_sum(F, B, D, P, op="mul") == \
+        naive_pair_popularity(F, B, D, P, "mul")
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import (BudgetExceeded, ElemSet, GroundField, count_spectrum,
                      rep_function)
+from sumprod.repfn import _flat_sorted_int, _inverses, _object_table
 
-from conftest import P31, random_set
+from conftest import P31, random_set, self_table_case
 
 small_sets = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
@@ -89,3 +91,42 @@ def test_count_spectrum_large_prime_path(fp):
     B = random_set(fp, 400, seed=12)
     hist = count_spectrum(A, B, "sub")
     assert int(sum(m * h for m, h in enumerate(hist.tolist()))) == 500 * 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(self_table_case())
+def test_self_tables_match_object_path(case):
+    A, B, op = case
+    pairs = _object_table(A, B.remove_zero() if op == "div" else B, op)
+    assert rep_function(A, B, op).to_dict() == dict(pairs)
+    want = np.bincount(np.asarray(list(pairs.values()), dtype=np.int64),
+                       minlength=1)
+    assert count_spectrum(A, B, op).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("op,table,support", [
+    ("sub", 50 * 49 // 2, 50 * 49 // 2),
+    ("add", 50 * 50, 50 * 51 // 2),
+    ("mul", 50 * 50, 50 * 51 // 2),
+    ("div", 50 * 50, 50 * 50)])
+def test_self_tables_build_half_square(fp, op, table, support):
+    A = random_set(fp, 50, seed=3, lo=1)
+    copy = ElemSet(fp, list(A))
+    assert _flat_sorted_int(A, copy, op)[0].size == table
+    assert _flat_sorted_int(A, copy, op, support=True)[0].size == support
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 101, 65537, P31]), st.data())
+def test_inverses_match_pow(p, data):
+    xs = data.draw(st.lists(st.integers(1, p - 1), max_size=40))
+    inv = _inverses(np.asarray(xs, dtype=np.int64), p)
+    assert inv.tolist() == [pow(x, p - 2, p) for x in xs]
+
+
+@pytest.mark.parametrize("bad", [0, 101, 202])
+def test_inverses_refuse_multiples_of_p(bad):
+    with pytest.raises(ArithmeticError):
+        _inverses(np.asarray([1, bad, 5], dtype=np.int64), 101)
+    with pytest.raises(ValueError):
+        _inverses(np.asarray([1], dtype=np.int64), 2**31 + 11)

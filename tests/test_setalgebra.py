@@ -3,6 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from sumprod import ElemSet, GroundField, SpanSpec, combine, iterated_span, \
     rep_function
+from sumprod.repfn import _object_table
+
+from conftest import self_table_case
 
 small_sets = st.lists(st.integers(-30, 30), min_size=1, max_size=10)
 
@@ -72,3 +75,11 @@ def test_span_monotone_in_subset(xs, k, l):
     big = iterated_span(A, SpanSpec(k, l))
     small = iterated_span(Ap, SpanSpec(k, l))
     assert small.issubset(big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(self_table_case())
+def test_self_combine_matches_object_path(case):
+    A, B, op = case
+    pairs = _object_table(A, B.remove_zero() if op == "div" else B, op)
+    assert combine(A, B, op) == ElemSet(A.field, pairs.keys())
