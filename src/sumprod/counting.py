@@ -13,7 +13,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .field import ElemSet, FieldMismatch
-from .repfn import BudgetExceeded, _inverses, rep_function, table_budget
+from .repfn import (BudgetExceeded, _inverses, _sorted_lookup, rep_function,
+                    table_budget)
 from .setalgebra import combine
 
 
@@ -89,11 +90,9 @@ def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
     prod = rep_function(A, B, "mul", budget=budget)
     diff = rep_function(C, D, "sub", budget=budget)
     if isinstance(prod.values, np.ndarray) and isinstance(diff.values, np.ndarray):
-        idx = np.searchsorted(diff.values, prod.values)
-        idx_c = np.clip(idx, 0, diff.values.size - 1)
-        hit = diff.values[idx_c] == prod.values
+        idx, hit = _sorted_lookup(diff.values, prod.values)
         return int(np.dot(prod.counts[hit].astype(object),
-                          diff.counts[idx_c[hit]].astype(object)))
+                          diff.counts[idx[hit]].astype(object)))
     dd = diff.to_dict()
     return sum(c * dd.get(v, 0) for v, c in prod.items())
 
@@ -149,16 +148,9 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
             grid %= p
             pair %= p
 
-        def member(vals, sorted_set):
-            arr = sorted_set.ints
-            if arr.size == 0:
-                return np.zeros(vals.shape, dtype=bool)
-            idx = np.clip(np.searchsorted(arr, vals), 0, arr.size - 1)
-            return arr[idx] == vals
-
-        popular = member(grid, P).astype(np.float64)  # nf x nb 0/1
+        popular = _sorted_lookup(P.ints, grid)[1].astype(np.float64)  # 0/1
         g = popular @ popular.T                       # g[i,j], exact in float64
-        gi = g[member(pair, D)].astype(np.int64)
+        gi = g[_sorted_lookup(D.ints, pair)[1]].astype(np.int64)
         if float(gi.sum()) * float(gi.max(initial=0)) < 2**53:
             return int(round(float(np.dot(gi, gi.astype(np.float64)))))
         return int(np.dot(gi.astype(object), gi.astype(object)))

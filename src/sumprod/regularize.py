@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .field import ElemSet, GroundField
-from .energy import dyadic_extract, energy, energy_rep
-from .repfn import _inverses, rep_function
+from .field import ElemSet
+from .energy import _spectrum_moment, dyadic_extract, energy
+from .repfn import _int_fast_ok, _inverses, _sorted_lookup, rep_function
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -70,14 +70,43 @@ def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
 
 def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
                        op: str) -> np.ndarray:
-    """count[i] = |{b in B : targets[i] ∘ b in P}| for op add/sub/mul/div."""
+    """count[i] = |{b in B : targets[i] ∘ b in P}| for op add/sub/mul/div.
+
+    For fixed t, b -> t∘b is a bijection onto its image, so the count is
+    also the number of s in P whose preimage lies in B: t+b = s iff s-t = b,
+    t-b = s iff t-s = b, tb = s iff s/t = b (t != 0), t/b = s iff t/s = b
+    (t, s != 0). The int grid therefore runs over the smaller of B and P and
+    is looked up in the other. Char0 has no exact int inverses, so char0 mul
+    keeps the B grid.
+    """
     field = targets.field
-    fast_field = field.p < (1 << 31) if field.is_prime_mode else op != "div"
-    if targets.ints is not None and B.ints is not None and P.ints is not None \
-            and fast_field:
-        t = targets.ints
-        b = B.ints
-        p = field.p
+    p = field.p
+    fast = _int_fast_ok(targets, B, op) and P.ints is not None
+    if fast and len(P) < len(B) and _int_fast_ok(targets, P, op) \
+            and (p is not None or op in ("add", "sub")):
+        t, s, b = targets.ints, P.ints, B.ints
+        out = np.zeros(t.size, dtype=np.int64)
+        rows = slice(None)
+        if op == "add":
+            grid = s[None, :] - t[:, None]
+        elif op == "sub":
+            grid = t[:, None] - s[None, :]
+        else:
+            # t = 0 maps every b to 0: count all of B (nonzero b for div)
+            zero = t == 0
+            if 0 in P:
+                out[zero] = b.size - int(op == "div" and 0 in B)
+            rows = ~zero
+            if op == "mul":
+                grid = _inverses(t[rows], p)[:, None] * s[None, :]
+            else:
+                grid = t[rows, None] * _inverses(s[s != 0], p)[None, :]
+        if p is not None:
+            grid %= p
+        out[rows] = _sorted_lookup(b, grid)[1].sum(axis=1)
+        return out
+    if fast:
+        t, b = targets.ints, B.ints
         if op == "div":
             b = _inverses(b[b != 0], p)
         if op == "add":
@@ -88,11 +117,7 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
             grid = t[:, None] * b[None, :]
         if p is not None:
             grid %= p
-        arr = P.ints
-        if arr is None or arr.size == 0:
-            return np.zeros(len(targets), dtype=np.int64)
-        idx = np.clip(np.searchsorted(arr, grid), 0, arr.size - 1)
-        return (arr[idx] == grid).sum(axis=1).astype(np.int64)
+        return _sorted_lookup(P.ints, grid)[1].sum(axis=1).astype(np.int64)
     fop = getattr(field, op)
     out = []
     for a in targets:
@@ -197,11 +222,8 @@ class RegularDecomposition:
 
 
 def _shift_op(op: str) -> str:
-    # r_{S+B}(c) = #{b : c - b in S} (resp. #{b : c/b in S} in mul mode)
-    return "sub" if op == "add" else "div"
-
-
-def _diff_op(op: str) -> str:
+    # r_{S+B}(c) = #{b : c - b in S} (resp. #{b : c/b in S} in mul mode); the
+    # same op builds r_{B-B} (resp. r_{B/B}), whose level set is S
     return "sub" if op == "add" else "div"
 
 
@@ -210,8 +232,10 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
     """Iteratively extract (B, C, S_tau, tau) with concentrated E_k(B).
 
     Each round: dyadic-extract the dominant level set of r_{B∘B^-1}, keep the
-    candidates popular against S_tau shifted by B, shrink to the popular half
-    if too few qualify. Best-scoring round wins; at most ceil(log2 |A|) rounds.
+    candidates popular against S_tau shifted by B, and shrink to the popular
+    half if fewer than half qualify. Best-scoring round wins; at most
+    ceil(log2 |A|) rounds. The winning round's spectrum and counts also give
+    E_k(B) and C's ratios.
     """
     if op not in ("add", "mul"):
         raise ValueError(f"op must be add or mul, got {op!r}")
@@ -222,61 +246,54 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
         raise ValueError("cannot regularize the empty set")
 
     if n < 4:
-        r = rep_function(A, A, _diff_op(op), budget=budget)
+        r = rep_function(A, A, _shift_op(op), budget=budget)
         sl = dyadic_extract(r, k)
+        rc = _membership_counts(A, A, sl.support, _shift_op(op))
         return _finish_decomposition(A, A, A, sl.support, sl.t, op, k, 0,
-                                     budget, notes="degenerate |A| < 4")
+                                     r.count_histogram(), rc,
+                                     notes="degenerate |A| < 4")
 
     L = math.ceil(math.log2(n))
     cand = A
-    best = None  # (score, B, C, S, tau, round)
+    best = None  # (score, B, C, S, tau, round, spectrum of B, counts over C)
     for rnd in range(1, L + 1):
         if len(cand) < 2:
             break
-        r = rep_function(cand, cand, _diff_op(op), budget=budget)
+        r = rep_function(cand, cand, _shift_op(op), budget=budget)
         sl = dyadic_extract(r, k)
         S, tau = sl.support, sl.t
         rc = _membership_counts(cand, cand, S, _shift_op(op))
-        thr = Fraction(len(S) * tau, 2 * n * L)
-        cutoff = max(1, _ceil_fraction(thr))
+        # rc sums to sum_{s in S} r(s) >= |S| tau over <= n candidates, so
+        # max(rc) >= |S| tau / n >= cutoff: C is never empty
+        cutoff = max(1, _ceil_fraction(Fraction(len(S) * tau, 2 * n * L)))
         mask = rc >= cutoff
         n_thr = int(mask.sum())
         lst = list(cand)
-        if n_thr > 0:
+        if best is None or n_thr > best[0]:
             C = ElemSet(A.field,
                         [c for c, m in zip(lst, mask.tolist()) if m],
                         _canonical=True)
-        else:
-            # threshold emptied C: fall back to the popular half
-            order = np.argsort(rc, kind="stable")
-            top = [lst[i] for i in order[len(order) // 2:] if rc[i] >= 1]
-            if not top:
-                break
-            C = ElemSet(A.field, top)
-        score = len(C)
-        if best is None or score > best[0]:
-            best = (score, cand, C, S, tau, rnd)
+            best = (n_thr, cand, C, S, tau, rnd, r.count_histogram(),
+                    rc[mask])
+        del r  # free the |cand|^2 table before the next round builds one
         if n_thr >= len(cand) / 2:
             break
         order = np.argsort(rc, kind="stable")
         cand = ElemSet(A.field, [lst[i] for i in order[len(order) // 2:]])
 
-    if best is None:
-        r = rep_function(A, A, _diff_op(op), budget=budget)
-        sl = dyadic_extract(r, k)
-        return _finish_decomposition(A, A, A, sl.support, sl.t, op, k, 1,
-                                     budget, notes="no admissible round")
-    _, B, C, S, tau, rnd = best
-    return _finish_decomposition(A, B, C, S, tau, op, k, rnd, budget)
+    _, B, C, S, tau, rnd, hist, rc_C = best
+    return _finish_decomposition(A, B, C, S, tau, op, k, rnd, hist, rc_C)
 
 
 def _finish_decomposition(A: ElemSet, B: ElemSet, C: ElemSet, S: ElemSet,
                           tau: int, op: str, k: float, rounds: int,
-                          budget, notes: str = "") -> RegularDecomposition:
+                          hist: np.ndarray, rc: np.ndarray,
+                          notes: str = "") -> RegularDecomposition:
+    """Assemble the result from the spectrum of r_{B∘B^-1} (which gives
+    E_k(B)) and the counts r_{S+B}(c) for c in C, in any order."""
     n = len(A)
-    e = energy(B, B, k, op, budget=budget)
+    e = _spectrum_moment(hist, k)
     denom = len(S) * tau ** k
-    rc = _membership_counts(C, B, S, _shift_op(op))
     scale = n / (len(S) * tau)
     ratios = rc.astype(np.float64) * scale
     return RegularDecomposition(

@@ -261,10 +261,27 @@ def _mirror_classes(vals: np.ndarray, counts: Optional[np.ndarray], n: int,
 def _rle(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if flat.size == 0:
         return flat.astype(np.int64), np.zeros(0, dtype=np.int64)
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate(([0], edges))
-    bounds = np.concatenate((starts, [flat.size]))
-    return flat[starts].astype(np.int64), np.diff(bounds)
+    keep = np.empty(flat.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    starts = np.flatnonzero(keep)
+    del keep
+    return flat[starts].astype(np.int64), np.diff(starts, append=flat.size)
+
+
+def _sorted_lookup(arr: np.ndarray,
+                   vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(idx, hit) with hit = vals in the sorted array arr, elementwise.
+
+    Where hit is True, arr[idx] equals the value; elsewhere idx is only a
+    valid index (or 0 when arr is empty).
+    """
+    if arr.size == 0:
+        return (np.zeros(vals.shape, dtype=np.intp),
+                np.zeros(vals.shape, dtype=bool))
+    idx = np.searchsorted(arr, vals)
+    np.clip(idx, 0, arr.size - 1, out=idx)
+    return idx, arr[idx] == vals
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:

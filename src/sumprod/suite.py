@@ -25,6 +25,7 @@ from .families import FamilySpec, gen_family, prime_with_subgroup, \
     sum_product_ratio
 from .field import ElemSet, GroundField
 from .regularize import check_regular, default_slack, xue_regularize
+from .repfn import BudgetExceeded
 from .report import ConstraintViolation, VerificationReport
 from .verify import (DEFAULT_P, check_kmps, check_mixed_energy,
                      check_pluennecke, check_rss_proposition, check_sdz)
@@ -220,6 +221,16 @@ def _run_cell(config: ExperimentConfig, lemma: str, family: str, n: int,
     return rows
 
 
+def _unfinished(rows: list, statuses: list, lemma: str, family: str, n: int,
+                key: str, status: str, exc: Exception) -> None:
+    """Record a cell that produced no report as one empty CSV row whose
+    manifest status carries the reason."""
+    rows.append({"lemma": lemma, "family": family, "n": n, "p": 0,
+                 "lhs": "", "rhs_shape": "", "fitted_constant": "",
+                 "slack": "", "pass": status, "elapsed_ms": "0"})
+    statuses.append({"cell": key, "status": status, "note": str(exc)})
+
+
 def run_suite(config: ExperimentConfig) -> RunManifest:
     """Execute every selected cell; write CSV, per-cell JSON, manifest last."""
     config.validate()
@@ -236,22 +247,14 @@ def run_suite(config: ExperimentConfig) -> RunManifest:
                     key = f"{lemma}-{family}-{n}-{idx}"
                     try:
                         cell_rows = _run_cell(config, lemma, family, n, idx)
-                    except ConstraintViolation as exc:
+                    except (ConstraintViolation, BudgetExceeded) as exc:
                         # recorded in-row, never aborts the suite
-                        rows.append({
-                            "lemma": lemma, "family": family, "n": n, "p": 0,
-                            "lhs": "", "rhs_shape": "", "fitted_constant": "",
-                            "slack": "", "pass": "skip", "elapsed_ms": "0"})
-                        statuses.append({"cell": key, "status": "skip",
-                                         "note": str(exc)})
+                        _unfinished(rows, statuses, lemma, family, n, key,
+                                    "skip", exc)
                         continue
                     except (ValueError, ArithmeticError) as exc:
-                        rows.append({
-                            "lemma": lemma, "family": family, "n": n, "p": 0,
-                            "lhs": "", "rhs_shape": "", "fitted_constant": "",
-                            "slack": "", "pass": "error", "elapsed_ms": "0"})
-                        statuses.append({"cell": key, "status": "error",
-                                         "note": str(exc)})
+                        _unfinished(rows, statuses, lemma, family, n, key,
+                                    "error", exc)
                         continue
                     for item in cell_rows:
                         rows.append(item["row"])

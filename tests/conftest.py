@@ -47,26 +47,60 @@ _EDGE_FIELDS = (GroundField.prime(3), GroundField.prime(101),
                 GroundField.prime(P31), GroundField.char0())
 
 
+def edge_values(field: GroundField, edges=()):
+    """Values next to 0 and p in prime mode, so that sums and differences
+    wrap; in char0, small values and values next to each bound in `edges`,
+    on both sides and with both signs."""
+    if field.is_prime_mode:
+        p = field.p
+        return st.integers(0, min(p - 1, 40)) | \
+            st.integers(max(0, p - 40), p - 1)
+    value = st.integers(-20, 20)
+    for edge in edges:
+        value = value | st.builds(lambda sign, k, e=edge: sign * (e + k),
+                                  st.sampled_from([1, -1]),
+                                  st.integers(-6, 1))
+    return value
+
+
 @st.composite
 def self_table_case(draw):
     """(A, B, op) with B equal to A in content, as A itself or as a copy.
 
-    Prime-mode values sit next to 0 and p so that sums and differences wrap;
-    char0 values sit next to the int fast-path bounds (2^31 for mul, 2^61
-    for add/sub), on both sides and with both signs. 0 and the empty set
-    are drawn too.
+    Char0 values sit next to the int fast-path bounds (2^31 for mul, 2^61
+    for add/sub). 0 and the empty set are drawn too.
     """
     field = draw(st.sampled_from(_EDGE_FIELDS))
     op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
-    if field.is_prime_mode:
-        p = field.p
-        value = st.integers(0, min(p - 1, 40)) | \
-            st.integers(max(0, p - 40), p - 1)
-    else:
-        edge = 1 << (31 if op == "mul" else 61)
-        value = st.integers(-20, 20) | st.builds(
-            lambda sign, k: sign * (edge + k),
-            st.sampled_from([1, -1]), st.integers(-6, 1))
+    value = edge_values(field, [1 << (31 if op == "mul" else 61)])
     A = ElemSet(field, draw(st.lists(value, max_size=12)))
     B = A if draw(st.booleans()) else ElemSet(field, list(A))
     return A, B, op
+
+
+@st.composite
+def membership_case(draw):
+    """(T, B, P, op, swap) for r-counts |{b in B : t∘b in P}|.
+
+    swap=True draws |P| < |B| (the P-side grid), swap=False |P| >= |B|.
+    Char0 values sit next to 2^31, next to 2^61, or next to 2^31, 2^61 and
+    the int64 limit at once, so products, sums and differences may outgrow
+    int64; each set contains 0 half of the time.
+    """
+    field = draw(st.sampled_from(_EDGE_FIELDS))
+    op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
+    value = edge_values(field, draw(st.sampled_from(
+        [(), (1 << 31,), (1 << 61,), (1 << 31, 1 << 61, (1 << 63) - 8)])))
+
+    def elems(max_size):
+        vals = set(draw(st.lists(value, max_size=max_size)))
+        if draw(st.booleans()):
+            vals.add(0)
+        return sorted(vals)
+
+    T = elems(8)
+    one, two = sorted((elems(10), elems(10)), key=len)
+    swap = draw(st.booleans()) and len(one) < len(two)
+    B, P = (two, one) if swap else (one, two)
+    return (ElemSet(field, T), ElemSet(field, B), ElemSet(field, P), op,
+            swap)

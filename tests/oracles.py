@@ -50,3 +50,11 @@ def naive_energy(A: ElemSet, k: int, op: str) -> int:
         vals = [f.div(a, b) for a in A for b in A if b != 0]
     from collections import Counter
     return sum(c**k for c in Counter(vals).values())
+
+
+def naive_membership_counts(T: ElemSet, B: ElemSet, P: ElemSet,
+                            op: str) -> list:
+    """[|{b in B : t∘b in P}| for t in T]; div skips b = 0."""
+    fop = getattr(T.field, op)
+    return [sum(1 for b in B if not (op == "div" and b == 0)
+                and fop(t, b) in P) for t in T]

@@ -1,14 +1,19 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import (ElemSet, GroundField, check_regular, default_slack,
-                     popular_sums, popularity_rule, regu_iterate,
+                     energy, popular_sums, popularity_rule, regu_iterate,
                      xue_regularize)
+from sumprod.regularize import _membership_counts
 
-from conftest import random_set
+from conftest import P31, membership_case, random_set
+from oracles import naive_membership_counts
 
 
 def test_popular_sums_frozen(c0):
@@ -120,3 +125,71 @@ def test_determinism(fp):
     d2 = xue_regularize(A, 4, "add")
     assert d1.B == d2.B and d1.C == d2.C and d1.S_tau == d2.S_tau \
         and d1.tau == d2.tau
+
+
+def test_membership_counts_char0_mul_does_not_wrap(c0):
+    # 2^32 * 2^32 = 2^64 is 0 in int64 arithmetic
+    T = ElemSet(c0, [2**32])
+    assert _membership_counts(T, T, ElemSet(c0, [0]), "mul").tolist() == [0]
+    # P_A = {0}: 0 is hit three times, 2^64 once; only 0 has two products
+    # in P_A, 2^32 has one
+    A = ElemSet(c0, [0, 2**32])
+    assert popularity_rule(A, Fraction(9, 10), rule="popular-products") \
+        == ElemSet(c0, [0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(membership_case())
+def test_membership_counts_vs_object_path(case):
+    T, B, P, op, swap = case
+    got = _membership_counts(T, B, P, op)
+    assert got.dtype == np.int64 and got.shape == (len(T),)
+    assert got.tolist() == naive_membership_counts(T, B, P, op), swap
+
+
+def _ap_plus_random(field, m, extra, op):
+    rng = random.Random(0)
+    if op == "add":
+        core = range(1, m + 1)
+    else:
+        core = [pow(3, i, field.p) for i in range(m)]
+    return ElemSet(field, list(core) + rng.sample(range(1, field.p), extra))
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("case, k, rounds", [
+    ("ap", 4, 1), ("random", 4, 1), ("tiny", 4, 0),
+    ("structured-half", 2, 2), ("structured-subset", 2, 1)])
+def test_xue_outputs_match_recomputation(op, case, k, rounds):
+    """energy_ratio and the r-ratio range equal an independent
+    recomputation on (C, B, S_tau), and C is the threshold set of B."""
+    fp = GroundField.prime(P31)
+    A = {"ap": ElemSet(fp, range(1, 65)),
+         "random": random_set(fp, 64, seed=9),
+         "tiny": ElemSet(fp, [1, 2, 5]),
+         "structured-half": _ap_plus_random(fp, 26, 27, op),
+         "structured-subset": _ap_plus_random(fp, 30, 30, op)}[case]
+    d = xue_regularize(A, k, op)
+    assert d.rounds == rounds
+    if op == "mul":
+        A = A.remove_zero()
+    n, S, tau = len(A), d.S_tau, d.tau
+    shift = "sub" if op == "add" else "div"
+
+    e = energy(d.B, d.B, k, op)
+    assert d.energy_ratio == float(e.value) / (len(S) * tau ** k)
+    scale = n / (len(S) * tau)
+    ratios = [c * scale for c in naive_membership_counts(d.C, d.B, S, shift)]
+    assert d.r_ratio_min == min(ratios) and d.r_ratio_max == max(ratios)
+
+    if rounds == 0:
+        assert d.C == d.B == A
+    else:
+        counts = naive_membership_counts(d.B, d.B, S, shift)
+        L = math.ceil(math.log2(n))
+        cutoff = max(1, math.ceil(Fraction(len(S) * tau, 2 * n * L)))
+        assert d.C == ElemSet(fp, [b for b, c in zip(d.B, counts)
+                                   if c >= cutoff])
+        assert len(d.C) > 0
+    if case == "structured-subset":
+        assert len(d.C) < len(d.B)

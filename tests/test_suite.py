@@ -46,6 +46,23 @@ def test_small_p_cells_skipped_not_fatal(tmp_path):
     assert any(c["status"] == "skip" for c in flagged["cells"])
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(lemmas=["pluennecke"], families=["random"], sizes=[256]),
+    dict(lemmas=["cauchy-schwarz"], table_budget=1000),
+])
+def test_budget_overrun_is_a_skip_row(tmp_path, overrides):
+    out = tmp_path / "out"
+    m = run_suite(ExperimentConfig(out_dir=str(out), **overrides))
+    cells = json.load(open(out / "manifest.json"))["cells"]
+    skipped = [c for c in cells if c["status"] == "skip"]
+    assert skipped and all("exceed budget" in c["note"] for c in skipped)
+    assert not any(c["status"] == "error" for c in cells)
+    assert m.n_skip == len(skipped) and m.n_fail == 0
+    rows = _read_csv(out / "suite.csv")
+    assert len(rows) == len(cells)
+    assert sum(r["pass"] == "skip" for r in rows) == len(skipped)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json("{not json")
