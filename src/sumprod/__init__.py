@@ -12,8 +12,8 @@ from .regularize import (PopularityParams, RegularDecomposition,
                          ReguCertificate, check_regular, default_slack,
                          popular_sums, popularity_rule, regu_iterate,
                          xue_regularize)
-from .counting import (CountReport, bilinear_count, count_energy_equiv,
-                       f_collision_count, tautological_count)
+from .counting import (bilinear_count, count_energy_equiv, f_collision_count,
+                       tautological_count)
 from .families import (FamilySpec, SearchState, gen_family,
                        local_search_min_ratio, prime_with_subgroup,
                        primitive_root, subgroup_of_order, sum_product_ratio)

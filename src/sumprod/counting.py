@@ -6,8 +6,6 @@ products) rather than enumerating tuples; counts are exact Python ints.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -16,16 +14,6 @@ from .field import ElemSet, FieldMismatch
 from .repfn import (BudgetExceeded, _inverses, _sorted_lookup, rep_function,
                     table_budget)
 from .setalgebra import combine
-
-
-@dataclass
-class CountReport:
-    """Exact count of one equation's solutions plus the input sizes."""
-
-    equation: str
-    sizes: dict
-    count: int
-    elapsed_ms: float
 
 
 def _square_sum(counts) -> int:
@@ -200,9 +188,3 @@ def count_energy_equiv(A: ElemSet, op: str = "add", k: int = 2,
         # scan via list.count
         return sum(vals.count(v) for v in vals)
     return sum(vals.count(v) ** 4 for v in set(vals))
-
-
-def count_report(equation: str, count: int, sizes: dict,
-                 elapsed_s: float) -> CountReport:
-    return CountReport(equation=equation, sizes=sizes, count=count,
-                       elapsed_ms=elapsed_s * 1e3)

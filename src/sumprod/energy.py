@@ -132,7 +132,8 @@ def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
         if best_score is None or score > best_score or \
                 (score == best_score and t > best_t):
             best_t, best_score = t, score
-    assert best_t is not None
+    if best_t is None:
+        raise ValueError("dyadic extraction needs a positive multiplicity")
 
     t = best_t
     counts = np.asarray(r.counts, dtype=np.int64)

@@ -242,9 +242,6 @@ class ElemSet:
         drop = set(other.elements())
         return ElemSet(self.field, [v for v in self if v not in drop])
 
-    def restrict(self, keep) -> "ElemSet":
-        return ElemSet(self.field, [v for v in self if keep(v)])
-
 
 def _format_element(v: Element) -> str:
     if isinstance(v, Fraction):

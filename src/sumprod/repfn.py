@@ -1,15 +1,17 @@
 """Representation functions r_{A∘B} with exact multiplicities.
 
-The hot path (prime mode / int-valued sets) streams A x B in row chunks into
-one flat array, radix-sorts it and run-length encodes; this is what makes
-fourth-moment energies of 10^4-element sets feasible on one core. Rational or
-oversized values fall back to an exact Counter.
+The hot path (prime mode / int-valued sets) streams A x B in row blocks into
+one flat array, sorts it and run-length encodes; large tables are filled and
+sorted on every usable core. This is what makes fourth-moment energies of
+10^4-element sets take seconds. Rational or oversized values fall back to an
+exact Counter.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -19,7 +21,8 @@ from .field import ElemSet, FieldMismatch, GroundField
 OPS = ("add", "sub", "mul", "div")
 
 DEFAULT_BUDGET = 100_000_000  # pair insertions
-_CHUNK = 1 << 22
+_BLOCK = 1 << 17  # pairs per row block, so that a block stays in cache
+_PARALLEL_MIN = 1 << 21  # pairs; smaller tables fill and sort on one thread
 
 
 class BudgetExceeded(RuntimeError):
@@ -60,34 +63,12 @@ class RepFn:
             return int(self.counts.sum())
         return sum(self.counts)
 
-    def max_count(self) -> int:
-        if len(self.values) == 0:
-            return 0
-        if isinstance(self.counts, np.ndarray):
-            return int(self.counts.max())
-        return max(self.counts)
-
     def items(self) -> Iterator[Tuple[object, int]]:
         if isinstance(self.values, np.ndarray):
             for v, c in zip(self.values.tolist(), self.counts.tolist()):
                 yield v, c
         else:
             yield from zip(self.values, self.counts)
-
-    def count_of(self, x) -> int:
-        x = self.field.canonical(x)
-        if isinstance(self.values, np.ndarray):
-            if not isinstance(x, int):
-                return 0
-            i = int(np.searchsorted(self.values, x))
-            if i < self.values.size and int(self.values[i]) == x:
-                return int(self.counts[i])
-            return 0
-        try:
-            i = self.values.index(x)
-        except ValueError:
-            return 0
-        return self.counts[i]
 
     def support(self) -> ElemSet:
         if isinstance(self.values, np.ndarray):
@@ -152,6 +133,13 @@ def _inverses(b: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
+def _threads() -> int:
+    """Cores this process may run on (every core where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
                      support: bool = False) -> Tuple[np.ndarray, bool]:
     """Sorted flat array of op-values over A x B (int fast path only).
@@ -166,6 +154,12 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
     Otherwise (div, or add/mul tables of multiplicities) flat holds all
     |A||B| values. Prime mode stays in int32 where p allows: add/sub use a
     shifted subtraction plus one conditional correction instead of a modulo.
+
+    Tables of at least _PARALLEL_MIN pairs are filled and sorted on every
+    usable core: the rows split into one range of about equal output per
+    thread, each written to its own slice of flat, and the sort partitions
+    flat at the range cuts and sorts the slices in place. The result is the
+    same array as on one thread.
     """
     field = A.field
     a = A.ints
@@ -180,10 +174,14 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
     small = p is not None and p <= (1 << 31) - 1
     dtype = np.int32 if small else np.int64
     strict = int(op == "sub")  # sub skips the diagonal
-    size = (n * (n - 1) // 2 if strict else n * (n + 1) // 2) if half \
-        else n * m
+    # offsets[i] is where row i starts in flat; a half row i holds the
+    # columns j >= i (> i for sub)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(m - strict - np.arange(n) if half else np.full(n, m),
+              out=offsets[1:])
+    size = int(offsets[-1])
     out = np.empty(size, dtype=dtype)
-    rows = max(1, _CHUNK // max(m, 1))
+    rows = max(1, _BLOCK // max(m, 1))
 
     shifted = small and op in ("add", "sub")
     if shifted:
@@ -191,41 +189,57 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
         # a+b mod p == a-(p-b) mod p; both cases become subtraction in (-p, p)
         b = (p - b).astype(np.int32) if op == "add" else b.astype(np.int32)
         p32 = np.int32(p)
-    filled = 0
-    for i0 in range(0, n, rows):
-        i1 = min(n, i0 + rows)
-        # half: columns j >= i (> i for sub); the rest of the block is masked
-        j0 = i0 + strict if half else 0
-        blk_a = a[i0:i1, None]
-        blk_b = b[None, j0:]
-        if half and strict:
-            # a is sorted, so d = a_j - a_i lies in (0, p) for i < j
-            blk = blk_b - blk_a
-        elif shifted:
-            blk = blk_a - blk_b
-            blk[blk < 0] += p32
-        else:
-            if op == "add":
-                blk = blk_a + blk_b
-            elif op == "sub":
-                blk = blk_a - blk_b
-            else:
-                blk = blk_a * blk_b
-            if p is not None:
-                blk %= p
-        if half:
-            blk = blk[np.arange(j0, m)[None, :]
-                      >= np.arange(i0 + strict, i1 + strict)[:, None]]
-            if strict and p is not None:
-                np.minimum(blk, p - blk, out=blk)
-        else:
-            blk = blk.ravel()
-        out[filled:filled + blk.size] = blk
-        filled += blk.size
-    if filled != size:
-        raise RuntimeError(f"pair kernel filled {filled} of {size} slots")
 
-    out.sort()  # SIMD introsort; much faster than radix here
+    def fill(lo: int, hi: int) -> None:
+        filled = int(offsets[lo])
+        for i0 in range(lo, hi, rows):
+            i1 = min(hi, i0 + rows)
+            # half: the rest of the block is masked
+            j0 = i0 + strict if half else 0
+            blk_a = a[i0:i1, None]
+            blk_b = b[None, j0:]
+            if half and strict:
+                # a is sorted, so d = a_j - a_i lies in (0, p) for i < j
+                blk = blk_b - blk_a
+            elif shifted:
+                blk = blk_a - blk_b
+                blk[blk < 0] += p32
+            else:
+                if op == "add":
+                    blk = blk_a + blk_b
+                elif op == "sub":
+                    blk = blk_a - blk_b
+                else:
+                    blk = blk_a * blk_b
+                if p is not None:
+                    blk %= p
+            if half:
+                blk = blk[np.arange(j0, m)[None, :]
+                          >= np.arange(i0 + strict, i1 + strict)[:, None]]
+                if strict and p is not None:
+                    np.minimum(blk, p - blk, out=blk)
+            else:
+                blk = blk.ravel()
+            out[filled:filled + blk.size] = blk
+            filled += blk.size
+        if filled != offsets[hi]:
+            raise RuntimeError(f"pair kernel filled rows {lo}..{hi} up to "
+                               f"slot {filled}, expected {offsets[hi]}")
+
+    # an empty table has no range to split
+    threads = _threads() if size and size >= _PARALLEL_MIN else 1
+    if threads == 1:
+        fill(0, n)
+        out.sort()  # SIMD introsort; much faster than radix here
+        return out, half
+    cuts = [size * k // threads for k in range(1, threads)]
+    bounds = [0, *np.searchsorted(offsets, cuts).tolist(), n]
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(fill, bounds[:-1], bounds[1:]))
+        # every value left of a cut is <= every value right of it, so
+        # sorting the slices sorts flat
+        out.partition(cuts)
+        list(pool.map(np.ndarray.sort, np.split(out, cuts)))
     return out, half
 
 
@@ -266,7 +280,13 @@ def _rle(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.not_equal(flat[1:], flat[:-1], out=keep[1:])
     starts = np.flatnonzero(keep)
     del keep
-    return flat[starts].astype(np.int64), np.diff(starts, append=flat.size)
+    vals = flat[starts].astype(np.int64, copy=False)
+    # counts overwrite starts in place: a table-sized diff buffer would set
+    # the peak memory of large tables
+    counts = starts
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1] = flat.size - counts[-1]
+    return vals, counts
 
 
 def _sorted_lookup(arr: np.ndarray,

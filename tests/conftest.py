@@ -79,6 +79,20 @@ def self_table_case(draw):
 
 
 @st.composite
+def pair_table_case(draw):
+    """(A, B, op) with A and B drawn apart, usually of different sizes.
+
+    Values are drawn as in `self_table_case`; 0 and empty sets occur.
+    """
+    field = draw(st.sampled_from(_EDGE_FIELDS))
+    op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
+    value = edge_values(field, [1 << (31 if op == "mul" else 61)])
+    A = ElemSet(field, draw(st.lists(value, max_size=12)))
+    B = ElemSet(field, draw(st.lists(value, max_size=12)))
+    return A, B, op
+
+
+@st.composite
 def membership_case(draw):
     """(T, B, P, op, swap) for r-counts |{b in B : t∘b in P}|.
 

@@ -42,16 +42,6 @@ def naive_pair_popularity(F: ElemSet, B: ElemSet, D: ElemSet, P: ElemSet,
     return total
 
 
-def naive_energy(A: ElemSet, k: int, op: str) -> int:
-    f = A.field
-    if op == "add":
-        vals = [f.sub(a, b) for a in A for b in A]
-    else:
-        vals = [f.div(a, b) for a in A for b in A if b != 0]
-    from collections import Counter
-    return sum(c**k for c in Counter(vals).values())
-
-
 def naive_membership_counts(T: ElemSet, B: ElemSet, P: ElemSet,
                             op: str) -> list:
     """[|{b in B : t∘b in P}| for t in T]; div skips b = 0."""

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import (ElemSet, GroundField, cauchy_schwarz_check, combine,
-                     count_energy_equiv, dyadic_extract, energy, energy_rep,
-                     rep_function)
+from sumprod import (ElemSet, GroundField, RepFn, cauchy_schwarz_check,
+                     combine, count_energy_equiv, dyadic_extract, energy,
+                     energy_rep, rep_function)
 
 from conftest import random_set
 
@@ -62,6 +63,13 @@ def test_dyadic_singleton(c0):
     A = ElemSet(c0, [0])
     sl = dyadic_extract(rep_function(A, A, "sub"), 2)
     assert sorted(sl.support) == [0] and sl.t == 1
+
+
+def test_dyadic_refuses_table_without_positive_count(c0):
+    # raises under python -O too, where an assert would let it through
+    r = RepFn(c0, "add", np.asarray([1]), np.asarray([0]), 0, 1, 1)
+    with pytest.raises(ValueError):
+        dyadic_extract(r, 2)
 
 
 def test_dyadic_band_property(c0):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumprod import (BudgetExceeded, ElemSet, GroundField, count_spectrum,
                      rep_function)
+from sumprod import repfn
 from sumprod.repfn import _flat_sorted_int, _inverses, _object_table
 
 from conftest import P31, random_set, self_table_case
@@ -114,6 +115,19 @@ def test_self_tables_build_half_square(fp, op, table, support):
     copy = ElemSet(fp, list(A))
     assert _flat_sorted_int(A, copy, op)[0].size == table
     assert _flat_sorted_int(A, copy, op, support=True)[0].size == support
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_large_table_on_usable_cores(fp, op):
+    # above the one-thread threshold: filled and sorted on every core this
+    # process may use, on one thread when pinned to one core
+    A = random_set(fp, 1500, seed=5)
+    flat, half = _flat_sorted_int(A, ElemSet(fp, list(A)[:-1]), op)
+    a, b = A.ints, A.ints[:-1]
+    want = np.sort(np.remainder(a[:, None] + b if op == "add"
+                                else a[:, None] - b, fp.p), axis=None)
+    assert flat.size >= repfn._PARALLEL_MIN and not half
+    assert np.array_equal(flat, want)
 
 
 @settings(max_examples=60, deadline=None)
