@@ -6,19 +6,14 @@ products) rather than enumerating tuples; counts are exact Python ints.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from collections import Counter
+from typing import Optional
 
 import numpy as np
 
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, _inverses, _sorted_lookup, rep_function,
-                    table_budget)
-from .setalgebra import combine
-
-
-def _square_sum(counts) -> int:
-    return sum(int(c) * int(c) for c in
-               (counts.tolist() if isinstance(counts, np.ndarray) else counts))
+from .repfn import (BudgetExceeded, _exact_dot, _grid, _int_fast_ok,
+                    _sorted_lookup, rep_function, table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
@@ -44,27 +39,19 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     # multiset X x multiset(Y+Z)
     sums = rep_function(Y, Z, "add", budget=budget)
     field = X.field
-    if X.ints is not None and isinstance(sums.values, np.ndarray) and \
-            (field.is_prime_mode and field.p < (1 << 31)
-             or not field.is_prime_mode
-             and int(np.abs(X.ints).max()) < (1 << 31)
-             and int(np.abs(sums.values).max(initial=0)) < (1 << 31)):
-        prods = X.ints[:, None] * sums.values[None, :]
-        if field.is_prime_mode:
-            prods %= field.p
+    if _int_fast_ok(field, "mul", X.ints, sums.values):
+        prods = _grid(X.ints, sums.values, "mul", field.p)
         weights = np.broadcast_to(sums.counts, prods.shape)
         _, inv = np.unique(prods.ravel(), return_inverse=True)
-        m = np.bincount(inv, weights=weights.ravel())  # exact while < 2^53
-        mi = m.astype(np.int64)
-        if float(m.sum()) * float(m.max()) < 2**53:
-            return int(round(float(np.dot(mi, mi.astype(np.float64)))))
-        return int(np.dot(mi.astype(object), mi.astype(object)))
-    from collections import Counter
-    table = Counter()
-    for x in X:
-        for s, c in sums.items():
-            table[field.mul(x, s)] += c
-    return _square_sum(table.values())
+        # bincount sums its float weights exactly while m(v) < 2^53
+        m = np.bincount(inv, weights=weights.ravel()).astype(np.int64)
+    else:
+        table = Counter()
+        for x in X:
+            for s, c in sums.items():
+                table[field.mul(x, s)] += c
+        m = np.fromiter(table.values(), dtype=np.int64, count=len(table))
+    return _exact_dot(m, m)
 
 
 def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
@@ -79,8 +66,7 @@ def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
     diff = rep_function(C, D, "sub", budget=budget)
     if isinstance(prod.values, np.ndarray) and isinstance(diff.values, np.ndarray):
         idx, hit = _sorted_lookup(diff.values, prod.values)
-        return int(np.dot(prod.counts[hit].astype(object),
-                          diff.counts[idx[hit]].astype(object)))
+        return _exact_dot(prod.counts[hit], diff.counts[idx[hit]])
     dd = diff.to_dict()
     return sum(c * dd.get(v, 0) for v, c in prod.items())
 
@@ -118,30 +104,19 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     if nf * nb > budget or nf * nf > budget:
         raise BudgetExceeded("pair table exceeds budget")
 
-    # mul needs a/b as a field element: F_p only, and no b = 0 in F
-    fast_field = field.p < (1 << 31) if field.is_prime_mode else op == "add"
-    if F.ints is not None and B.ints is not None and P.ints is not None \
-            and D.ints is not None and fast_field \
+    inv_op = "sub" if op == "add" else "div"
+    # a∘b^-1 must be a field element for every pair: no b = 0 for mul
+    if P.ints is not None and D.ints is not None \
+            and _int_fast_ok(field, op, F.ints, B.ints) \
+            and _int_fast_ok(field, inv_op, F.ints) \
             and not (op == "mul" and 0 in F):
-        p = field.p
-        a = F.ints
-        b = B.ints
-        if op == "add":
-            grid = a[:, None] + b[None, :]
-            pair = a[:, None] - a[None, :]
-        else:
-            grid = a[:, None] * b[None, :]
-            pair = a[:, None] * _inverses(a, p)[None, :]
-        if p is not None:
-            grid %= p
-            pair %= p
-
-        popular = _sorted_lookup(P.ints, grid)[1].astype(np.float64)  # 0/1
+        p, a = field.p, F.ints
+        popular = _sorted_lookup(P.ints, _grid(a, B.ints, op, p))[1]
+        popular = popular.astype(np.float64)          # 0/1
         g = popular @ popular.T                       # g[i,j], exact in float64
-        gi = g[_sorted_lookup(D.ints, pair)[1]].astype(np.int64)
-        if float(gi.sum()) * float(gi.max(initial=0)) < 2**53:
-            return int(round(float(np.dot(gi, gi.astype(np.float64)))))
-        return int(np.dot(gi.astype(object), gi.astype(object)))
+        gi = g[_sorted_lookup(D.ints, _grid(a, a, inv_op, p))[1]]
+        gi = gi.astype(np.int64)
+        return _exact_dot(gi, gi)
 
     fop = field.add if op == "add" else field.mul
     finv = field.sub if op == "add" else field.div

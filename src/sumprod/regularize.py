@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import ElemSet
 from .energy import _spectrum_moment, dyadic_extract, energy
-from .repfn import _int_fast_ok, _inverses, _sorted_lookup, rep_function
+from .repfn import _grid, _int_fast_ok, _sorted_lookup, rep_function
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -81,43 +81,33 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
     """
     field = targets.field
     p = field.p
-    fast = _int_fast_ok(targets, B, op) and P.ints is not None
-    if fast and len(P) < len(B) and _int_fast_ok(targets, P, op) \
-            and (p is not None or op in ("add", "sub")):
-        t, s, b = targets.ints, P.ints, B.ints
+    t, b, s = targets.ints, B.ints, P.ints
+    fast = s is not None and _int_fast_ok(field, op, t, b)
+    # the preimage of s is s-t, t-s, s/t or t/s
+    pre_op = "sub" if op in ("add", "sub") else "div"
+    if fast and len(P) < len(B) and _int_fast_ok(field, pre_op, t, s):
         out = np.zeros(t.size, dtype=np.int64)
         rows = slice(None)
-        if op == "add":
-            grid = s[None, :] - t[:, None]
-        elif op == "sub":
-            grid = t[:, None] - s[None, :]
-        else:
+        if op in ("mul", "div"):
             # t = 0 maps every b to 0: count all of B (nonzero b for div)
             zero = t == 0
             if 0 in P:
                 out[zero] = b.size - int(op == "div" and 0 in B)
             rows = ~zero
-            if op == "mul":
-                grid = _inverses(t[rows], p)[:, None] * s[None, :]
-            else:
-                grid = t[rows, None] * _inverses(s[s != 0], p)[None, :]
-        if p is not None:
-            grid %= p
+        tr = t[rows]
+        if op == "add":
+            grid = _grid(-tr, s, "add", p)
+        elif op == "sub":
+            grid = _grid(tr, s, "sub", p)
+        elif op == "mul":
+            grid = _grid(s, tr, "div", p).T
+        else:
+            grid = _grid(tr, s[s != 0], "div", p)
         out[rows] = _sorted_lookup(b, grid)[1].sum(axis=1)
         return out
     if fast:
-        t, b = targets.ints, B.ints
-        if op == "div":
-            b = _inverses(b[b != 0], p)
-        if op == "add":
-            grid = t[:, None] + b[None, :]
-        elif op == "sub":
-            grid = t[:, None] - b[None, :]
-        else:
-            grid = t[:, None] * b[None, :]
-        if p is not None:
-            grid %= p
-        return _sorted_lookup(P.ints, grid)[1].sum(axis=1).astype(np.int64)
+        grid = _grid(t, b[b != 0] if op == "div" else b, op, p)
+        return _sorted_lookup(s, grid)[1].sum(axis=1).astype(np.int64)
     fop = getattr(field, op)
     out = []
     for a in targets:

@@ -94,18 +94,23 @@ def _check_ops(A: ElemSet, B: ElemSet, op: str) -> None:
         raise FieldMismatch(f"field mismatch: {A.field} vs {B.field}")
 
 
-def _int_fast_ok(A: ElemSet, B: ElemSet, op: str) -> bool:
-    if A.ints is None or B.ints is None:
+def _int_fast_ok(field: GroundField, op: str, *arrays) -> bool:
+    """The one rule for int64 fast paths: is `op` exact on these arrays?
+
+    Pass the arrays that enter the arithmetic; a set that is only looked up
+    needs nothing but int values. Every operand must be an int array (None
+    or a tuple marks exact objects). F_p needs p < 2^31, so that a product
+    of two residues fits int64. Char0 refuses div (ratios are rationals)
+    and bounds |v| < 2^31 for mul and |v| < 2^61 for add/sub.
+    """
+    if not all(isinstance(x, np.ndarray) for x in arrays):
         return False
-    field = A.field
     if field.is_prime_mode:
-        return field.p < (1 << 31)  # products must fit int64
+        return field.p < (1 << 31)
     if op == "div":
-        return False  # char-zero ratios are exact rationals
+        return False
     bound = 1 << 31 if op == "mul" else 1 << 61
-    amax = int(np.abs(A.ints).max(initial=0))
-    bmax = int(np.abs(B.ints).max(initial=0))
-    return amax < bound and bmax < bound
+    return all(int(np.abs(x).max(initial=0)) < bound for x in arrays)
 
 
 def _inverses(b: np.ndarray, p: int) -> np.ndarray:
@@ -131,6 +136,36 @@ def _inverses(b: np.ndarray, p: int) -> np.ndarray:
     if not (x * inv % p == 1).all():
         raise ArithmeticError(f"a value has no inverse mod {p}")
     return inv
+
+
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+
+
+def _grid(x: np.ndarray, y: np.ndarray, op: str,
+          p: Optional[int]) -> np.ndarray:
+    """grid[i, j] = x[i] op y[j], reduced mod p in prime mode.
+
+    div multiplies by the checked `_inverses(y, p)`, so a 0 in y raises.
+    Exact only where `_int_fast_ok(field, op, x, y)` holds.
+    """
+    if op == "div":
+        y = _inverses(y, p)
+        op = "mul"
+    grid = _UFUNCS[op](x[:, None], y[None, :])
+    if p is not None:
+        grid %= p
+    return grid
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact sum of x[i] * y[i] over two nonnegative int arrays.
+
+    The float64 dot is exact when sum(x) * max(y) < 2^53, because no
+    product or partial sum can exceed that; otherwise it runs on Python ints.
+    """
+    if int(x.sum()) * int(y.max(initial=0)) < 1 << 53:
+        return int(np.dot(x.astype(np.float64), y.astype(np.float64)))
+    return int(np.dot(x.astype(object), y.astype(object)))
 
 
 def _threads() -> int:
@@ -196,23 +231,14 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
             i1 = min(hi, i0 + rows)
             # half: the rest of the block is masked
             j0 = i0 + strict if half else 0
-            blk_a = a[i0:i1, None]
-            blk_b = b[None, j0:]
             if half and strict:
                 # a is sorted, so d = a_j - a_i lies in (0, p) for i < j
-                blk = blk_b - blk_a
+                blk = b[None, j0:] - a[i0:i1, None]
             elif shifted:
-                blk = blk_a - blk_b
+                blk = a[i0:i1, None] - b[None, j0:]
                 blk[blk < 0] += p32
             else:
-                if op == "add":
-                    blk = blk_a + blk_b
-                elif op == "sub":
-                    blk = blk_a - blk_b
-                else:
-                    blk = blk_a * blk_b
-                if p is not None:
-                    blk %= p
+                blk = _grid(a[i0:i1], b[j0:], op, p)
             if half:
                 blk = blk[np.arange(j0, m)[None, :]
                           >= np.arange(i0 + strict, i1 + strict)[:, None]]
@@ -339,7 +365,7 @@ def rep_function(A: ElemSet, B: ElemSet, op: str,
         return RepFn(field, op, np.zeros(0, dtype=np.int64),
                      np.zeros(0, dtype=np.int64), excluded, len(A), rhs)
 
-    if _int_fast_ok(A, B2, op):
+    if _int_fast_ok(A.field, op, A.ints, B2.ints):
         flat, half = _flat_sorted_int(A, B2, op)
         vals, counts = _rle(flat)
         del flat
@@ -363,7 +389,7 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     B2, _ = _prepare(A, B, op, budget)
     if len(A) == 0 or len(B2) == 0:
         return np.zeros(1, dtype=np.int64)
-    if _int_fast_ok(A, B2, op):
+    if _int_fast_ok(A.field, op, A.ints, B2.ints):
         flat, half = _flat_sorted_int(A, B2, op)
         total = flat.size
         eq = flat[1:] == flat[:-1]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 
 class ConstraintViolation(RuntimeError):

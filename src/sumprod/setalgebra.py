@@ -30,7 +30,7 @@ def combine(A: ElemSet, B: ElemSet, op: str,
     B2, _ = _prepare(A, B, op, budget)
     if len(A) == 0 or len(B2) == 0:
         return ElemSet.empty(A.field)
-    if _int_fast_ok(A, B2, op):
+    if _int_fast_ok(A.field, op, A.ints, B2.ints):
         flat, half = _flat_sorted_int(A, B2, op, support=True)
         keep = np.empty(flat.size, dtype=bool)
         keep[:1] = True

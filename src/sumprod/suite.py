@@ -17,7 +17,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field, asdict
-from typing import List, Optional
+from typing import List
 
 from . import __version__
 from .energy import cauchy_schwarz_check
@@ -27,8 +27,9 @@ from .field import ElemSet, GroundField
 from .regularize import check_regular, default_slack, xue_regularize
 from .repfn import BudgetExceeded
 from .report import ConstraintViolation, VerificationReport
-from .verify import (DEFAULT_P, check_kmps, check_mixed_energy,
-                     check_pluennecke, check_rss_proposition, check_sdz)
+from .verify import (DEFAULT_P, MIXED_VARIANTS, check_kmps,
+                     check_mixed_energy, check_pluennecke,
+                     check_rss_proposition, check_sdz)
 
 CSV_COLUMNS = ("lemma", "family", "n", "p", "lhs", "rhs_shape",
                "fitted_constant", "slack", "pass", "elapsed_ms")
@@ -54,15 +55,14 @@ class ExperimentConfig:
     sets_per_cell: int = 1
     slack_c: float = 64.0
     table_budget: int = 100_000_000
-    span_budget: int = 100_000_000
     seed: int = 0
     fitted_ceiling: float = 16.0
     ratio_floor: float = 0.25
     out_dir: str = "suite-out"
 
     def validate(self) -> None:
-        if self.table_budget <= 0 or self.span_budget <= 0:
-            raise ConfigError("budgets must be positive")
+        if self.table_budget <= 0:
+            raise ConfigError("table_budget must be positive")
         if self.sets_per_cell < 1:
             raise ConfigError("sets_per_cell must be >= 1")
         for lem in self.lemmas:
@@ -172,7 +172,7 @@ def _run_cell(config: ExperimentConfig, lemma: str, family: str, n: int,
                                  budget=budget))
     elif lemma == "mixed":
         U = _gen(config, "random", max(4, n // 4), fld, seed + 1)
-        for variant in ("E4+E2x", "E4xE2+", "E4xE4+", "E4+E4x"):
+        for variant in MIXED_VARIANTS:
             reports.append(check_mixed_energy(A, U, variant,
                                               slack_c=config.slack_c,
                                               budget=budget))

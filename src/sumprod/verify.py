@@ -14,14 +14,13 @@ from typing import Dict, List, Optional
 
 from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
-from .energy import cauchy_schwarz_check, energy, energy_rep, dyadic_extract
+from .energy import dyadic_extract, energy
 from .field import ElemSet, GroundField
 from .families import FamilySpec, gen_family, prime_with_subgroup, \
     sum_product_ratio
 from .regularize import (PopularityParams, default_slack, popular_sums,
                          regu_iterate, xue_regularize)
-from .repfn import rep_function
-from .repfn import BudgetExceeded
+from .repfn import BudgetExceeded, rep_function
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
 
@@ -111,61 +110,59 @@ def check_sdz(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
-MIXED_VARIANTS = ("E4+E2x", "E4xE2+", "E4xE4+", "E4+E4x")
+# variant -> (op of E_4(B), op of E_k(C, U), k)
+MIXED_VARIANTS = {
+    "E4+E2x": ("add", "mul", 2),
+    "E4xE2+": ("mul", "add", 2),
+    "E4xE4+": ("mul", "add", 4),
+    "E4+E4x": ("add", "mul", 4),
+}
 
 
 def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
                        slack_c: float = 64.0,
                        budget: Optional[int] = None) -> VerificationReport:
-    """Mixed fourth/second-moment energy products against |A|^7 |U|^3 or |U|^2."""
+    """Mixed energy products E_4(B) E_k(C,U)^(4/k) against |A|^7 |U|^(1+4/k).
+
+    B and C come from the regularization of A under the op of E_4(B).
+    """
     t0 = time.perf_counter()
     if variant not in MIXED_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    bop, cop, k = MIXED_VARIANTS[variant]
+    power = 4 // k
     field = A.field
     n = len(A)
     K = default_slack(n, slack_c)
 
     if field.is_prime_mode:
-        if variant == "E4+E2x":
-            prod = len(U) * n * len(combine(A, A, "sub", budget=budget))
-            _require_p_budget(prod, field.p ** 2, "|U||A||A-A| << p^2")
-        elif variant == "E4xE2+":
-            prod = len(U) * n * len(combine(A.remove_zero(), A.remove_zero(),
-                                            "div", budget=budget))
-            _require_p_budget(prod, field.p ** 2, "|U||A||A/A| << p^2")
-        elif variant == "E4xE4+":
-            Az = A.remove_zero()
-            prod = len(combine(Az, Az, "div", budget=budget)) * n \
-                * len(combine(A, U, "sub", budget=budget)) * len(U) ** 2
-            _require_p_budget(prod, field.p ** 4, "|A/A||A||A-U||U|^2 << p^4")
+        # |A-A| for an additive B, |A/A| for a multiplicative one; the cross
+        # term |A/U| or |A-U| takes the other operation
+        if bop == "add":
+            own, own_text = len(combine(A, A, "sub", budget=budget)), "A-A"
         else:
-            Uz = U.remove_zero()
-            prod = len(combine(A, A, "sub", budget=budget)) * n \
-                * len(combine(A, Uz, "div", budget=budget)) * len(U) ** 2
-            _require_p_budget(prod, field.p ** 4, "|A-A||A||A/U||U|^2 << p^4")
+            Az = A.remove_zero()
+            own, own_text = len(combine(Az, Az, "div", budget=budget)), "A/A"
+        if k == 2:
+            _require_p_budget(len(U) * n * own, field.p ** 2,
+                              f"|U||A||{own_text}| << p^2")
+        else:
+            if bop == "add":
+                cross = len(combine(A, U.remove_zero(), "div", budget=budget))
+            else:
+                cross = len(combine(A, U, "sub", budget=budget))
+            cross_text = "A/U" if bop == "add" else "A-U"
+            _require_p_budget(own * n * cross * len(U) ** 2, field.p ** 4,
+                              f"|{own_text}||A||{cross_text}||U|^2 << p^4")
 
-    reg_op = "add" if variant.startswith("E4+") else "mul"
-    d = xue_regularize(A, 4, reg_op, budget=budget)
+    d = xue_regularize(A, 4, bop, budget=budget)
     B, C = d.B, d.C
     if len(C) == 0:
         raise ValueError("regularization degenerate: empty C")
 
-    if variant == "E4+E2x":
-        lhs = int(energy(B, B, 4, "add", budget=budget).value) \
-            * int(energy(C, U, 2, "mul", budget=budget).value) ** 2
-        rhs = n ** 7 * len(U) ** 3
-    elif variant == "E4xE2+":
-        lhs = int(energy(B, B, 4, "mul", budget=budget).value) \
-            * int(energy(C, U, 2, "add", budget=budget).value) ** 2
-        rhs = n ** 7 * len(U) ** 3
-    elif variant == "E4xE4+":
-        lhs = int(energy(B, B, 4, "mul", budget=budget).value) \
-            * int(energy(C, U, 4, "add", budget=budget).value)
-        rhs = n ** 7 * len(U) ** 2
-    else:  # E4+E4x
-        lhs = int(energy(B, B, 4, "add", budget=budget).value) \
-            * int(energy(C, U, 4, "mul", budget=budget).value)
-        rhs = n ** 7 * len(U) ** 2
+    lhs = int(energy(B, B, 4, bop, budget=budget).value) \
+        * int(energy(C, U, k, cop, budget=budget).value) ** power
+    rhs = n ** 7 * len(U) ** (power + 1)
 
     fitted = _fitted(lhs, rhs)
     return VerificationReport(

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -118,3 +119,20 @@ def membership_case(draw):
     B, P = (two, one) if swap else (one, two)
     return (ElemSet(field, T), ElemSet(field, B), ElemSet(field, P), op,
             swap)
+
+
+@st.composite
+def pair_popularity_case(draw):
+    """(F, B, D, P, op) for the pair-popularity count, op add or mul.
+
+    Char0 values sit next to 2^31 and 2^61, and a set holds a rational now
+    and then, so int and object operands meet in one call.
+    """
+    field = draw(st.sampled_from(_EDGE_FIELDS))
+    value = edge_values(field, [1 << 31, 1 << 61])
+    if not field.is_prime_mode:
+        value = value | st.builds(Fraction, st.integers(-9, 9),
+                                  st.integers(2, 3))
+    sets = [ElemSet(field, draw(st.lists(value, max_size=6)))
+            for _ in range(4)]
+    return (*sets, draw(st.sampled_from(["add", "mul"])))

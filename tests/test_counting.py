@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      energy, f_collision_count, tautological_count)
 
 from sumprod.counting import _pair_popularity_square_sum
 
+from conftest import P31, edge_values, pair_popularity_case
 from oracles import (naive_bilinear, naive_f_collision, naive_pair_popularity,
                      naive_tautological)
 
@@ -53,11 +56,17 @@ def test_energy_equiv_frozen(c0):
     assert count_energy_equiv(ElemSet(c0, [1, 2, 4]), "mul", 2) == 19
 
 
-@settings(max_examples=40, deadline=None)
-@given(tiny, tiny, tiny, st.booleans())
-def test_f_collision_vs_naive(xs, ys, zs, prime):
-    field = GroundField.prime(31) if prime else GroundField.char0()
-    X, Y, Z = (ElemSet(field, v).remove_zero() for v in (xs, ys, zs))
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GroundField.prime(3), GroundField.prime(31),
+                        GroundField.prime(101), GroundField.prime(P31),
+                        GroundField.char0()]),
+       st.data())
+def test_f_collision_vs_naive(field, data):
+    # char0 values next to 2^31 put x and y+z on both sides of the mul
+    # bound; prime fields draw values next to 0 and p, so y+z wraps
+    X, Y, Z = (ElemSet(field, data.draw(st.lists(
+        edge_values(field, [1 << 31]), min_size=1, max_size=5))).remove_zero()
+        for _ in range(3))
     if min(len(X), len(Y), len(Z)) == 0:
         return
     assert f_collision_count(X, Y, Z) == naive_f_collision(X, Y, Z)
@@ -95,6 +104,18 @@ def test_pair_popularity_mul_vs_naive(f, b, d, p, prime):
     F, B, D, P = (ElemSet(field, v) for v in (f, b, d, p))
     assert _pair_popularity_square_sum(F, B, D, P, op="mul") == \
         naive_pair_popularity(F, B, D, P, "mul")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_popularity_case())
+@example(tuple(ElemSet(GroundField.char0(), v) for v in
+               ([1, 2], [Fraction(1, 2), 1], [0, 1], [2, 3])) + ("add",))
+def test_pair_popularity_at_fast_path_bounds(case):
+    # the example has int pairs but a rational B: only the check of the
+    # pair op on (F, B) keeps it off the int grid
+    F, B, D, P, op = case
+    assert _pair_popularity_square_sum(F, B, D, P, op=op) == \
+        naive_pair_popularity(F, B, D, P, op)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumprod import (BudgetExceeded, ElemSet, GroundField, count_spectrum,
                      rep_function)
 from sumprod import repfn
-from sumprod.repfn import _flat_sorted_int, _inverses, _object_table
+from sumprod.repfn import (_exact_dot, _flat_sorted_int, _grid,
+                           _int_fast_ok, _inverses, _object_table)
 
-from conftest import P31, random_set, self_table_case
+from conftest import P31, pair_table_case, random_set, self_table_case
 
 small_sets = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
@@ -144,3 +145,62 @@ def test_inverses_refuse_multiples_of_p(bad):
         _inverses(np.asarray([1, bad, 5], dtype=np.int64), 101)
     with pytest.raises(ValueError):
         _inverses(np.asarray([1], dtype=np.int64), 2**31 + 11)
+
+
+@pytest.mark.parametrize("op,bound", [("add", 1 << 61), ("sub", 1 << 61),
+                                      ("mul", 1 << 31)])
+def test_fast_rule_char0_bounds(c0, op, bound):
+    small = np.asarray([-3, 0, 7], dtype=np.int64)
+
+    def ok(*values):
+        return _int_fast_ok(c0, op, small, np.asarray(values, dtype=np.int64))
+
+    assert ok() and ok(bound - 1) and ok(-(bound - 1))
+    assert not ok(bound) and not ok(-bound) and not ok(1, bound + 5)
+    # every operand is bounded, not only the last
+    assert not _int_fast_ok(c0, op, np.asarray([bound]), small)
+
+
+def test_fast_rule_refusals(c0, fp):
+    one = np.asarray([1], dtype=np.int64)
+    assert _int_fast_ok(fp, "div", one, one)
+    assert _int_fast_ok(fp, "mul", one)
+    assert not _int_fast_ok(c0, "div", one, one)
+    assert not _int_fast_ok(c0, "div", one)
+    assert not _int_fast_ok(GroundField.prime(2**31 + 11), "add", one, one)
+    # None (a set with rationals) or exact objects are not int operands
+    assert not _int_fast_ok(fp, "add", one, None)
+    assert not _int_fast_ok(c0, "add", (1, 2), one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_table_case())
+@example((ElemSet(GroundField.char0(), [(1 << 32) - 1, 3]),
+          ElemSet(GroundField.char0(), [-2, (1 << 32) - 1]), "mul"))
+def test_grid_matches_field_ops(case):
+    # wherever the rule accepts, the int64 grid is the exact field op; the
+    # example's products would wrap int64 past a char0 mul bound of 2^32
+    A, B, op = case
+    if op == "div":
+        B = B.remove_zero()
+    field = A.field
+    if not _int_fast_ok(field, op, A.ints, B.ints):
+        return
+    fop = getattr(field, op)
+    assert _grid(A.ints, B.ints, op, field.p).tolist() == \
+        [[fop(x, y) for y in B] for x in A]
+
+
+_DOT_ENTRY = st.integers(0, 40) | st.integers((1 << 26) - 40, (1 << 27) + 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DOT_ENTRY, _DOT_ENTRY), max_size=6))
+@example([((1 << 27) + 1, (1 << 27) + 1)])
+@example([(1 << 26, (1 << 27) - 1)])
+def test_exact_dot_on_both_sides_of_2_53(pairs):
+    # entries near 2^26..2^27 put sum(x) * max(y) on either side of 2^53;
+    # a float64 dot above it drops low bits, e.g. (2^27 + 1)^2
+    x = np.asarray([a for a, _ in pairs], dtype=np.int64)
+    y = np.asarray([b for _, b in pairs], dtype=np.int64)
+    assert _exact_dot(x, y) == sum(a * b for a, b in pairs)
