@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .field import ElemSet, GroundField, is_prime
+from .field import ElemSet, GroundField, is_prime, primitive_root
 from .setalgebra import combine
 
 
@@ -34,28 +34,6 @@ class FamilySpec:
             raise ValueError("gp ratio must not be 0 or 1")
         if self.kind not in ("ap", "gp", "random", "subgroup", "interval"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-
-
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def primitive_root(p: int) -> int:
-    """Smallest generator of F_p^*."""
-    factors = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found for {p}")  # unreachable for prime p
 
 
 def subgroup_of_order(p: int, order: int) -> ElemSet:

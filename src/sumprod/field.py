@@ -50,6 +50,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _factorize(n: int) -> dict:
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def primitive_root(p: int) -> int:
+    """Smallest generator of F_p^*."""
+    factors = _factorize(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+    raise ValueError(f"no primitive root found for {p}")  # unreachable for prime p
+
+
 @dataclass(frozen=True)
 class GroundField:
     """Either F_p for an odd prime p, or the exact rationals ("char0")."""

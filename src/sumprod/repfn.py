@@ -9,20 +9,24 @@ exact Counter.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .field import ElemSet, FieldMismatch, GroundField
+from .field import (ElemSet, FieldMismatch, GroundField, _factorize,
+                    primitive_root)
 
 OPS = ("add", "sub", "mul", "div")
 
 DEFAULT_BUDGET = 100_000_000  # pair insertions
 _BLOCK = 1 << 17  # pairs per row block, so that a block stays in cache
 _PARALLEL_MIN = 1 << 21  # pairs; smaller tables fill and sort on one thread
+_LOG_MIN = _PARALLEL_MIN  # pairs; smaller self div spectra keep the inverses
+_LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
 
 
 class BudgetExceeded(RuntimeError):
@@ -39,11 +43,12 @@ class RepFn:
 
     `values` is either a sorted int64 numpy array or a sorted tuple of exact
     elements; `counts` aligns with it. `excluded_pairs` records zero-denominator
-    pairs dropped in div mode.
+    pairs dropped in div mode. The arrays are never mutated, so the count
+    histogram is computed once.
     """
 
     __slots__ = ("field", "op", "values", "counts", "excluded_pairs",
-                 "lhs_size", "rhs_size")
+                 "lhs_size", "rhs_size", "_hist")
 
     def __init__(self, field: GroundField, op: str, values, counts,
                  excluded_pairs: int, lhs_size: int, rhs_size: int):
@@ -54,6 +59,7 @@ class RepFn:
         self.excluded_pairs = excluded_pairs
         self.lhs_size = lhs_size
         self.rhs_size = rhs_size
+        self._hist = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -80,11 +86,15 @@ class RepFn:
         return dict(self.items())
 
     def count_histogram(self) -> np.ndarray:
-        """hist[m] = number of values with multiplicity exactly m."""
-        if len(self.values) == 0:
-            return np.zeros(1, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        return np.bincount(counts)
+        """hist[m] = #values with multiplicity exactly m; read-only."""
+        if self._hist is None:
+            if len(self.values) == 0:
+                hist = np.zeros(1, dtype=np.int64)
+            else:
+                hist = np.bincount(np.asarray(self.counts, dtype=np.int64))
+            hist.flags.writeable = False
+            self._hist = hist
+        return self._hist
 
 
 def _check_ops(A: ElemSet, B: ElemSet, op: str) -> None:
@@ -113,26 +123,34 @@ def _int_fast_ok(field: GroundField, op: str, *arrays) -> bool:
     return all(int(np.abs(x).max(initial=0)) < bound for x in arrays)
 
 
-def _inverses(b: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses mod p, checked.
+def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Elementwise x^e mod p for residues x in [0, p), p < 2^31.
 
-    Square-and-multiply over the exponent p-2 stays exact in int64 because
-    p < 2^31 keeps every product below 2^62. Raises ArithmeticError unless
-    b * b^-1 == 1 (mod p) for every element, which also refuses 0.
+    Square-and-multiply stays exact in int64 because every product of two
+    residues is below 2^62.
+    """
+    base = x.copy()
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            np.multiply(out, base, out=out)
+            np.remainder(out, p, out=out)
+        np.multiply(base, base, out=base)
+        np.remainder(base, p, out=base)
+        e >>= 1
+    return out
+
+
+def _inverses(b: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p as b^(p-2), checked.
+
+    Raises ArithmeticError unless b * b^-1 == 1 (mod p) for every element,
+    which also refuses 0.
     """
     if p >= 1 << 31:
         raise ValueError(f"int64 inverses need p < 2^31, got {p}")
     x = np.remainder(b, p, dtype=np.int64)
-    base = x.copy()
-    inv = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            np.multiply(inv, base, out=inv)
-            np.remainder(inv, p, out=inv)
-        np.multiply(base, base, out=base)
-        np.remainder(base, p, out=base)
-        e >>= 1
+    inv = _pow_mod(x, p - 2, p)
     if not (x * inv % p == 1).all():
         raise ArithmeticError(f"a value has no inverse mod {p}")
     return inv
@@ -187,8 +205,28 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
       add/mul, support=True: flat holds a_i op a_j for i <= j, which has the
             same support as the full table.
     Otherwise (div, or add/mul tables of multiplicities) flat holds all
-    |A||B| values. Prime mode stays in int32 where p allows: add/sub use a
-    shifted subtraction plus one conditional correction instead of a modulo.
+    |A||B| values; div multiplies by the checked inverses of B.
+    """
+    a, b = A.ints, B.ints
+    half = (op == "sub" or support and op in ("add", "mul")) and \
+        (A is B or np.array_equal(a, b))
+    if op == "div":
+        b = _inverses(b, A.field.p)
+        op = "mul"
+    return _sorted_table(a, b, op, A.field.p, half), half
+
+
+def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
+                  half: bool) -> np.ndarray:
+    """Sorted flat array of a_i op b_j for op in add, sub, mul.
+
+    Values are reduced mod p, which need not be prime (the discrete-log
+    path passes p - 1); None means char0. half (b equal to a, both sorted
+    and distinct) keeps only the pairs i < j for sub, stored as the class
+    min(d, p - d) of d = a_j - a_i (char0: d itself), and i <= j for
+    add/mul. A modulus up to 2^31 - 1 keeps the values in int32: add/sub use
+    a shifted subtraction plus one conditional correction instead of a
+    modulo.
 
     Tables of at least _PARALLEL_MIN pairs are filled and sorted on every
     usable core: the rows split into one range of about equal output per
@@ -196,15 +234,6 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
     flat at the range cuts and sorts the slices in place. The result is the
     same array as on one thread.
     """
-    field = A.field
-    a = A.ints
-    p = field.p
-    half = (op == "sub" or support and op in ("add", "mul")) and \
-        (A is B or np.array_equal(a, B.ints))
-    b = B.ints
-    if op == "div":
-        b = _inverses(b, p)
-        op = "mul"
     n, m = a.size, b.size
     small = p is not None and p <= (1 << 31) - 1
     dtype = np.int32 if small else np.int64
@@ -257,7 +286,7 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
     if threads == 1:
         fill(0, n)
         out.sort()  # SIMD introsort; much faster than radix here
-        return out, half
+        return out
     cuts = [size * k // threads for k in range(1, threads)]
     bounds = [0, *np.searchsorted(offsets, cuts).tolist(), n]
     with ThreadPoolExecutor(threads) as pool:
@@ -266,7 +295,7 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
         # sorting the slices sorts flat
         out.partition(cuts)
         list(pool.map(np.ndarray.sort, np.split(out, cuts)))
-    return out, half
+    return out
 
 
 def _mirror_classes(vals: np.ndarray, counts: Optional[np.ndarray], n: int,
@@ -330,6 +359,119 @@ def _sorted_lookup(arr: np.ndarray,
     return idx, arr[idx] == vals
 
 
+class _LogTable(NamedTuple):
+    """Pohlig-Hellman data for discrete logs base g in F_p^*.
+
+    `parts` holds one (q, e, roots, digits, steps) per prime power q^e
+    exactly dividing p-1: `roots` are the q-th roots of unity gamma^j
+    (gamma = g^((p-1)/q)) in sorted order, `digits` the j of each, and
+    steps[i][d] = c_i^d with c_i = g_e^(-q^i), g_e = g^((p-1)/q^e), which
+    strips the digit d found at place i < e-1.
+    """
+
+    p: int
+    g: int
+    parts: tuple
+
+
+def _geometric(c: int, q: int, p: int) -> np.ndarray:
+    """[c^0, c^1, ..., c^(q-1)] mod p as int64."""
+    out = [1] * q
+    for j in range(1, q):
+        out[j] = out[j - 1] * c % p
+    return np.asarray(out, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_table(p: int) -> Optional[_LogTable]:
+    """The log table of F_p, or None when p-1 has a prime factor above
+    _LOG_MAX_FACTOR (its roots table would be too large)."""
+    factors = _factorize(p - 1)
+    if max(factors) > _LOG_MAX_FACTOR:
+        return None
+    g = primitive_root(p)
+    parts = []
+    for q, e in sorted(factors.items()):
+        powers = _geometric(pow(g, (p - 1) // q, p), q, p)
+        order = np.argsort(powers)
+        g_e = pow(g, (p - 1) // q**e, p)
+        steps = tuple(_geometric(pow(g_e, -q**i, p), q, p)
+                      for i in range(e - 1))
+        parts.append((q, e, powers[order], order, steps))
+    return _LogTable(p, g, tuple(parts))
+
+
+def _pow_base(g: int, e: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise g^e mod p for one base and nonnegative int64 exponents."""
+    out = np.ones_like(e)
+    e = e.copy()
+    while e.any():
+        odd = (e & 1).astype(bool)
+        out[odd] = out[odd] * g % p
+        g = g * g % p
+        e >>= 1
+    return out
+
+
+def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
+    """Elementwise L in [0, p-1) with g^L = x mod p, checked.
+
+    Vectorised Pohlig-Hellman in int64, exact because p < 2^31 keeps every
+    product below 2^62: each base-q digit of L mod q^e is looked up among
+    the q-th roots of unity, and the residues are joined by the CRT. Raises
+    ArithmeticError for x = 0 mod p and whenever some g^L differs from x.
+    """
+    p = table.p
+    x = np.remainder(x, p, dtype=np.int64)
+    if not x.all():
+        raise ArithmeticError(f"0 has no discrete log mod {p}")
+    logs = np.zeros_like(x)
+    mod = 1  # logs is known mod `mod`
+    for q, e, roots, digits, steps in table.parts:
+        qe = q**e
+        h = _pow_mod(x, (p - 1) // qe, p)  # g_e^(L mod q^e)
+        part = np.zeros_like(x)
+        for i in range(e):
+            # h = g_e^(digits of L mod q^e at places >= i), so its q^(e-1-i)
+            # power is gamma^(digit i)
+            idx, hit = _sorted_lookup(roots, _pow_mod(h, q**(e - 1 - i), p))
+            if not hit.all():
+                raise ArithmeticError(f"no {q}-th root of unity mod {p} "
+                                      f"matches a log digit")
+            d = digits[idx]
+            part += d * q**i
+            if i < e - 1:
+                h = h * steps[i][d] % p
+        # CRT step; (part - logs) mod q^e times an inverse stays below 2^62
+        t = (part - logs) % qe * pow(mod, -1, qe) % qe
+        logs += mod * t
+        mod *= qe
+    if not (_pow_base(table.g, logs, p) == x).all():
+        raise ArithmeticError(f"a discrete log mod {p} fails g^L = x")
+    return logs
+
+
+def _self_div_logs(A: ElemSet, B: ElemSet) -> Optional[np.ndarray]:
+    """Sorted discrete logs of B when r_{A/B} is taken over logs, else None.
+
+    B holds no 0 (see `_prepare`). The log path runs in prime mode when
+    A∖{0} has B's contents, the table has at least _LOG_MIN pairs and every
+    prime factor of p-1 is at most _LOG_MAX_FACTOR. Below about 2^18 pairs
+    the logs cost more than the halved table saves (2-3 ms per call).
+    """
+    if not A.field.is_prime_mode or len(A) * len(B) < _LOG_MIN:
+        return None
+    a = A.ints[1:] if A.ints[0] == 0 else A.ints
+    if not np.array_equal(a, B.ints):
+        return None
+    table = _log_table(A.field.p)
+    if table is None:
+        return None
+    logs = _discrete_logs(B.ints, table)
+    logs.sort()
+    return logs
+
+
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
     fop = getattr(A.field, op)
     table = Counter()
@@ -384,37 +526,58 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     """Multiplicity histogram of r_{A∘B}: hist[m] = #values hit exactly m times.
 
     Avoids materialising the value keys, so energies of 10^4-element sets fit
-    comfortably in memory.
+    comfortably in memory. Large self div spectra are taken over discrete
+    logs (see `_self_div_logs`): r_{A/A} is r_{L-L} over Z/(p-1).
     """
     B2, _ = _prepare(A, B, op, budget)
     if len(A) == 0 or len(B2) == 0:
         return np.zeros(1, dtype=np.int64)
-    if _int_fast_ok(A.field, op, A.ints, B2.ints):
+    if not _int_fast_ok(A.field, op, A.ints, B2.ints):
+        table = _object_table(A, B2, op)
+        return np.bincount(np.asarray(list(table.values()), dtype=np.int64))
+    logs = _self_div_logs(A, B2) if op == "div" else None
+    self_neg = 0  # g(M/2) on the log path
+    if logs is None:
         flat, half = _flat_sorted_int(A, B2, op)
-        total = flat.size
-        eq = flat[1:] == flat[:-1]
-        del flat
-        # positions of equal adjacent pairs; sparse for generic sets, so the
-        # run-length histogram is built from this small index set
-        eq_idx = np.flatnonzero(eq)
-        del eq
-        if eq_idx.size == 0:
-            hist = np.asarray([0, total], dtype=np.int64)
-        else:
-            brk = np.flatnonzero(np.diff(eq_idx) != 1)
-            run_len = np.diff(np.concatenate(
-                (np.asarray([-1], dtype=np.int64), brk,
-                 np.asarray([eq_idx.size - 1], dtype=np.int64))))
-            mult = run_len + 1  # a run of r equal-adjacencies means r+1 copies
-            distinct = total - int(eq_idx.size)
-            hist = np.bincount(mult)
-            hist[1] = distinct - int(mult.size)
-        if half:
-            # a class count g(c) is the multiplicity of both c and -c, and 0
-            # is hit |A| times
-            n = len(A)
-            hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
-            hist[n] += 1
-        return hist
-    table = _object_table(A, B2, op)
-    return np.bincount(np.asarray(list(table.values()), dtype=np.int64))
+    else:
+        M = A.field.p - 1
+        flat, half = _sorted_table(logs, logs, "sub", M, True), True
+        # M is even, so the class M/2 (a/b = -1) is its own negative; it is
+        # the largest class and ends the sorted table
+        half_class = flat.dtype.type(M // 2)  # a search casts to its dtype
+        self_neg = flat.size - int(np.searchsorted(flat, half_class))
+    total = flat.size
+    eq = flat[1:] == flat[:-1]
+    del flat
+    # positions of equal adjacent pairs; sparse for generic sets, so the
+    # run-length histogram is built from this small index set
+    eq_idx = np.flatnonzero(eq)
+    del eq
+    if eq_idx.size == 0:
+        hist = np.asarray([0, total], dtype=np.int64)
+    else:
+        brk = np.flatnonzero(np.diff(eq_idx) != 1)
+        run_len = np.diff(np.concatenate(
+            (np.asarray([-1], dtype=np.int64), brk,
+             np.asarray([eq_idx.size - 1], dtype=np.int64))))
+        mult = run_len + 1  # a run of r equal-adjacencies means r+1 copies
+        distinct = total - int(eq_idx.size)
+        hist = np.bincount(mult)
+        hist[1] = distinct - int(mult.size)
+    if half:
+        # a class count g(c) is the multiplicity of both c and -c, except
+        # for M/2, one value hit 2g(M/2) times; 0 is hit |B2| times
+        n = len(B2)
+        if self_neg:
+            hist[self_neg] -= 1
+        hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
+        hist[n] += 1
+        if self_neg:
+            hist[2 * self_neg] += 1  # 2g(M/2) <= n: the pairs {a, -a}
+    if logs is not None and len(A) > len(B2):
+        hist[len(B2)] += 1  # 0 in A: the value 0 = 0/b for every b in B2
+    mass = _exact_dot(np.arange(hist.size), hist)
+    if mass != len(A) * len(B2):
+        raise ArithmeticError(f"spectrum mass {mass} != {len(A)}x{len(B2)} "
+                              f"pairs")
+    return hist

@@ -4,21 +4,18 @@ Each test prints its verdict to the real stdout so the line survives pytest's
 capture; a FAIL line is always followed by the assertion detail."""
 
 import csv
-import math
 import random
 import sys
 import time
-
-import pytest
 
 from sumprod import (ElemSet, ExperimentConfig, FamilySpec, GroundField,
                      bilinear_count, cauchy_schwarz_check, check_kmps,
                      check_pluennecke, check_rss_proposition, check_sdz,
                      check_regular, count_energy_equiv, default_slack,
-                     dyadic_extract, energy, energy_rep, f_collision_count,
-                     gen_family, main_theorem_probe, prime_with_subgroup,
-                     rep_function, run_suite, subgroup_of_order,
-                     sum_product_ratio, tautological_count, xue_regularize)
+                     dyadic_extract, energy, f_collision_count, gen_family,
+                     main_theorem_probe, prime_with_subgroup, rep_function,
+                     run_suite, subgroup_of_order, sum_product_ratio,
+                     tautological_count, xue_regularize)
 
 from conftest import P31, random_set
 from oracles import naive_bilinear, naive_f_collision, naive_tautological

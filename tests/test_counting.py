@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
-                     energy, f_collision_count, tautological_count)
+                     f_collision_count, tautological_count)
 
 from sumprod.counting import _pair_popularity_square_sum
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, RepFn, cauchy_schwarz_check,
                      combine, count_energy_equiv, dyadic_extract, energy,
                      energy_rep, rep_function)
-
-from conftest import random_set
 
 small_sets = st.lists(st.integers(-40, 40), min_size=1, max_size=14)
 

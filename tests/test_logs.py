@@ -1,0 +1,228 @@
+"""Self div spectra over discrete logs.
+
+count_spectrum takes r_{A/A} as r_{L-L} over Z/(p-1), L = log(A∖{0}), for
+tables of at least repfn._LOG_MIN pairs when every prime factor of p-1 is
+at most 2^16. These tests lower the gate to 0, so that tiny tables take the
+log path, and compare it with the object table and with the inverse path
+(the gate raised out of reach).
+"""
+
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sumprod import ElemSet, GroundField, count_spectrum, energy
+from sumprod import repfn
+from sumprod.repfn import _discrete_logs, _log_table, _object_table
+
+from conftest import P31
+
+# p - 1 = 2^5 * 67108859: no log table, every table keeps the inverses
+P_BIG_FACTOR = 2147483489
+# p - 1 = 2 * 5 * 65521 (just below 2^16) and 2 * 7 * 65537 (just above)
+P_AT_BOUND = 655211
+P_OVER_BOUND = 917519
+
+
+def log_gate(pairs):
+    return mock.patch.object(repfn, "_LOG_MIN", pairs)
+
+
+def spy():
+    return mock.patch.object(repfn, "_discrete_logs",
+                             wraps=repfn._discrete_logs)
+
+
+def object_spectrum(A, B):
+    table = _object_table(A, B.remove_zero(), "div")
+    return np.bincount(np.asarray(list(table.values()), dtype=np.int64),
+                       minlength=1).tolist()
+
+
+def check_log_path(A, B=None):
+    """The log path agrees with the object table and the inverse path."""
+    B = A if B is None else B
+    with log_gate(0), spy() as logs:
+        got = count_spectrum(A, B, "div").tolist()
+        moments = [energy(A, B, k, "mul").value for k in (2, 4, 4 / 3)]
+    # {0} / {0} has no pairs and no logs to take
+    assert logs.call_count == (4 if len(B.remove_zero()) else 0)
+    with log_gate(1 << 62), spy() as logs:
+        want = count_spectrum(A, B, "div").tolist()
+        want_moments = [energy(A, B, k, "mul").value for k in (2, 4, 4 / 3)]
+    assert logs.call_count == 0
+    assert got == want == object_spectrum(A, B)
+    assert moments == want_moments
+
+
+def coset(p, order, shift):
+    g = _log_table(p).g
+    h = pow(g, (p - 1) // order, p)
+    return [shift * pow(h, j, p) % p for j in range(order)]
+
+
+def named_sets(p):
+    """Sets that meet the exactness traps of the log path."""
+    rng = random.Random(p)
+    top = min(p - 1, 150)
+    some = rng.sample(range(1, p), top)
+    pm = some[:top // 2]
+    order = {3: 2, 5: 2, 101: 20, P31: 462}[p]
+    return {
+        "one": [some[0]],
+        "two": some[:2],
+        "zero-and-one": [0, some[0]],
+        "x-and-minus-x": [some[0], p - some[0]],
+        "random": some,
+        "with-zero": [0] + some,
+        "plus-minus": pm + [p - x for x in pm],  # class (p-1)/2: a/b = -1
+        "plus-minus-zero": [0] + pm + [p - x for x in pm[:len(pm) // 2]],
+        "coset": coset(p, order, some[-1]),
+        "coset-zero": [0] + coset(p, order, some[-1]),
+        "units": list(range(1, top + 1)),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, P31])
+@pytest.mark.parametrize("name", list(named_sets(101)))
+def test_log_spectrum_matches_object_and_inverse_paths(p, name):
+    check_log_path(ElemSet(GroundField.prime(p), named_sets(p)[name]))
+
+
+@pytest.mark.parametrize("p", [3, 101, P31])
+def test_log_path_with_zero_on_either_side(p):
+    F = GroundField.prime(p)
+    units = named_sets(p)["plus-minus"]
+    check_log_path(ElemSet(F, [0] + units), ElemSet(F, units))
+    check_log_path(ElemSet(F, units), ElemSet(F, [0] + units))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([3, 5, 101, P31]), data=st.data())
+def test_log_spectrum_random_sets(p, data):
+    value = st.integers(0, min(p - 1, 40)) | st.integers(max(0, p - 40), p - 1)
+    vals = set(data.draw(st.lists(value, min_size=1, max_size=14)))
+    if data.draw(st.booleans()):  # close the set under x -> -x
+        vals |= {(p - v) % p for v in vals}
+    check_log_path(ElemSet(GroundField.prime(p), vals))
+
+
+def test_log_spectrum_on_threads():
+    F = GroundField.prime(P31)
+    A = ElemSet(F, named_sets(P31)["plus-minus-zero"])
+    with mock.patch.multiple(repfn, _threads=lambda: 3, _PARALLEL_MIN=0,
+                             _BLOCK=1000):
+        check_log_path(A)
+
+
+def test_coset_energy_closed_form():
+    # in log space a coset of the subgroup of order n is a coset of a
+    # subgroup of Z/(p-1): r_{A/A} = n on H, so E_4 = n^5
+    A = ElemSet(GroundField.prime(P31), coset(P31, 462, 12345))
+    with log_gate(0), spy() as logs:
+        assert energy(A, A, 4, "mul").value == 462**5
+        assert count_spectrum(A, A, "div").tolist() == [0] * 462 + [462]
+    assert logs.call_count == 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, P_AT_BOUND, P31])
+def test_logs_satisfy_generator(p):
+    table = _log_table(p)
+    rng = random.Random(p)
+    x = np.asarray(sorted(rng.sample(range(1, p), min(p - 1, 2000))),
+                   dtype=np.int64)
+    logs = _discrete_logs(x, table)
+    assert logs.dtype == np.int64
+    assert ((0 <= logs) & (logs < p - 1)).all()
+    assert [pow(table.g, L, p) for L in logs.tolist()] == x.tolist()
+    if p < 1000:  # a generator: logs of all of F_p^* are all of Z/(p-1)
+        assert sorted(_discrete_logs(np.arange(1, p), table).tolist()) == \
+            list(range(p - 1))
+
+
+def test_log_table_gate():
+    assert _log_table(P_BIG_FACTOR) is None
+    assert _log_table(P_OVER_BOUND) is None
+    table = _log_table(P_AT_BOUND)
+    assert [part[0] for part in table.parts] == [2, 5, 65521]
+    assert _log_table(P31).g == 7
+
+
+@pytest.mark.parametrize("x", [[0], [5, 0, 9], [P31], [3, -P31]])
+def test_zero_has_no_log(x):
+    with pytest.raises(ArithmeticError, match="no discrete log"):
+        _discrete_logs(np.asarray(x, dtype=np.int64), _log_table(P31))
+
+
+def corrupted(table, part, field):
+    parts = list(table.parts)
+    q, e, roots, digits, steps = parts[part]
+    if field == "digits":
+        digits = digits.copy()
+        digits[[0, 1]] = digits[[1, 0]]
+    elif field == "roots":
+        roots = roots.copy()
+        roots[-1] -= 1
+    else:
+        steps = (steps[0][::-1].copy(),) + steps[1:]
+    parts[part] = (q, e, roots, digits, steps)
+    return table._replace(parts=tuple(parts))
+
+
+# P31 - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331: only the part of 3^2 has a
+# digit to strip
+@pytest.mark.parametrize("field,part", [
+    *[(field, part) for field in ("digits", "roots") for part in range(7)],
+    ("steps", 1)])
+def test_corrupted_log_table_raises(field, part):
+    table = _log_table(P31)
+    x = np.arange(1, 3000, dtype=np.int64)
+    with pytest.raises(ArithmeticError):
+        _discrete_logs(x, corrupted(table, part, field))
+    # the cached table itself is untouched
+    assert (_discrete_logs(x, table) >= 0).all()
+
+
+def test_mass_check_raises():
+    A = ElemSet(GroundField.prime(P31), named_sets(P31)["random"])
+    table = repfn._sorted_table
+
+    def drop_one(*args):
+        return table(*args)[1:]
+
+    with log_gate(0), mock.patch.object(repfn, "_sorted_table", drop_one):
+        with pytest.raises(ArithmeticError, match="mass"):
+            count_spectrum(A, A, "div")
+
+
+@pytest.mark.parametrize("p", [P_BIG_FACTOR, P_OVER_BOUND])
+def test_large_factor_prime_never_takes_log_path(p):
+    F = GroundField.prime(p)
+    A = ElemSet(F, [0] + random.Random(1).sample(range(1, p), 60))
+    with log_gate(0), spy() as logs:
+        got = count_spectrum(A, A, "div").tolist()
+        energy(A, A, 4, "mul")
+    assert logs.call_count == 0
+    assert got == object_spectrum(A, A)
+
+
+def test_gate_refusals():
+    F = GroundField.prime(P31)
+    A = ElemSet(F, named_sets(P31)["random"])
+    B = ElemSet(F, list(A)[1:])
+    with spy() as logs:
+        count_spectrum(A, A, "div")  # below the default gate
+        with log_gate(0):
+            count_spectrum(A, B, "div")  # rectangular
+            count_spectrum(A, A, "sub")
+            repfn.rep_function(A, A, "div")
+        assert logs.call_count == 0
+        with log_gate(len(A) ** 2):
+            count_spectrum(A, A, "div")
+        assert logs.call_count == 1
+    C = ElemSet(GroundField.char0(), [0, 1, 2, 4, -2])
+    with log_gate(0):  # char0 has no logs
+        assert count_spectrum(C, C, "div").tolist() == object_spectrum(C, C)

@@ -2,14 +2,15 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import (ElemSet, GroundField, check_regular, default_slack,
-                     energy, popular_sums, popularity_rule, regu_iterate,
-                     xue_regularize)
+from sumprod import (ElemSet, GroundField, RepFn, check_regular,
+                     default_slack, energy, popular_sums, popularity_rule,
+                     regu_iterate, xue_regularize)
 from sumprod.regularize import _membership_counts
 
 from conftest import P31, membership_case, random_set
@@ -117,6 +118,23 @@ def test_check_regular_rejects_foreign_set(c0):
     d = xue_regularize(A, 4, "add")
     with pytest.raises(ValueError):
         check_regular(d, ElemSet(c0, range(5)), 4, 100.0)
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_xue_builds_each_round_histogram_once(fp, op):
+    built, seen = [], {}
+    count_histogram = RepFn.count_histogram
+
+    def spy(r):
+        if r._hist is None:
+            built.append(r)
+        seen[id(r)] = r  # keeps r alive, so that ids stay distinct
+        return count_histogram(r)
+
+    A = random_set(fp, 200, seed=5, lo=1)
+    with mock.patch.object(RepFn, "count_histogram", spy):
+        d = xue_regularize(A, 4, op)
+    assert len(built) == len(seen) >= d.rounds >= 1
 
 
 def test_determinism(fp):

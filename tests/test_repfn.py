@@ -88,6 +88,15 @@ def test_count_spectrum_matches_rep(xs, ys, op):
     assert got == dict(want)
 
 
+def test_count_histogram_is_computed_once(fp):
+    r = rep_function(random_set(fp, 60, seed=4), random_set(fp, 50, seed=5),
+                     "sub")
+    hist = r.count_histogram()
+    assert r.count_histogram() is hist
+    assert not hist.flags.writeable
+    assert hist.tolist() == np.bincount(r.counts).tolist()
+
+
 def test_count_spectrum_large_prime_path(fp):
     A = random_set(fp, 500, seed=11)
     B = random_set(fp, 400, seed=12)

@@ -5,7 +5,7 @@ from sumprod import (ConstraintViolation, ElemSet, GroundField,
                      check_pluennecke, check_rss_proposition, check_sdz,
                      main_theorem_probe, p_constraint_check)
 
-from conftest import P31, random_set
+from conftest import random_set
 
 
 def test_pluennecke_holds(c0, fp):
