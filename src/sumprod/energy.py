@@ -140,7 +140,7 @@ def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
     mask = (counts >= t) & (counts < 2 * t)
     if isinstance(r.values, np.ndarray):
         support = ElemSet._from_sorted_array(
-            r.field, r.values[mask].astype(np.int64))
+            r.field, r.values[mask].astype(np.int64, copy=False))
     else:
         support = ElemSet(
             r.field, [v for v, keep in zip(r.values, mask.tolist()) if keep],

@@ -61,9 +61,9 @@ def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
     thr = Fraction(eps) * len(A) ** 2 / len(r)
     cutoff = _ceil_fraction(thr)
     if isinstance(r.values, np.ndarray):
-        mask = r.counts >= cutoff
+        vals = r.values[r.counts >= cutoff]
         return ElemSet._from_sorted_array(A.field,
-                                          r.values[mask].astype(np.int64))
+                                          vals.astype(np.int64, copy=False))
     return ElemSet(A.field,
                    [v for v, c in r.items() if c >= cutoff], _canonical=True)
 

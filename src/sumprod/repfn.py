@@ -1,10 +1,13 @@
 """Representation functions r_{A∘B} with exact multiplicities.
 
 The hot path (prime mode / int-valued sets) streams A x B in row blocks into
-one flat array, sorts it and run-length encodes; large tables are filled and
-sorted on every usable core. This is what makes fourth-moment energies of
-10^4-element sets take seconds. Rational or oversized values fall back to an
-exact Counter.
+one flat array, sorts it and reduces the sorted runs into what the caller
+asks for: the support, the support with its counts, or the run-length
+histogram. Large tables are filled, sorted and reduced on every usable core,
+each thread reducing the slice it sorted; runs that cross the slice seams
+are stitched, so the results are those of one thread. This is what makes
+fourth-moment energies of 10^4-element sets take seconds. Rational or
+oversized values fall back to an exact Counter.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ OPS = ("add", "sub", "mul", "div")
 DEFAULT_BUDGET = 100_000_000  # pair insertions
 _BLOCK = 1 << 17  # pairs per row block, so that a block stays in cache
 _PARALLEL_MIN = 1 << 21  # pairs; smaller tables fill and sort on one thread
+_CHUNK = 1 << 16  # table values a reducing worker scans at a time
 _LOG_MIN = _PARALLEL_MIN  # pairs; smaller self div spectra keep the inverses
 _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
 
@@ -79,7 +83,7 @@ class RepFn:
     def support(self) -> ElemSet:
         if isinstance(self.values, np.ndarray):
             return ElemSet._from_sorted_array(
-                self.field, self.values.astype(np.int64))
+                self.field, self.values.astype(np.int64, copy=False))
         return ElemSet(self.field, self.values, _canonical=True)
 
     def to_dict(self) -> dict:
@@ -194,31 +198,32 @@ def _threads() -> int:
 
 
 def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
-                     support: bool = False) -> Tuple[np.ndarray, bool]:
-    """Sorted flat array of op-values over A x B (int fast path only).
+                     reduce: str) -> Tuple[object, bool]:
+    """The sorted op-table over A x B, reduced (int fast path only).
 
-    Returns (flat, half). When B has A's contents, the answer follows from
-    the unordered pairs, and half is True:
-      sub   flat holds the class min(d, p-d) of d = a_j - a_i for i < j
-            (char0: d > 0); the diagonal is the known r(0) = |A|. Undo with
-            `_mirror_classes`.
-      add/mul, support=True: flat holds a_i op a_j for i <= j, which has the
-            same support as the full table.
-    Otherwise (div, or add/mul tables of multiplicities) flat holds all
+    Returns (`_sorted_table(..., reduce)`, half). When B has A's contents,
+    the answer follows from the unordered pairs, and half is True:
+      sub   the table holds the class min(d, p-d) of d = a_j - a_i for i < j
+            (char0: d > 0); the diagonal is the known r(0) = |A|. The
+            "support" and "rep" reductions write both c and -c; the
+            "spectrum" is that of the classes.
+      add/mul, reduce="support": the table holds a_i op a_j for i <= j,
+            which has the same support as the full table.
+    Otherwise (div, or add/mul tables of multiplicities) the table holds all
     |A||B| values; div multiplies by the checked inverses of B.
     """
     a, b = A.ints, B.ints
-    half = (op == "sub" or support and op in ("add", "mul")) and \
-        (A is B or np.array_equal(a, b))
+    half = (op == "sub" or reduce == "support" and op in ("add", "mul")) \
+        and (A is B or np.array_equal(a, b))
     if op == "div":
         b = _inverses(b, A.field.p)
         op = "mul"
-    return _sorted_table(a, b, op, A.field.p, half), half
+    return _sorted_table(a, b, op, A.field.p, half, reduce), half
 
 
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
-                  half: bool) -> np.ndarray:
-    """Sorted flat array of a_i op b_j for op in add, sub, mul.
+                  half: bool, reduce: str):
+    """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
 
     Values are reduced mod p, which need not be prime (the discrete-log
     path passes p - 1); None means char0. half (b equal to a, both sorted
@@ -226,13 +231,17 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     min(d, p - d) of d = a_j - a_i (char0: d itself), and i <= j for
     add/mul. A modulus up to 2^31 - 1 keeps the values in int32: add/sub use
     a shifted subtraction plus one conditional correction instead of a
-    modulo.
+    modulo. The table itself is never returned; `_sort_reduce` turns it
+    into `reduce`: "support" (sorted distinct int64 values), "rep" (those
+    values and their int64 counts) or "spectrum" (the run-length
+    histogram). A half sub table's support and counts are mirrored into
+    r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c), the class count.
 
-    Tables of at least _PARALLEL_MIN pairs are filled and sorted on every
-    usable core: the rows split into one range of about equal output per
-    thread, each written to its own slice of flat, and the sort partitions
-    flat at the range cuts and sorts the slices in place. The result is the
-    same array as on one thread.
+    Tables of at least _PARALLEL_MIN pairs are filled, sorted and reduced
+    on every usable core: the rows split into one range of about equal
+    output per thread, each written to its own slice of the table, and the
+    table is partitioned at the range cuts so that each thread sorts and
+    reduces one slice. The results are the same as on one thread.
     """
     n, m = a.size, b.size
     small = p is not None and p <= (1 << 31) - 1
@@ -246,6 +255,7 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     size = int(offsets[-1])
     out = np.empty(size, dtype=dtype)
     rows = max(1, _BLOCK // max(m, 1))
+    mirror = (n, p) if half and strict else None
 
     shifted = small and op in ("add", "sub")
     if shifted:
@@ -285,8 +295,7 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     threads = _threads() if size and size >= _PARALLEL_MIN else 1
     if threads == 1:
         fill(0, n)
-        out.sort()  # SIMD introsort; much faster than radix here
-        return out
+        return _sort_reduce(out, [0, size], reduce, mirror, map)
     cuts = [size * k // threads for k in range(1, threads)]
     bounds = [0, *np.searchsorted(offsets, cuts).tolist(), n]
     with ThreadPoolExecutor(threads) as pool:
@@ -294,54 +303,167 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
         # every value left of a cut is <= every value right of it, so
         # sorting the slices sorts flat
         out.partition(cuts)
-        list(pool.map(np.ndarray.sort, np.split(out, cuts)))
-    return out
+        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, pool.map)
 
 
-def _mirror_classes(vals: np.ndarray, counts: Optional[np.ndarray], n: int,
-                    p: Optional[int]):
-    """Sorted values and counts of r_{A-A} from a half-square sub table.
+def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
+                 mirror: Optional[Tuple[int, Optional[int]]], run):
+    """Sort flat's slices edges[i]:edges[i+1] in place and reduce the table.
 
-    `vals` are the sorted classes c, `counts` their class counts g(c) (or
-    None when only the values are wanted). r(0) = |A| = n and
-    r(c) = r(-c) = g(c), where -c is p-c in F_p.
+    Every value of a slice is <= every value of the next, and `run` maps a
+    function over the slices (the builtin map, or a pool's). The worker
+    that sorts a slice also counts its runs. The seams are stitched here:
+    a slice whose first value equals the last value of the previous
+    non-empty slice continues that run, so each run belongs to the slice it
+    starts in, even a run that spans several slices. Each owning slice
+    then reduces whole runs from its first own run start up to the next
+    owner's, writing the support ("support"), the support and its counts
+    ("rep") into its part of the int64 outputs, or returning its share of
+    the run-length histogram ("spectrum"). mirror = (n, p) marks a half sub
+    table of n values: its classes c and their negatives -c (p - c in F_p)
+    are both written, and 0 with count n.
     """
-    k = vals.size
-    if p is None:  # -c < 0 < c
-        zero, fwd, rev = k, slice(k + 1, None), slice(0, k)
-    else:          # 0 < c < p-c
-        zero, fwd, rev = 0, slice(1, k + 1), slice(k + 1, None)
-    out = np.empty(2 * k + 1, dtype=np.int64)
-    out[zero] = 0
-    out[fwd] = vals
-    if p is None:
-        np.negative(vals[::-1], out=out[rev])
+    count = reduce != "spectrum"
+
+    def sort(lo: int, hi: int) -> int:
+        part = flat[lo:hi]
+        part.sort()  # SIMD introsort; much faster than radix here
+        return _count_runs(part) if count else 0
+
+    runs = list(run(sort, edges[:-1], edges[1:]))
+    starts, owned = [], []  # first own run start and own runs per owner
+    prev = None  # last value of the previous non-empty slice
+    for lo, hi, k in zip(edges[:-1], edges[1:], runs):
+        if lo == hi:
+            continue
+        if prev is not None and flat[lo] == prev:
+            lo += int(np.searchsorted(flat[lo:hi], prev, "right"))
+            k -= 1
+        prev = flat[hi - 1]
+        if lo < hi:
+            starts.append(lo)
+            owned.append(k)
+    ends = starts[1:] + [flat.size]
+
+    if not count:
+        parts = list(run(_region_spectrum, [flat] * len(starts), starts,
+                         ends))
+        size = max([2] + [h.size for h, _ in parts]
+                   + [max(long, default=0) + 1 for _, long in parts])
+        hist = np.zeros(size, dtype=np.int64)
+        for h, long in parts:
+            hist[:h.size] += h
+            for length in long:
+                hist[length] += 1
+        return hist
+
+    k = sum(owned)
+    offsets = np.cumsum([0] + owned[:-1]).tolist()
+    if mirror is None:
+        total, first, neg, top = k, 0, None, None
     else:
-        np.subtract(p, vals[::-1], out=out[rev])
-    if counts is not None:
-        mult = np.empty(2 * k + 1, dtype=np.int64)
-        mult[zero] = n
-        mult[fwd] = counts
-        mult[rev] = counts[::-1]
-        counts = mult
-    return out, counts
+        # F_p: 0 < c < p-c, so [0, c..., p-c...]; char0: [-c..., 0, c...]
+        n, p = mirror
+        total, zero = 2 * k + 1, 0 if p is not None else k
+        first, neg = zero + 1, p if p is not None else 0
+        top = total if p is not None else zero
+    vals = np.empty(total, dtype=np.int64)
+    counts = np.empty(total, dtype=np.int64) if reduce == "rep" else None
+    if mirror is not None:
+        vals[zero] = 0
+        if counts is not None:
+            counts[zero] = n
+
+    def write(lo: int, hi: int, offset: int) -> None:
+        w = w0 = first + offset
+        for c0, c1 in _run_chunks(flat, lo, hi):
+            part = flat[c0:c1]
+            if part[0] == part[-1]:  # one run
+                vals[w] = part[0]
+                if counts is not None:
+                    counts[w] = part.size
+                w += 1
+                continue
+            new = np.empty(part.size, dtype=bool)  # a run starts here
+            new[0] = True
+            np.not_equal(part[1:], part[:-1], out=new[1:])
+            v = part[new]
+            vals[w:w + v.size] = v
+            if counts is not None:
+                at = np.flatnonzero(new)
+                np.subtract(at[1:], at[:-1], out=counts[w:w + at.size - 1])
+                counts[w + at.size - 1] = part.size - at[-1]
+            w += v.size
+        if neg is not None:
+            # the negatives of a forward segment, reversed, end at top - offset
+            end = top - offset
+            fwd, rev = slice(w0, w), slice(end - (w - w0), end)
+            np.subtract(neg, vals[fwd][::-1], out=vals[rev])
+            if counts is not None:
+                counts[rev] = counts[fwd][::-1]
+
+    list(run(write, starts, ends, offsets))
+    return vals if counts is None else (vals, counts)
 
 
-def _rle(flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    if flat.size == 0:
-        return flat.astype(np.int64), np.zeros(0, dtype=np.int64)
-    keep = np.empty(flat.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-    starts = np.flatnonzero(keep)
-    del keep
-    vals = flat[starts].astype(np.int64, copy=False)
-    # counts overwrite starts in place: a table-sized diff buffer would set
-    # the peak memory of large tables
-    counts = starts
-    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-    counts[-1] = flat.size - counts[-1]
-    return vals, counts
+def _count_runs(part: np.ndarray) -> int:
+    """Number of runs of equal values in the sorted array part."""
+    k = int(part.size > 0)
+    for c in range(1, part.size, _CHUNK):
+        e = min(c + _CHUNK, part.size)
+        k += int(np.count_nonzero(part[c:e] != part[c - 1:e - 1]))
+    return k
+
+
+def _run_chunks(flat: np.ndarray, lo: int,
+                hi: int) -> Iterator[Tuple[int, int]]:
+    """Split flat[lo:hi], whole runs of a sorted table, into pieces of whole
+    runs: at most _CHUNK values each, or a single run of any length."""
+    while lo < hi:
+        cut = lo + _CHUNK
+        if cut >= hi:
+            cut = hi
+        else:
+            # back to the start of the run at cut, or on to the end of the
+            # run at lo when that one is longer than a chunk
+            cut = lo + int(np.searchsorted(flat[lo:cut], flat[cut]))
+            if cut == lo:
+                cut += int(np.searchsorted(flat[lo:hi], flat[lo], "right"))
+        yield lo, cut
+        lo = cut
+
+
+def _region_spectrum(flat: np.ndarray, lo: int,
+                     hi: int) -> Tuple[np.ndarray, list]:
+    """Run-length histogram of flat[lo:hi], whole runs of a sorted table.
+
+    Returns (hist, long): hist counts the runs of the pieces that hold
+    several, `long` lists the lengths of the runs that fill a piece alone
+    (of any length, so that hist stays piece-sized).
+    """
+    hist = np.zeros(2, dtype=np.int64)
+    long = []
+    for c0, c1 in _run_chunks(flat, lo, hi):
+        part = flat[c0:c1]
+        if part[0] == part[-1]:
+            long.append(part.size)
+            continue
+        # positions of equal adjacent pairs; sparse for generic sets, so the
+        # run lengths are built from this small index set
+        eq = np.flatnonzero(part[1:] == part[:-1])
+        hist[1] += part.size - eq.size  # runs
+        if eq.size:
+            brk = np.flatnonzero(np.diff(eq) != 1)
+            run_len = np.diff(np.concatenate(
+                (np.asarray([-1], dtype=np.int64), brk,
+                 np.asarray([eq.size - 1], dtype=np.int64))))
+            # a run of r equal adjacencies holds r+1 copies of one value
+            mult = np.bincount(run_len + 1)
+            hist[1] -= run_len.size
+            if mult.size > hist.size:
+                hist = np.pad(hist, (0, mult.size - hist.size))
+            hist[:mult.size] += mult
+    return hist, long
 
 
 def _sorted_lookup(arr: np.ndarray,
@@ -508,11 +630,7 @@ def rep_function(A: ElemSet, B: ElemSet, op: str,
                      np.zeros(0, dtype=np.int64), excluded, len(A), rhs)
 
     if _int_fast_ok(A.field, op, A.ints, B2.ints):
-        flat, half = _flat_sorted_int(A, B2, op)
-        vals, counts = _rle(flat)
-        del flat
-        if half:
-            vals, counts = _mirror_classes(vals, counts, len(A), field.p)
+        (vals, counts), _ = _flat_sorted_int(A, B2, op, "rep")
         return RepFn(field, op, vals, counts, excluded, len(A), rhs)
 
     table = _object_table(A, B2, op)
@@ -538,32 +656,15 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     logs = _self_div_logs(A, B2) if op == "div" else None
     self_neg = 0  # g(M/2) on the log path
     if logs is None:
-        flat, half = _flat_sorted_int(A, B2, op)
+        hist, half = _flat_sorted_int(A, B2, op, "spectrum")
     else:
         M = A.field.p - 1
-        flat, half = _sorted_table(logs, logs, "sub", M, True), True
-        # M is even, so the class M/2 (a/b = -1) is its own negative; it is
-        # the largest class and ends the sorted table
-        half_class = flat.dtype.type(M // 2)  # a search casts to its dtype
-        self_neg = flat.size - int(np.searchsorted(flat, half_class))
-    total = flat.size
-    eq = flat[1:] == flat[:-1]
-    del flat
-    # positions of equal adjacent pairs; sparse for generic sets, so the
-    # run-length histogram is built from this small index set
-    eq_idx = np.flatnonzero(eq)
-    del eq
-    if eq_idx.size == 0:
-        hist = np.asarray([0, total], dtype=np.int64)
-    else:
-        brk = np.flatnonzero(np.diff(eq_idx) != 1)
-        run_len = np.diff(np.concatenate(
-            (np.asarray([-1], dtype=np.int64), brk,
-             np.asarray([eq_idx.size - 1], dtype=np.int64))))
-        mult = run_len + 1  # a run of r equal-adjacencies means r+1 copies
-        distinct = total - int(eq_idx.size)
-        hist = np.bincount(mult)
-        hist[1] = distinct - int(mult.size)
+        hist = _sorted_table(logs, logs, "sub", M, True, "spectrum")
+        half = True
+        # M is even, so the class M/2 (a/b = -1) is its own negative; g(M/2)
+        # counts the logs L with L + M/2 among the logs
+        low = logs[logs < M // 2]
+        self_neg = int(_sorted_lookup(logs, low + M // 2)[1].sum())
     if half:
         # a class count g(c) is the multiplicity of both c and -c, except
         # for M/2, one value hit 2g(M/2) times; 0 is hit |B2| times

@@ -8,8 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .field import ElemSet
-from .repfn import (_flat_sorted_int, _int_fast_ok, _mirror_classes,
-                    _object_table, _prepare)
+from .repfn import _flat_sorted_int, _int_fast_ok, _object_table, _prepare
 
 
 @dataclass(frozen=True)
@@ -31,16 +30,8 @@ def combine(A: ElemSet, B: ElemSet, op: str,
     if len(A) == 0 or len(B2) == 0:
         return ElemSet.empty(A.field)
     if _int_fast_ok(A.field, op, A.ints, B2.ints):
-        flat, half = _flat_sorted_int(A, B2, op, support=True)
-        keep = np.empty(flat.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-        vals = flat[keep]
-        del flat, keep
-        if half and op == "sub":
-            vals, _ = _mirror_classes(vals, None, len(A), A.field.p)
-        return ElemSet._from_sorted_array(A.field,
-                                          vals.astype(np.int64, copy=False))
+        vals, _ = _flat_sorted_int(A, B2, op, "support")
+        return ElemSet._from_sorted_array(A.field, vals)
     return ElemSet(A.field, _object_table(A, B2, op).keys())
 
 

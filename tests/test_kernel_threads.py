@@ -1,12 +1,14 @@
 """The int pair kernel split over several threads.
 
 Tables below repfn._PARALLEL_MIN pairs, and every table on a one-core
-machine, fill and sort on one thread; these tests lower the threshold to 0
-and ask for 2 or 3 threads (3 splits the rows unevenly), so that tiny tables
-take the threaded path too.
+machine, fill, sort and reduce on one thread; these tests lower the
+threshold to 0 and ask for 2, 3 or 5 threads (3 and 5 split the rows
+unevenly), so that tiny tables take the threaded path too. They also shrink
+repfn._CHUNK, so that each worker reduces its slice in several pieces.
 """
 
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -17,14 +19,30 @@ from hypothesis import given, settings
 
 from sumprod import ElemSet, GroundField, combine, count_spectrum, rep_function
 from sumprod import repfn
-from sumprod.repfn import _flat_sorted_int, _object_table, _rle
+from sumprod.families import subgroup_of_order
+from sumprod.repfn import _flat_sorted_int, _object_table, _sort_reduce
 
 from conftest import P31, pair_table_case, random_set, self_table_case
 
+REDUCTIONS = ("support", "rep", "spectrum")
 
-def forced_threads(threads, block=repfn._BLOCK):
+
+def forced_threads(threads, block=repfn._BLOCK, chunk=64):
     return mock.patch.multiple(repfn, _threads=lambda: threads,
-                               _PARALLEL_MIN=0, _BLOCK=block)
+                               _PARALLEL_MIN=0, _BLOCK=block, _CHUNK=chunk)
+
+
+def results(A, B, op):
+    """rep_function, count_spectrum and combine of A∘B, as plain lists."""
+    r = rep_function(A, B, op)
+    if isinstance(r.values, np.ndarray):
+        assert r.values.dtype == r.counts.dtype == np.int64
+    spectrum = count_spectrum(A, B, op)
+    assert spectrum.dtype == np.int64
+    support = combine(A, B, op)
+    if support.ints is not None:
+        assert support.ints.dtype == np.int64
+    return r.to_dict(), spectrum.tolist(), sorted(support.elements())
 
 
 def check_against_object_path(A, B, op):
@@ -72,18 +90,20 @@ def test_threaded_arrays_equal_one_thread(threads, field, n, m, op, shape):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers' row blocks
     try:
-        for support in (False, True):
+        for reduce in REDUCTIONS:
             # small row blocks, so that each thread's range spans several
             with forced_threads(1, block=1000):
-                one, one_half = _flat_sorted_int(A, B, op, support)
+                one, one_half = _flat_sorted_int(A, B, op, reduce)
             with forced_threads(threads, block=1000), mock.patch.object(
                     repfn, "ThreadPoolExecutor",
                     wraps=ThreadPoolExecutor) as pool:
-                many, many_half = _flat_sorted_int(A, B, op, support)
+                many, many_half = _flat_sorted_int(A, B, op, reduce)
             assert pool.call_args == mock.call(threads)
             assert many_half == one_half
-            assert many.dtype == one.dtype
-            assert np.array_equal(many, one)
+            outputs = zip(many, one) if reduce == "rep" else [(many, one)]
+            for got, want in outputs:
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -92,8 +112,89 @@ def test_threaded_arrays_equal_one_thread(threads, field, n, m, op, shape):
 @pytest.mark.parametrize("flat", [
     [], [7], [4] * 5, [1, 1, 1, 2, 3, 5, 5], [-9, 0, 0, 0, 6]])
 def test_rle(dtype, flat):
-    vals, counts = _rle(np.asarray(flat, dtype=dtype))
+    # every split of the table into two or three slices, reduced in pieces
+    # of at most two values
     want = Counter(flat)
-    assert vals.dtype == np.int64 and counts.dtype == np.int64
-    assert vals.tolist() == sorted(want)
-    assert counts.tolist() == [want[v] for v in sorted(want)]
+    size = len(flat)
+    splits = [[0, size]] + [[0, i, j, size] for i in range(size + 1)
+                            for j in range(i, size + 1)]
+    for edges in splits:
+        # partitioned at the edges, each slice in reverse order
+        table = np.sort(np.asarray(flat, dtype=dtype))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            table[lo:hi] = table[lo:hi][::-1].copy()
+        with mock.patch.object(repfn, "_CHUNK", 2):
+            vals, counts = _sort_reduce(table.copy(), edges, "rep", None, map)
+            support = _sort_reduce(table.copy(), edges, "support", None, map)
+            hist = _sort_reduce(table.copy(), edges, "spectrum", None, map)
+        assert vals.dtype == counts.dtype == support.dtype == np.int64
+        assert vals.tolist() == support.tolist() == sorted(want)
+        assert counts.tolist() == [want[v] for v in sorted(want)]
+        assert hist.tolist() == np.bincount(list(want.values()),
+                                            minlength=2).tolist()
+
+
+# p = 101, n = 90: nearly every value repeats, so runs cross every cut
+SEAM_CASES = {
+    "self": lambda F: (random_set(F, 90, seed=7),) * 2,
+    "rect": lambda F: (random_set(F, 90, seed=7), random_set(F, 60, seed=8)),
+    # every ratio of a coset of the subgroup of order 50 is hit 50 times
+    "coset": lambda F: (ElemSet(F, [3 * h % 101 for h in
+                                    subgroup_of_order(101, 50)]),) * 2,
+    # one value, 0, spans every slice
+    "zero": lambda F: (ElemSet(F, [0]), random_set(F, 90, seed=7)),
+    # fewer pairs than threads leave slices empty
+    "tiny": lambda F: (ElemSet(F, [5]), ElemSet(F, [7, 9])),
+    "tiny-self": lambda F: (ElemSet(F, [5, 9]),) * 2,
+}
+
+
+@pytest.mark.parametrize("threads", [2, 3, 5])
+@pytest.mark.parametrize("case", sorted(SEAM_CASES))
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("chunk", [1, 4, repfn._CHUNK])
+def test_seams_match_object_path_and_one_thread(threads, case, op, chunk):
+    F = GroundField.prime(101)
+    A, B = SEAM_CASES[case](F)
+    pairs = _object_table(A, B.remove_zero() if op == "div" else B, op)
+    want = (dict(pairs),
+            np.bincount(np.asarray(list(pairs.values()), dtype=np.int64),
+                        minlength=1).tolist(),
+            sorted(pairs))
+    # the log path of self div spectra runs at every table size here
+    with mock.patch.object(repfn, "_LOG_MIN", 0):
+        with forced_threads(1, chunk=chunk):
+            one = results(A, B, op)
+        with forced_threads(threads, chunk=chunk):
+            many = results(A, B, op)
+    assert many == one == want
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes traced above the bytes held before the call)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_peak_memory_is_table_plus_outputs(threads):
+    # about 2*10^6 pairs: the int32 table and the int64 outputs are the
+    # floor, and every other buffer scales with the row block or the chunk,
+    # not with the table (a table-sized bool mask alone would add 1.9 MiB)
+    F = GroundField.prime(P31)
+    A = random_set(F, 2000, seed=21)
+    B = random_set(F, 1000, seed=22)
+    piece = 1 << 12
+    slack = (1 << 16) + threads * 32 * piece
+    with forced_threads(threads, block=piece, chunk=piece):
+        S, peak = traced_peak(lambda: combine(A, A, "add"))
+        assert peak <= 4 * (2000 * 2001 // 2) + 8 * len(S) + slack
+        r, peak = traced_peak(lambda: rep_function(A, B, "sub"))
+        assert peak <= 4 * 2000 * 1000 + 16 * len(r) + slack
+        hist, peak = traced_peak(lambda: count_spectrum(A, B, "sub"))
+        assert peak <= 4 * 2000 * 1000 + 8 * hist.size + slack

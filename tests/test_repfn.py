@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -123,8 +125,12 @@ def test_self_tables_match_object_path(case):
 def test_self_tables_build_half_square(fp, op, table, support):
     A = random_set(fp, 50, seed=3, lo=1)
     copy = ElemSet(fp, list(A))
-    assert _flat_sorted_int(A, copy, op)[0].size == table
-    assert _flat_sorted_int(A, copy, op, support=True)[0].size == support
+    for reduce in ("rep", "spectrum", "support"):
+        with mock.patch.object(repfn, "_sort_reduce",
+                               wraps=repfn._sort_reduce) as reducer:
+            _flat_sorted_int(A, copy, op, reduce)
+        flat = reducer.call_args.args[0]
+        assert flat.size == (support if reduce == "support" else table)
 
 
 @pytest.mark.parametrize("op", ["add", "sub"])
@@ -132,12 +138,16 @@ def test_large_table_on_usable_cores(fp, op):
     # above the one-thread threshold: filled and sorted on every core this
     # process may use, on one thread when pinned to one core
     A = random_set(fp, 1500, seed=5)
-    flat, half = _flat_sorted_int(A, ElemSet(fp, list(A)[:-1]), op)
+    (vals, counts), half = _flat_sorted_int(A, ElemSet(fp, list(A)[:-1]),
+                                            op, "rep")
     a, b = A.ints, A.ints[:-1]
-    want = np.sort(np.remainder(a[:, None] + b if op == "add"
-                                else a[:, None] - b, fp.p), axis=None)
-    assert flat.size >= repfn._PARALLEL_MIN and not half
-    assert np.array_equal(flat, want)
+    want = np.remainder(a[:, None] + b if op == "add" else a[:, None] - b,
+                        fp.p)
+    assert want.size >= repfn._PARALLEL_MIN and not half
+    want_vals, want_counts = np.unique(want, return_counts=True)
+    assert vals.dtype == counts.dtype == np.int64
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(counts, want_counts)
 
 
 @settings(max_examples=60, deadline=None)
