@@ -11,7 +11,7 @@ from typing import Optional
 
 from .counting import (bilinear_count, count_energy_equiv, f_collision_count,
                        tautological_count)
-from .energy import cauchy_schwarz_check, dyadic_extract, energy, energy_rep
+from .energy import cauchy_schwarz_check, dyadic_slice, energy
 from .families import FamilySpec, gen_family, local_search_min_ratio
 from .field import ElemSet, GroundField, read_set_file, render_set
 from .regularize import check_regular, default_slack, xue_regularize
@@ -74,16 +74,15 @@ def _cmd_span(args) -> int:
 def _cmd_energy(args) -> int:
     A = _load(args.set, args)
     B = _load(args.other, args) if args.other else None
-    m = energy(A, B, args.k, args.op, budget=args.budget)
     if args.dyadic:
-        sl = dyadic_extract(energy_rep(A, B, args.op, budget=args.budget),
-                            args.k)
+        sl = dyadic_slice(A, B, args.k, args.op, budget=args.budget)
         _emit(args, {"t": sl.t, "support_size": len(sl.support),
                      "energy": str(sl.energy_value),
                      "certificate_ok": sl.certificate_ok},
               f"t={sl.t} |D|={len(sl.support)} E_k={sl.energy_value} "
               f"cert={'ok' if sl.certificate_ok else 'VIOLATED'}")
         return 0
+    m = energy(A, B, args.k, args.op, budget=args.budget)
     _emit(args, {"k": args.k, "op": args.op, "value": str(m.value),
                  "exact": m.exact}, str(m.value))
     return 0

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .field import ElemSet
-from .repfn import RepFn, count_spectrum, rep_function
+from .repfn import (RepFn, _flat_sorted_int, _int_fast_ok, _object_table,
+                    _prepare, count_spectrum, rep_function)
 from .report import VerificationReport
 from .setalgebra import combine
 
@@ -50,13 +52,9 @@ def _spectrum_moment(hist: np.ndarray, k: float) -> Moment:
     return Moment(k, "", value, False, rel, support)
 
 
-def energy(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
-           op: str = "add", budget: Optional[int] = None) -> Moment:
-    """E_k(A,B) = sum_x r_{A-B}(x)^k (additive) or over r_{A/B} (multiplicative).
-
-    Exact for integer k; fractional k accumulates doubles in descending-count
-    order so results are bit-reproducible.
-    """
+def _energy_args(A: ElemSet, B: Optional[ElemSet], k: float,
+                 op: str) -> ElemSet:
+    """Refuse what E_k(A, B) is not defined for; returns B (A if None)."""
     if op not in ENERGY_OPS:
         raise ValueError(f"energy op must be add or mul, got {op!r}")
     if k <= 0:
@@ -65,6 +63,17 @@ def energy(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
         B = A
     if len(A) == 0 or len(B) == 0:
         raise ValueError("energy of an empty set")
+    return B
+
+
+def energy(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
+           op: str = "add", budget: Optional[int] = None) -> Moment:
+    """E_k(A,B) = sum_x r_{A-B}(x)^k (additive) or over r_{A/B} (multiplicative).
+
+    Exact for integer k; fractional k accumulates doubles in descending-count
+    order so results are bit-reproducible.
+    """
+    B = _energy_args(A, B, k, op)
     hist = count_spectrum(A, B, _TABLE_OP[op], budget=budget)
     m = _spectrum_moment(hist, k)
     m.op = op
@@ -98,16 +107,17 @@ class DyadicSlice:
     certificate_ok: bool
 
 
-def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
-    """Pick the level t maximizing |{d : r(d) in [t,2t)}| * t^k.
+def _dyadic_level(hist: np.ndarray, k: float) -> Tuple[int, object]:
+    """(t, score): the level t maximizing |{d : r(d) in [t,2t)}| * t^k over
+    the histogram hist[m] = #{d : r(d) = m}.
 
     Candidate levels are every multiplicity that occurs plus every power of
     two up to the max multiplicity; ties break toward larger t. This keeps the
     pigeonhole certificate exact (power-of-two levels alone do not).
     """
-    if len(r) == 0:
-        raise ValueError("dyadic extraction from an empty representation function")
-    hist = r.count_histogram()
+    if not hist[1:].any():
+        raise ValueError("dyadic extraction from an empty representation "
+                         "function")
     M = hist.size - 1
     cum = np.cumsum(hist)  # cum[m] = #values with multiplicity <= m
 
@@ -132,10 +142,28 @@ def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
         if best_score is None or score > best_score or \
                 (score == best_score and t > best_t):
             best_t, best_score = t, score
-    if best_t is None:
-        raise ValueError("dyadic extraction needs a positive multiplicity")
+    return best_t, best_score
 
-    t = best_t
+
+def _certified(support: ElemSet, hist: np.ndarray, t: int, score,
+               k: float) -> DyadicSlice:
+    """The slice at level t of a table with histogram hist (no trailing
+    zeros, so that its last index is the max multiplicity)."""
+    M = hist.size - 1
+    e_val = _spectrum_moment(hist, k).value
+    num_buckets = (M - 1).bit_length() + 1 if M >= 1 else 1  # ceil(log2 M)+1
+    cert = num_buckets * score >= e_val
+    return DyadicSlice(
+        support=support, t=t, bucket_index=t.bit_length() - 1, k=k,
+        score=float(score), energy_value=e_val, max_multiplicity=M,
+        num_buckets=num_buckets, certificate_ok=bool(cert))
+
+
+def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
+    """Pick the level t maximizing |{d : r(d) in [t,2t)}| * t^k (see
+    `_dyadic_level`) and extract {d : r(d) in [t,2t)} from r."""
+    hist = r.count_histogram()
+    t, score = _dyadic_level(hist, k)
     counts = np.asarray(r.counts, dtype=np.int64)
     mask = (counts >= t) & (counts < 2 * t)
     if isinstance(r.values, np.ndarray):
@@ -145,14 +173,46 @@ def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
         support = ElemSet(
             r.field, [v for v, keep in zip(r.values, mask.tolist()) if keep],
             _canonical=True)
+    return _certified(support, hist, t, score, k)
 
-    e_val = _spectrum_moment(hist, k).value
-    num_buckets = (M - 1).bit_length() + 1 if M >= 1 else 1  # ceil(log2 M)+1
-    cert = num_buckets * best_score >= e_val
-    return DyadicSlice(
-        support=support, t=t, bucket_index=t.bit_length() - 1, k=k,
-        score=float(best_score), energy_value=e_val, max_multiplicity=M,
-        num_buckets=num_buckets, certificate_ok=bool(cert))
+
+def _level_set(A: ElemSet, B: ElemSet, op: str, band,
+               budget: Optional[int] = None) -> Tuple[np.ndarray, ElemSet]:
+    """(hist, S): the multiplicity histogram of r_{A∘B} and its level set
+    S = {x : lo <= r(x) < hi}, with [lo, hi) = band(hist).
+
+    hist has no trailing zeros (an empty table's is [0]). Only S is written
+    out: the int kernel's "level" reduction, or else the exact object table.
+    """
+    B2, _ = _prepare(A, B, op, budget)
+    if len(A) == 0 or len(B2) == 0:
+        table = Counter()
+    elif _int_fast_ok(A.field, op, A.ints, B2.ints):
+        (hist, vals), _ = _flat_sorted_int(A, B2, op, "level", band)
+        return hist, ElemSet._from_sorted_array(A.field, vals)
+    else:
+        table = _object_table(A, B2, op)
+    hist = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
+                       minlength=1)
+    lo, hi = band(hist)
+    return hist, ElemSet(A.field, [x for x, c in table.items()
+                                   if lo <= c < hi])
+
+
+def dyadic_slice(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
+                 op: str = "add", budget: Optional[int] = None) -> DyadicSlice:
+    """dyadic_extract(energy_rep(A, B, op), k), from one table build that
+    writes out only the extracted level set."""
+    B = _energy_args(A, B, k, op)
+    level = None
+
+    def band(hist: np.ndarray) -> Tuple[int, int]:
+        nonlocal level
+        level = _dyadic_level(hist, k)
+        return level[0], 2 * level[0]
+
+    hist, support = _level_set(A, B, _TABLE_OP[op], band, budget)
+    return _certified(support, hist, *level, k)
 
 
 def cauchy_schwarz_check(A: ElemSet, op: str = "add",

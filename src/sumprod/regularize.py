@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .field import ElemSet
-from .energy import _spectrum_moment, dyadic_extract, energy
-from .repfn import _grid, _int_fast_ok, _sorted_lookup, rep_function
+from .energy import _level_set, dyadic_slice, energy
+from .repfn import _grid, _int_fast_ok, _sorted_lookup
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -55,17 +55,15 @@ def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
     """P_A = {x in A∘A : r_{A∘A}(x) >= eps * |A|^2 / |A∘A|}, exact threshold."""
     if len(A) == 0:
         raise ValueError("popular set of an empty set")
-    r = rep_function(A, A, op)
-    if len(r) == 0:
-        return ElemSet.empty(A.field)
-    thr = Fraction(eps) * len(A) ** 2 / len(r)
-    cutoff = _ceil_fraction(thr)
-    if isinstance(r.values, np.ndarray):
-        vals = r.values[r.counts >= cutoff]
-        return ElemSet._from_sorted_array(A.field,
-                                          vals.astype(np.int64, copy=False))
-    return ElemSet(A.field,
-                   [v for v, c in r.items() if c >= cutoff], _canonical=True)
+
+    def band(hist: np.ndarray) -> Tuple[int, int]:
+        # every r(x) is at least 1; an empty table keeps nothing
+        support = int(hist[1:].sum())  # |A∘A|
+        cutoff = _ceil_fraction(Fraction(eps) * len(A) ** 2 / support) \
+            if support else 1
+        return max(1, cutoff), hist.size
+
+    return _level_set(A, A, op, band)[1]
 
 
 def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
@@ -224,8 +222,9 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
     Each round: dyadic-extract the dominant level set of r_{B∘B^-1}, keep the
     candidates popular against S_tau shifted by B, and shrink to the popular
     half if fewer than half qualify. Best-scoring round wins; at most
-    ceil(log2 |A|) rounds. The winning round's spectrum and counts also give
-    E_k(B) and C's ratios.
+    ceil(log2 |A|) rounds. Each round builds its table once, as one level
+    set; the winning round's slice also gives E_k(B), and its counts C's
+    ratios.
     """
     if op not in ("add", "mul"):
         raise ValueError(f"op must be add or mul, got {op!r}")
@@ -236,21 +235,19 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
         raise ValueError("cannot regularize the empty set")
 
     if n < 4:
-        r = rep_function(A, A, _shift_op(op), budget=budget)
-        sl = dyadic_extract(r, k)
+        sl = dyadic_slice(A, A, k, op, budget)
         rc = _membership_counts(A, A, sl.support, _shift_op(op))
         return _finish_decomposition(A, A, A, sl.support, sl.t, op, k, 0,
-                                     r.count_histogram(), rc,
+                                     sl.energy_value, rc,
                                      notes="degenerate |A| < 4")
 
     L = math.ceil(math.log2(n))
     cand = A
-    best = None  # (score, B, C, S, tau, round, spectrum of B, counts over C)
+    best = None  # (score, B, C, S, tau, round, E_k(B), counts over C)
     for rnd in range(1, L + 1):
         if len(cand) < 2:
             break
-        r = rep_function(cand, cand, _shift_op(op), budget=budget)
-        sl = dyadic_extract(r, k)
+        sl = dyadic_slice(cand, cand, k, op, budget)
         S, tau = sl.support, sl.t
         rc = _membership_counts(cand, cand, S, _shift_op(op))
         # rc sums to sum_{s in S} r(s) >= |S| tau over <= n candidates, so
@@ -263,32 +260,29 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
             C = ElemSet(A.field,
                         [c for c, m in zip(lst, mask.tolist()) if m],
                         _canonical=True)
-            best = (n_thr, cand, C, S, tau, rnd, r.count_histogram(),
-                    rc[mask])
-        del r  # free the |cand|^2 table before the next round builds one
+            best = (n_thr, cand, C, S, tau, rnd, sl.energy_value, rc[mask])
         if n_thr >= len(cand) / 2:
             break
         order = np.argsort(rc, kind="stable")
         cand = ElemSet(A.field, [lst[i] for i in order[len(order) // 2:]])
 
-    _, B, C, S, tau, rnd, hist, rc_C = best
-    return _finish_decomposition(A, B, C, S, tau, op, k, rnd, hist, rc_C)
+    _, B, C, S, tau, rnd, e_val, rc_C = best
+    return _finish_decomposition(A, B, C, S, tau, op, k, rnd, e_val, rc_C)
 
 
 def _finish_decomposition(A: ElemSet, B: ElemSet, C: ElemSet, S: ElemSet,
                           tau: int, op: str, k: float, rounds: int,
-                          hist: np.ndarray, rc: np.ndarray,
+                          e_val, rc: np.ndarray,
                           notes: str = "") -> RegularDecomposition:
-    """Assemble the result from the spectrum of r_{B∘B^-1} (which gives
-    E_k(B)) and the counts r_{S+B}(c) for c in C, in any order."""
+    """Assemble the result from E_k(B) and the counts r_{S+B}(c) for c in
+    C, in any order."""
     n = len(A)
-    e = _spectrum_moment(hist, k)
     denom = len(S) * tau ** k
     scale = n / (len(S) * tau)
     ratios = rc.astype(np.float64) * scale
     return RegularDecomposition(
         B=B, C=C, S_tau=S, tau=tau, op=op, k=k, a_size=n, rounds=rounds,
-        energy_ratio=float(e.value) / denom,
+        energy_ratio=float(e_val) / denom,
         r_ratio_min=float(ratios.min(initial=np.inf)),
         r_ratio_max=float(ratios.max(initial=0.0)),
         notes=notes)

@@ -2,8 +2,9 @@
 
 The hot path (prime mode / int-valued sets) streams A x B in row blocks into
 one flat array, sorts it and reduces the sorted runs into what the caller
-asks for: the support, the support with its counts, or the run-length
-histogram. Large tables are filled, sorted and reduced on every usable core,
+asks for: the support, the support with its counts, the run-length
+histogram, or one level set {x : lo <= r(x) < hi} with the histogram it was
+chosen from. Large tables are filled, sorted and reduced on every usable core,
 each thread reducing the slice it sorted; runs that cross the slice seams
 are stitched, so the results are those of one thread. This is what makes
 fourth-moment energies of 10^4-element sets take seconds. Rational or
@@ -197,15 +198,15 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
-def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
-                     reduce: str) -> Tuple[object, bool]:
+def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str, reduce: str,
+                     band=None) -> Tuple[object, bool]:
     """The sorted op-table over A x B, reduced (int fast path only).
 
-    Returns (`_sorted_table(..., reduce)`, half). When B has A's contents,
-    the answer follows from the unordered pairs, and half is True:
+    Returns (`_sorted_table(..., reduce, band)`, half). When B has A's
+    contents, the answer follows from the unordered pairs, and half is True:
       sub   the table holds the class min(d, p-d) of d = a_j - a_i for i < j
             (char0: d > 0); the diagonal is the known r(0) = |A|. The
-            "support" and "rep" reductions write both c and -c; the
+            "support", "rep" and "level" reductions write both c and -c; the
             "spectrum" is that of the classes.
       add/mul, reduce="support": the table holds a_i op a_j for i <= j,
             which has the same support as the full table.
@@ -218,11 +219,11 @@ def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str,
     if op == "div":
         b = _inverses(b, A.field.p)
         op = "mul"
-    return _sorted_table(a, b, op, A.field.p, half, reduce), half
+    return _sorted_table(a, b, op, A.field.p, half, reduce, band), half
 
 
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
-                  half: bool, reduce: str):
+                  half: bool, reduce: str, band=None):
     """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
 
     Values are reduced mod p, which need not be prime (the discrete-log
@@ -233,9 +234,12 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     a shifted subtraction plus one conditional correction instead of a
     modulo. The table itself is never returned; `_sort_reduce` turns it
     into `reduce`: "support" (sorted distinct int64 values), "rep" (those
-    values and their int64 counts) or "spectrum" (the run-length
-    histogram). A half sub table's support and counts are mirrored into
-    r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c), the class count.
+    values and their int64 counts), "spectrum" (the run-length histogram)
+    or "level" ((hist, values): the histogram of r, trimmed to its largest
+    multiplicity, and the sorted int64 values x with lo <= r(x) < hi, where
+    [lo, hi) = band(hist)). A half sub table's support, counts and level
+    set are mirrored into r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c), the
+    class count; its "level" histogram is that of r_{A-A} too.
 
     Tables of at least _PARALLEL_MIN pairs are filled, sorted and reduced
     on every usable core: the rows split into one range of about equal
@@ -295,7 +299,7 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     threads = _threads() if size and size >= _PARALLEL_MIN else 1
     if threads == 1:
         fill(0, n)
-        return _sort_reduce(out, [0, size], reduce, mirror, map)
+        return _sort_reduce(out, [0, size], reduce, mirror, map, band)
     cuts = [size * k // threads for k in range(1, threads)]
     bounds = [0, *np.searchsorted(offsets, cuts).tolist(), n]
     with ThreadPoolExecutor(threads) as pool:
@@ -303,11 +307,13 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
         # every value left of a cut is <= every value right of it, so
         # sorting the slices sorts flat
         out.partition(cuts)
-        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, pool.map)
+        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, pool.map,
+                            band)
 
 
 def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
-                 mirror: Optional[Tuple[int, Optional[int]]], run):
+                 mirror: Optional[Tuple[int, Optional[int]]], run,
+                 band=None):
     """Sort flat's slices edges[i]:edges[i+1] in place and reduce the table.
 
     Every value of a slice is <= every value of the next, and `run` maps a
@@ -319,11 +325,14 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     then reduces whole runs from its first own run start up to the next
     owner's, writing the support ("support"), the support and its counts
     ("rep") into its part of the int64 outputs, or returning its share of
-    the run-length histogram ("spectrum"). mirror = (n, p) marks a half sub
-    table of n values: its classes c and their negatives -c (p - c in F_p)
-    are both written, and 0 with count n.
+    the run-length histogram ("spectrum"). "level" takes the shares of the
+    histogram, merges them, asks band(hist) for [lo, hi), and has each
+    owner write the values whose run length lies in [lo, hi) at the offset
+    its own share gives. mirror = (n, p) marks a half sub table of n
+    values: its classes c and their negatives -c (p - c in F_p) are both
+    written, and 0, hit n times.
     """
-    count = reduce != "spectrum"
+    count = reduce in ("support", "rep")
 
     def sort(lo: int, hi: int) -> int:
         part = flat[lo:hi]
@@ -345,6 +354,8 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
             owned.append(k)
     ends = starts[1:] + [flat.size]
 
+    zero = mirror is not None  # a half table writes 0 with count n
+    blo = bhi = 0
     if not count:
         parts = list(run(_region_spectrum, [flat] * len(starts), starts,
                          ends))
@@ -355,7 +366,18 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
             hist[:h.size] += h
             for length in long:
                 hist[length] += 1
-        return hist
+        if reduce == "spectrum":
+            return hist
+        if mirror is not None:
+            # a class count g is the multiplicity of both c and -c
+            n = mirror[0]
+            hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
+            hist[n] += 1
+        hist = hist[:np.flatnonzero(hist)[-1] + 1 if hist.any() else 1]
+        blo, bhi = band(hist)
+        owned = [int(h[blo:bhi].sum()) + sum(blo <= x < bhi for x in long)
+                 for h, long in parts]
+        zero = zero and blo <= mirror[0] < bhi
 
     k = sum(owned)
     offsets = np.cumsum([0] + owned[:-1]).tolist()
@@ -364,20 +386,25 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     else:
         # F_p: 0 < c < p-c, so [0, c..., p-c...]; char0: [-c..., 0, c...]
         n, p = mirror
-        total, zero = 2 * k + 1, 0 if p is not None else k
-        first, neg = zero + 1, p if p is not None else 0
-        top = total if p is not None else zero
+        total, at_zero = 2 * k + zero, 0 if p is not None else k
+        first, neg = at_zero + zero, p if p is not None else 0
+        top = total if p is not None else at_zero
     vals = np.empty(total, dtype=np.int64)
     counts = np.empty(total, dtype=np.int64) if reduce == "rep" else None
-    if mirror is not None:
-        vals[zero] = 0
+    if zero:
+        vals[at_zero] = 0
         if counts is not None:
-            counts[zero] = n
+            counts[at_zero] = n
 
     def write(lo: int, hi: int, offset: int) -> None:
         w = w0 = first + offset
         for c0, c1 in _run_chunks(flat, lo, hi):
             part = flat[c0:c1]
+            if reduce == "level":
+                v = _band_runs(part, blo, bhi)
+                vals[w:w + v.size] = v
+                w += v.size
+                continue
             if part[0] == part[-1]:  # one run
                 vals[w] = part[0]
                 if counts is not None:
@@ -402,8 +429,44 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
             if counts is not None:
                 counts[rev] = counts[fwd][::-1]
 
-    list(run(write, starts, ends, offsets))
+    # an owner with nothing in the band has nothing to scan
+    busy = [i for i, c in enumerate(owned) if c]
+    list(run(write, [starts[i] for i in busy], [ends[i] for i in busy],
+             [offsets[i] for i in busy]))
+    if reduce == "level":
+        return hist, vals
     return vals if counts is None else (vals, counts)
+
+
+def _band_runs(part: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Values of the runs of the sorted piece part whose length lies in
+    [lo, hi)."""
+    if part[0] == part[-1]:  # one run
+        return part[:1] if lo <= part.size < hi else part[:0]
+    if hi <= 1:
+        return part[:0]
+    # part[i] == part[i + span] holds at the first L - span positions of a
+    # run of L > span values, and nowhere else: each group of consecutive
+    # positions is one run, and the group's size gives its length. Only
+    # runs of more than span values leave positions, so the higher the
+    # band, the fewer there are.
+    span = max(1, lo - 1)
+    at = np.flatnonzero(part[span:] == part[:-span])
+    group = np.empty(at.size, dtype=bool)  # a group (a run) starts here
+    group[:1] = True
+    np.not_equal(np.diff(at), 1, out=group[1:])
+    first = np.flatnonzero(group)
+    length = np.diff(first, append=at.size) + span
+    at = at[first]
+    if lo > 1:
+        return part[at[length < hi]]
+    # every value that starts a run, less the runs of two or more that
+    # reach hi
+    keep = np.empty(part.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(part[1:], part[:-1], out=keep[1:])
+    keep[at[length >= hi]] = False
+    return part[keep]
 
 
 def _count_runs(part: np.ndarray) -> int:

@@ -14,13 +14,13 @@ from typing import Dict, List, Optional
 
 from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
-from .energy import dyadic_extract, energy
+from .energy import dyadic_slice, energy
 from .field import ElemSet, GroundField
 from .families import FamilySpec, gen_family, prime_with_subgroup, \
     sum_product_ratio
 from .regularize import (PopularityParams, default_slack, popular_sums,
                          regu_iterate, xue_regularize)
-from .repfn import BudgetExceeded, rep_function
+from .repfn import BudgetExceeded
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
 
@@ -212,8 +212,8 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
     P = popular_sums(C, cert.eps, op=cop)
-    slice_d = dyadic_extract(rep_function(C, C, dop, budget=budget), 4 / 3)
-    slice_f = dyadic_extract(rep_function(B, B, dop, budget=budget), 4 / 3)
+    slice_d = dyadic_slice(C, C, 4 / 3, eop, budget)
+    slice_f = dyadic_slice(B, B, 4 / 3, eop, budget)
     D, t = slice_d.support, slice_d.t
     F, nu = slice_f.support, slice_f.t
     if min(len(D), len(F)) == 0:
@@ -233,9 +233,15 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     # stage needs an |A| x |F| table (and then |A| x |E|), which blows past
     # any sane budget for unstructured sets; skipped cells report that
     # explicitly rather than failing — clause (a) never needs E.
-    lhs = float(energy(B, B, 4 / 3, eop, budget=budget).value) ** 3
-    span8 = len(combine(A, A, cop, budget=budget)) ** 8
-    e4a = int(energy(A, A, 4, eop, budget=budget).value)
+    lhs = float(slice_f.energy_value) ** 3  # E_{4/3}(B), from F's table
+    span = len(combine(A, A, cop, budget=budget))
+    span8 = span ** 8
+    m4a = energy(A, A, 4, eop, budget=budget)
+    e4a = int(m4a.value)
+    # set sizes the p-constraints need, as these tables give them: |A+A|
+    # (|AA|), and the supports of r_{A-A} (r_{A/A}) and r_{A-E} (r_{A/E})
+    names = ("A+A", "A-A", "A-E1") if add else ("AA", "A/A", "A/E2")
+    known = {names[0]: span, names[1]: m4a.support_size}
     E = None
     mu = 0
     final_ok = None
@@ -243,9 +249,11 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     rhs_num = 0
     rhs_den = n ** 24
     try:
-        slice_e = dyadic_extract(rep_function(A, F, dop, budget=budget), 2)
+        slice_e = dyadic_slice(A, F, 2, eop, budget)
         E, mu = slice_e.support, slice_e.t
-        e4ae = int(energy(A, E, 4, eop, budget=budget).value)
+        m4ae = energy(A, E, 4, eop, budget=budget)
+        known[names[2]] = m4ae.support_size
+        e4ae = int(m4ae.value)
         rhs_num = span8 * e4a ** 2 * e4ae * mu ** 4 * nu ** 4
         fitted = _fitted(lhs, rhs_num, rhs_den)
         final_ok = fitted <= K
@@ -262,7 +270,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
         aux = {"E1" if add else "E2": E}
         try:
             broken = [c.constraint_id
-                      for c in p_constraint_check(A, aux, budget=budget)
+                      for c in _p_constraints(A, aux, known, budget)
                       if not c.satisfied]
         except BudgetExceeded:
             broken = []
@@ -287,6 +295,18 @@ def p_constraint_check(A: ElemSet, aux: Dict[str, ElemSet],
     aux may provide any of E1, E2, F1, F2; only the applicable constraints are
     evaluated. Char-zero input yields all-pass.
     """
+    return _p_constraints(A, aux, {}, budget)
+
+
+def _p_constraints(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
+                   budget: Optional[int]) -> List[ConstraintCheck]:
+    """`p_constraint_check` with some set sizes already known.
+
+    known maps any of "A-A", "A/A", "A+A", "AA", "A-E1" and "A/E2" to the
+    size of that set (A/A and AA over A∖{0}, A/E2 over E2∖{0}). Every other
+    size is built with `combine`, in the order of the checks, so a budget
+    that a known table fit in raises where `p_constraint_check` does.
+    """
     field = A.field
     if not field.is_prime_mode:
         return [ConstraintCheck(cid, 0, 1) for cid in ("i", "ii", "iii", "iv")]
@@ -294,28 +314,32 @@ def p_constraint_check(A: ElemSet, aux: Dict[str, ElemSet],
     p4 = field.p ** 4
     n = len(A)
     Az = A.remove_zero()
-    checks = []
 
-    ratio_size = len(combine(Az, Az, "div", budget=budget))
-    diff_size = len(combine(A, A, "sub", budget=budget))
+    def size(name: str, X: ElemSet, Y: ElemSet, op: str) -> int:
+        if name in known:
+            return known[name]
+        return len(combine(X, Y, op, budget=budget))
+
+    checks = []
+    ratio_size = size("A/A", Az, Az, "div")
+    diff_size = size("A-A", A, A, "sub")
 
     if "E1" in aux:
         E1 = aux["E1"]
-        prod = len(E1) ** 2 * n * ratio_size \
-            * len(combine(A, E1, "sub", budget=budget))
+        prod = len(E1) ** 2 * n * ratio_size * size("A-E1", A, E1, "sub")
         checks.append(ConstraintCheck("i", prod, p4))
     if "E2" in aux:
         E2 = aux["E2"]
         prod = len(E2) ** 2 * n * diff_size \
-            * len(combine(A, E2.remove_zero(), "div", budget=budget))
+            * size("A/E2", A, E2.remove_zero(), "div")
         checks.append(ConstraintCheck("ii", prod, p4))
     if "F1" in aux:
         checks.append(ConstraintCheck("iii", len(aux["F1"]) * n * diff_size, p2))
     if "F2" in aux:
         checks.append(ConstraintCheck("iv", len(aux["F2"]) * n * ratio_size, p2))
 
-    sum_size = len(combine(A, A, "add", budget=budget))
-    prod_size = len(combine(Az, Az, "mul", budget=budget))
+    sum_size = size("A+A", A, A, "add")
+    prod_size = size("AA", Az, Az, "mul")
     checks.append(ConstraintCheck(
         "surrogate-i", sum_size ** 10 * prod_size ** 2, p4 * n ** 7))
     checks.append(ConstraintCheck(

@@ -1,11 +1,13 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from sumprod import ElemSet, GroundField
+from sumprod import ElemSet, GroundField, repfn
 
 P31 = 2**31 - 1
 
@@ -22,6 +24,24 @@ def pytest_runtest_logreport(report):
         num, name = m.group(1), m.group(2)
         verdict = "PASS" if report.outcome == "passed" else "FAIL"
         print(f"\ncriterion {num} ({name}): {verdict}", flush=True)
+
+
+def forced_threads(threads, block=repfn._BLOCK, chunk=64):
+    """Run the int pair kernel's threaded path on `threads` threads at every
+    table size, reducing in pieces of at most `chunk` values."""
+    return mock.patch.multiple(repfn, _threads=lambda: threads,
+                               _PARALLEL_MIN=0, _BLOCK=block, _CHUNK=chunk)
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes traced above the bytes held before the call)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -121,18 +121,27 @@ def test_criterion_4_dyadic_certificate(monkeypatch):
         reg_mod = importlib.import_module("sumprod.regularize")
         verify_mod = importlib.import_module("sumprod.verify")
         orig = dyadic_extract
+        orig_slice = energy_mod.dyadic_slice
         seen = []
 
-        def checked(r, k):
-            sl = orig(r, k)
+        def check(sl, k):
             seen.append(sl.certificate_ok)
             assert sl.certificate_ok
             assert sl.num_buckets * len(sl.support) * sl.t ** k >= \
                 float(sl.energy_value) * (1 - 1e-12)
             return sl
 
+        def checked(r, k):
+            return check(orig(r, k), k)
+
+        def checked_slice(A, B=None, k=2.0, op="add", budget=None):
+            return check(orig_slice(A, B, k, op, budget), k)
+
+        # the pipelines extract through dyadic_slice, one table build each;
+        # dyadic_extract stays the entry for RepFn tables
+        monkeypatch.setattr(energy_mod, "dyadic_extract", checked)
         for mod in (energy_mod, reg_mod, verify_mod):
-            monkeypatch.setattr(mod, "dyadic_extract", checked)
+            monkeypatch.setattr(mod, "dyadic_slice", checked_slice)
         cfg = ExperimentConfig(
             lemmas=["regular", "rss", "mixed"],
             families=["ap", "gp", "random", "subgroup"], sizes=[16, 32, 64],

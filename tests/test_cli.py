@@ -1,5 +1,11 @@
 import json
+import random
+from unittest import mock
 
+import pytest
+
+from sumprod import (ElemSet, GroundField, dyadic_extract, energy_rep,
+                     render_set, repfn)
 from sumprod.cli import main
 
 
@@ -81,3 +87,34 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     bad.write_text('{"lemmas": ["fermat"]}')
     assert main(["suite", "--config", str(bad)]) == 2
     assert main(["suite", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("k", [4 / 3, 2.0, 4.0])
+@pytest.mark.parametrize("pair", [False, True])
+def test_energy_dyadic_is_one_table_build(tmp_path, capsys, op, k, pair):
+    # `energy --dyadic` takes its slice from one kernel build and prints
+    # what dyadic_extract of the full table gives
+    F = GroundField.prime(101)
+    A = ElemSet(F, random.Random(1).sample(range(101), 60))
+    B = ElemSet(F, random.Random(2).sample(range(101), 40)) if pair else A
+    files = []
+    for name, S in (("a", A), ("b", B)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(render_set(S))
+        files.append(str(path))
+    argv = ["energy", *files[:1 + pair], "--k", str(k), "--op", op,
+            "--dyadic"]
+    want = dyadic_extract(energy_rep(A, B, op), k)
+    with mock.patch.object(repfn, "_sort_reduce",
+                           wraps=repfn._sort_reduce) as builds:
+        code, out = run(capsys, *argv)
+        assert code == 0 and builds.call_count == 1
+        code, js = run(capsys, *argv, "--json")
+        assert code == 0 and builds.call_count == 2
+    assert out == (f"t={want.t} |D|={len(want.support)} "
+                   f"E_k={want.energy_value} "
+                   f"cert={'ok' if want.certificate_ok else 'VIOLATED'}\n")
+    assert json.loads(js) == {"t": want.t, "support_size": len(want.support),
+                              "energy": str(want.energy_value),
+                              "certificate_ok": want.certificate_ok}

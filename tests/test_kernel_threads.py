@@ -8,7 +8,6 @@ repfn._CHUNK, so that each worker reduces its slice in several pieces.
 """
 
 import sys
-import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -22,14 +21,15 @@ from sumprod import repfn
 from sumprod.families import subgroup_of_order
 from sumprod.repfn import _flat_sorted_int, _object_table, _sort_reduce
 
-from conftest import P31, pair_table_case, random_set, self_table_case
+from conftest import (P31, forced_threads, pair_table_case, random_set,
+                      self_table_case, traced_peak)
 
-REDUCTIONS = ("support", "rep", "spectrum")
+REDUCTIONS = ("support", "rep", "spectrum", "level")
 
 
-def forced_threads(threads, block=repfn._BLOCK, chunk=64):
-    return mock.patch.multiple(repfn, _threads=lambda: threads,
-                               _PARALLEL_MIN=0, _BLOCK=block, _CHUNK=chunk)
+def repeated(hist):
+    """The band of the "level" reduction: every value hit twice or more."""
+    return 2, hist.size
 
 
 def results(A, B, op):
@@ -93,14 +93,17 @@ def test_threaded_arrays_equal_one_thread(threads, field, n, m, op, shape):
         for reduce in REDUCTIONS:
             # small row blocks, so that each thread's range spans several
             with forced_threads(1, block=1000):
-                one, one_half = _flat_sorted_int(A, B, op, reduce)
+                one, one_half = _flat_sorted_int(A, B, op, reduce,
+                                                 repeated)
             with forced_threads(threads, block=1000), mock.patch.object(
                     repfn, "ThreadPoolExecutor",
                     wraps=ThreadPoolExecutor) as pool:
-                many, many_half = _flat_sorted_int(A, B, op, reduce)
+                many, many_half = _flat_sorted_int(A, B, op, reduce,
+                                                   repeated)
             assert pool.call_args == mock.call(threads)
             assert many_half == one_half
-            outputs = zip(many, one) if reduce == "rep" else [(many, one)]
+            outputs = zip(many, one) if reduce in ("rep", "level") \
+                else [(many, one)]
             for got, want in outputs:
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want)
@@ -127,11 +130,20 @@ def test_rle(dtype, flat):
             vals, counts = _sort_reduce(table.copy(), edges, "rep", None, map)
             support = _sort_reduce(table.copy(), edges, "support", None, map)
             hist = _sort_reduce(table.copy(), edges, "spectrum", None, map)
+            levels = {band: _sort_reduce(table.copy(), edges, "level", None,
+                                         map, lambda h, band=band: band)
+                      for band in [(1, 2), (2, 4), (3, 9), (1, 9), (6, 9)]}
         assert vals.dtype == counts.dtype == support.dtype == np.int64
         assert vals.tolist() == support.tolist() == sorted(want)
         assert counts.tolist() == [want[v] for v in sorted(want)]
         assert hist.tolist() == np.bincount(list(want.values()),
                                             minlength=2).tolist()
+        for (lo, hi), (level_hist, level) in levels.items():
+            assert level.dtype == np.int64
+            assert level.tolist() == [v for v in sorted(want)
+                                      if lo <= want[v] < hi]
+            assert level_hist.tolist() == np.bincount(
+                list(want.values()), minlength=1).tolist()
 
 
 # p = 101, n = 90: nearly every value repeats, so runs cross every cut
@@ -168,17 +180,6 @@ def test_seams_match_object_path_and_one_thread(threads, case, op, chunk):
         with forced_threads(threads, chunk=chunk):
             many = results(A, B, op)
     assert many == one == want
-
-
-def traced_peak(fn):
-    """(fn(), peak bytes traced above the bytes held before the call)."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

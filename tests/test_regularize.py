@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -8,13 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import (ElemSet, GroundField, RepFn, check_regular,
+from sumprod import (ElemSet, GroundField, check_regular,
                      default_slack, energy, popular_sums, popularity_rule,
                      regu_iterate, xue_regularize)
+from sumprod import regularize, repfn
 from sumprod.regularize import _membership_counts
 
 from conftest import P31, membership_case, random_set
 from oracles import naive_membership_counts
+
+# the package binds the name `energy` to the function
+energy_mod = importlib.import_module("sumprod.energy")
 
 
 def test_popular_sums_frozen(c0):
@@ -122,19 +127,19 @@ def test_check_regular_rejects_foreign_set(c0):
 
 @pytest.mark.parametrize("op", ["add", "mul"])
 def test_xue_builds_each_round_histogram_once(fp, op):
-    built, seen = [], {}
-    count_histogram = RepFn.count_histogram
-
-    def spy(r):
-        if r._hist is None:
-            built.append(r)
-        seen[id(r)] = r  # keeps r alive, so that ids stay distinct
-        return count_histogram(r)
-
+    # one kernel build per round: its level reduction gives both the round's
+    # slice and its histogram, and no other table is sorted
     A = random_set(fp, 200, seed=5, lo=1)
-    with mock.patch.object(RepFn, "count_histogram", spy):
+    with mock.patch.object(energy_mod, "_flat_sorted_int",
+                           wraps=energy_mod._flat_sorted_int) as flat, \
+            mock.patch.object(repfn, "_sort_reduce",
+                              wraps=repfn._sort_reduce) as sort, \
+            mock.patch.object(regularize, "dyadic_slice",
+                              wraps=regularize.dyadic_slice) as rounds:
         d = xue_regularize(A, 4, op)
-    assert len(built) == len(seen) >= d.rounds >= 1
+    assert flat.call_count == sort.call_count == rounds.call_count \
+        >= d.rounds >= 1
+    assert all(c.args[3] == "level" for c in flat.call_args_list)
 
 
 def test_determinism(fp):
