@@ -41,10 +41,14 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     field = X.field
     if _int_fast_ok(field, "mul", X.ints, sums.values):
         prods = _grid(X.ints, sums.values, "mul", field.p)
-        weights = np.broadcast_to(sums.counts, prods.shape)
-        _, inv = np.unique(prods.ravel(), return_inverse=True)
-        # bincount sums its float weights exactly while m(v) < 2^53
-        m = np.bincount(inv, weights=weights.ravel()).astype(np.int64)
+        weights = np.broadcast_to(sums.counts, prods.shape).ravel()
+        order = np.argsort(prods, axis=None)
+        prods = prods.ravel()[order]
+        start = np.empty(prods.size, dtype=bool)  # a run of equal v starts
+        start[0] = True
+        np.not_equal(prods[1:], prods[:-1], out=start[1:])
+        # m(v) sums the int64 weights of one run: at most |X||Y||Z|
+        m = np.add.reduceat(weights[order], np.flatnonzero(start))
     else:
         table = Counter()
         for x in X:
@@ -65,7 +69,7 @@ def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
     prod = rep_function(A, B, "mul", budget=budget)
     diff = rep_function(C, D, "sub", budget=budget)
     if isinstance(prod.values, np.ndarray) and isinstance(diff.values, np.ndarray):
-        idx, hit = _sorted_lookup(diff.values, prod.values)
+        idx, hit = _sorted_lookup(diff.values, prod.values, True)
         return _exact_dot(prod.counts[hit], diff.counts[idx[hit]])
     dd = diff.to_dict()
     return sum(c * dd.get(v, 0) for v, c in prod.items())

@@ -203,13 +203,24 @@ def dyadic_slice(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
                  op: str = "add", budget: Optional[int] = None) -> DyadicSlice:
     """dyadic_extract(energy_rep(A, B, op), k), from one table build that
     writes out only the extracted level set."""
+    return _dyadic_slice(A, B, k, op, budget)
+
+
+def _dyadic_slice(A: ElemSet, B: Optional[ElemSet], k: float, op: str,
+                  budget: Optional[int], chosen=None) -> DyadicSlice:
+    """`dyadic_slice`; chosen(t, size), when given, is told the chosen level
+    t and the size of its level set before the set is written out, and may
+    refuse the slice by raising: then nothing of the set is written."""
     B = _energy_args(A, B, k, op)
     level = None
 
     def band(hist: np.ndarray) -> Tuple[int, int]:
         nonlocal level
         level = _dyadic_level(hist, k)
-        return level[0], 2 * level[0]
+        t = level[0]
+        if chosen is not None:
+            chosen(t, int(hist[t:2 * t].sum()))
+        return t, 2 * t
 
     hist, support = _level_set(A, B, _TABLE_OP[op], band, budget)
     return _certified(support, hist, *level, k)

@@ -32,6 +32,8 @@ _PARALLEL_MIN = 1 << 21  # pairs; smaller tables fill and sort on one thread
 _CHUNK = 1 << 16  # table values a reducing worker scans at a time
 _LOG_MIN = _PARALLEL_MIN  # pairs; smaller self div spectra keep the inverses
 _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
+_LOOKUP_SORT_MIN = 1 << 10  # keys; fewer are searched in their own order
+_DENSE = 0.5  # share of equal adjacent pairs above which a piece is dense
 
 
 class BudgetExceeded(RuntimeError):
@@ -502,7 +504,9 @@ def _region_spectrum(flat: np.ndarray, lo: int,
 
     Returns (hist, long): hist counts the runs of the pieces that hold
     several, `long` lists the lengths of the runs that fill a piece alone
-    (of any length, so that hist stays piece-sized).
+    (of any length, so that hist stays piece-sized). A piece whose equal
+    adjacent pairs are more than _DENSE of its values takes the run lengths
+    from the run ends, any other piece from those pairs.
     """
     hist = np.zeros(2, dtype=np.int64)
     long = []
@@ -511,37 +515,60 @@ def _region_spectrum(flat: np.ndarray, lo: int,
         if part[0] == part[-1]:
             long.append(part.size)
             continue
-        # positions of equal adjacent pairs; sparse for generic sets, so the
-        # run lengths are built from this small index set
-        eq = np.flatnonzero(part[1:] == part[:-1])
-        hist[1] += part.size - eq.size  # runs
-        if eq.size:
-            brk = np.flatnonzero(np.diff(eq) != 1)
+        same = part[1:] == part[:-1]
+        eq = int(np.count_nonzero(same))  # equal adjacent pairs
+        if eq > _DENSE * part.size:
+            # most values repeat, so the run ends (where the next value
+            # differs) are the smaller index
+            ends = np.flatnonzero(~same)
+            mult = np.bincount(np.diff(ends, prepend=-1,
+                                       append=part.size - 1))
+        else:
+            # generic sets repeat few values: the lengths come from the
+            # positions of equal adjacent pairs
+            hist[1] += part.size - eq  # runs
+            if not eq:
+                continue
+            at = np.flatnonzero(same)
+            brk = np.flatnonzero(np.diff(at) != 1)
             run_len = np.diff(np.concatenate(
                 (np.asarray([-1], dtype=np.int64), brk,
-                 np.asarray([eq.size - 1], dtype=np.int64))))
+                 np.asarray([eq - 1], dtype=np.int64))))
             # a run of r equal adjacencies holds r+1 copies of one value
             mult = np.bincount(run_len + 1)
             hist[1] -= run_len.size
-            if mult.size > hist.size:
-                hist = np.pad(hist, (0, mult.size - hist.size))
-            hist[:mult.size] += mult
+        if mult.size > hist.size:
+            hist = np.pad(hist, (0, mult.size - hist.size))
+        hist[:mult.size] += mult
     return hist, long
 
 
-def _sorted_lookup(arr: np.ndarray,
-                   vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _sorted_lookup(arr: np.ndarray, vals: np.ndarray,
+                   ascending: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """(idx, hit) with hit = vals in the sorted array arr, elementwise.
 
     Where hit is True, arr[idx] equals the value; elsewhere idx is only a
-    valid index (or 0 when arr is empty).
+    valid index (or 0 when arr is empty). From _LOOKUP_SORT_MIN keys on,
+    the keys are argsorted once and searched in ascending order, so that
+    the search walks arr in order instead of at random, and idx and hit
+    are scattered back; keys known to be ascending skip the argsort. The
+    flag only picks the faster route: the result is the same either way.
     """
     if arr.size == 0:
         return (np.zeros(vals.shape, dtype=np.intp),
                 np.zeros(vals.shape, dtype=bool))
-    idx = np.searchsorted(arr, vals)
-    np.clip(idx, 0, arr.size - 1, out=idx)
-    return idx, arr[idx] == vals
+    if ascending or vals.size < _LOOKUP_SORT_MIN:
+        idx = np.searchsorted(arr, vals)
+        np.clip(idx, 0, arr.size - 1, out=idx)
+        return idx, arr[idx] == vals
+    flat = vals.ravel()
+    order = np.argsort(flat)
+    found, hit_sorted = _sorted_lookup(arr, flat[order], True)
+    idx = np.empty(flat.size, dtype=np.intp)
+    idx[order] = found
+    hit = np.empty(flat.size, dtype=bool)
+    hit[order] = hit_sorted
+    return idx.reshape(vals.shape), hit.reshape(vals.shape)
 
 
 class _LogTable(NamedTuple):
@@ -666,15 +693,20 @@ def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
     return table
 
 
+def _check_budget(n: int, m: int, budget: Optional[int]) -> None:
+    """Refuse an n x m pair table above budget (None: `table_budget()`)."""
+    budget = budget if budget is not None else table_budget()
+    if n * m > budget:
+        raise BudgetExceeded(f"{n}x{m} pairs exceed budget {budget}")
+
+
 def _prepare(A: ElemSet, B: ElemSet, op: str, budget: Optional[int]):
     _check_ops(A, B, op)
-    budget = budget if budget is not None else table_budget()
     excluded = 0
     if op == "div" and 0 in B:
         excluded = len(A)
         B = B.remove_zero()
-    if len(A) * len(B) > budget:
-        raise BudgetExceeded(f"{len(A)}x{len(B)} pairs exceed budget {budget}")
+    _check_budget(len(A), len(B), budget)
     return B, excluded
 
 
@@ -727,7 +759,7 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
         # M is even, so the class M/2 (a/b = -1) is its own negative; g(M/2)
         # counts the logs L with L + M/2 among the logs
         low = logs[logs < M // 2]
-        self_neg = int(_sorted_lookup(logs, low + M // 2)[1].sum())
+        self_neg = int(_sorted_lookup(logs, low + M // 2, True)[1].sum())
     if half:
         # a class count g(c) is the multiplicity of both c and -c, except
         # for M/2, one value hit 2g(M/2) times; 0 is hit |B2| times

@@ -14,13 +14,13 @@ from typing import Dict, List, Optional
 
 from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
-from .energy import dyadic_slice, energy
+from .energy import _dyadic_slice, dyadic_slice, energy
 from .field import ElemSet, GroundField
 from .families import FamilySpec, gen_family, prime_with_subgroup, \
     sum_product_ratio
 from .regularize import (PopularityParams, default_slack, popular_sums,
                          regu_iterate, xue_regularize)
-from .repfn import BudgetExceeded
+from .repfn import BudgetExceeded, _check_budget
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
 
@@ -184,6 +184,13 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     Clause (a): the exact tautological-count lower bound |D| t ceil(2|B|/3)^2
     forced by the popularity rule. Clause (b): the proposition's final
     inequality within polylog slack. Dyadic levels (t, nu, mu) are reported.
+
+    The E stage is decided from the histogram of the A x F table: once its
+    level mu is chosen, |E| is known, and when energy(A, E, 4) would exceed
+    the budget (|A| x |E∖{0}| pairs, `_prepare`'s rule and message) the cell
+    reports final=skipped with |E| and mu, and E is never written out. The
+    p-constraints, whose A-E (A/E) table the same budget refuses, are then
+    skipped too.
     """
     t0 = time.perf_counter()
     if variant not in ("additive", "multiplicative"):
@@ -243,14 +250,21 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     names = ("A+A", "A-A", "A-E1") if add else ("AA", "A/A", "A/E2")
     known = {names[0]: span, names[1]: m4a.support_size}
     E = None
-    mu = 0
+    mu, e_size = 0, "n/a"
     final_ok = None
     fitted = float("nan")
     rhs_num = 0
     rhs_den = n ** 24
+
+    def energy_fits(t: int, size: int) -> None:
+        # energy(A, E, 4) needs |A| x |E∖{0}| pairs; A holds no 0 in the
+        # multiplicative variant, so no ratio is 0 and |E∖{0}| = |E|
+        nonlocal mu, e_size
+        mu, e_size = t, size
+        _check_budget(n, size, budget)
+
     try:
-        slice_e = dyadic_slice(A, F, 2, eop, budget)
-        E, mu = slice_e.support, slice_e.t
+        E = _dyadic_slice(A, F, 2, eop, budget, energy_fits).support
         m4ae = energy(A, E, 4, eop, budget=budget)
         known[names[2]] = m4ae.support_size
         e4ae = int(m4ae.value)
@@ -265,7 +279,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     notes = (f"clause_a={clause_a} (count={count} lower={lower}) "
              f"{final_note} t={t} nu={nu} mu={mu} "
              f"|D|={len(D)} |F|={len(F)} "
-             f"|E|={len(E) if E is not None else 'n/a'} c2={cert.c2:.4g}")
+             f"|E|={e_size} c2={cert.c2:.4g}")
     if A.field.is_prime_mode and E is not None:
         aux = {"E1" if add else "E2": E}
         try:

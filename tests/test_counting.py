@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      f_collision_count, tautological_count)
 
 from sumprod.counting import _pair_popularity_square_sum
+from sumprod.families import subgroup_of_order
 
-from conftest import P31, edge_values, pair_popularity_case
+from conftest import P31, edge_values, pair_popularity_case, pair_table_case
 from oracles import (naive_bilinear, naive_f_collision, naive_pair_popularity,
                      naive_tautological)
 
@@ -70,6 +72,40 @@ def test_f_collision_vs_naive(field, data):
     if min(len(X), len(Y), len(Z)) == 0:
         return
     assert f_collision_count(X, Y, Z) == naive_f_collision(X, Y, Z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_table_case(), st.data())
+def test_f_collision_vs_naive_on_table_cases(pair, data):
+    # X and Y drawn apart; Z is one of them or drawn on its own, with
+    # values next to 0 and p (next to 2^31 in char0)
+    X, Y, _ = pair
+    Z = data.draw(st.sampled_from([X, Y]) | st.builds(
+        lambda v: ElemSet(X.field, v),
+        st.lists(edge_values(X.field, [1 << 31]), max_size=12)))
+    X, Y, Z = (S.remove_zero() for S in (X, Y, Z))
+    if min(len(X), len(Y), len(Z)) == 0:
+        return
+    assert f_collision_count(X, Y, Z) == naive_f_collision(X, Y, Z)
+
+
+def counted_f_collision(X, Y, Z):
+    """sum of m(v)^2, with m counted over every triple."""
+    f = X.field
+    m = Counter(f.mul(x, f.add(y, z)) for x in X for y in Y for z in Z)
+    return sum(c * c for c in m.values())
+
+
+@pytest.mark.parametrize("p, order", [(101, 20), (P31, 31), (65537, 64)])
+def test_f_collision_long_runs(p, order):
+    # X a subgroup and Y, Z its cosets: x(y+z) repeats each value many
+    # times, so the sorted products form long runs
+    F = GroundField.prime(p)
+    H = subgroup_of_order(p, order)
+    X, Y = H, ElemSet(F, [2 * h for h in H])
+    Z = ElemSet(F, [3 * h for h in H])
+    for sets in ((X, Y, Z), (X, X, X), (Y, X, Z)):
+        assert f_collision_count(*sets) == counted_f_collision(*sets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ p-constraints.
 import importlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +24,7 @@ from sumprod import (ElemSet, GroundField, check_rss_proposition,
                      popular_sums, rep_function, setalgebra, verify)
 from sumprod import repfn
 from sumprod.energy import _dyadic_level, _level_set, dyadic_slice
-from sumprod.repfn import _flat_sorted_int
+from sumprod.repfn import BudgetExceeded, _flat_sorted_int
 
 from conftest import (P31, forced_threads, pair_table_case, random_set,
                       self_table_case, traced_peak)
@@ -208,23 +209,85 @@ def table_builds(record):
         mock.patch.multiple(energy_mod, _flat_sorted_int=spy)
 
 
-def builds_over(builds, A, E):
-    """Tables over A x E (or A x E∖{0}) among the recorded builds."""
-    return sum(X == A and Y in (E, E.remove_zero()) for X, Y in builds)
+class RssRecord:
+    """What one check_rss_proposition call did at the E stage: E (None when
+    it was not written out), the kernel builds, the `energy` and `combine`
+    calls, the band scans that wrote E's values and the traced peak of the
+    E stage (None unless asked for)."""
+
+    def __init__(self):
+        self.E = self.F = None
+        self.builds, self.energies, self.combines, self.e_scans = \
+            [], [], [], []
+        self.e_peak = None
+
+    def over(self, A, E):
+        """(kernel builds, energy calls, combine calls) over A x E or
+        A x E∖{0}."""
+        return tuple(sum(X == A and Y in (E, E.remove_zero())
+                         for X, Y in calls)
+                     for calls in (self.builds, self.energies, self.combines))
 
 
-def run_rss(A, variant, budget, reference):
-    """(report, |A x E builds|) of one check_rss_proposition call."""
-    builds, slices = [], []
+def run_rss(A, variant, budget, reference, trace=False):
+    """(report, RssRecord) of one check_rss_proposition call.
+
+    The reference takes the route that writes E out whatever its size:
+    every slice through `dyadic_extract(energy_rep(...))`, E handed over so
+    that energy(A, E, 4) refuses it where it is over the budget, and the
+    public `p_constraint_check`, which then refuses A-E (A/E) too. Its
+    level and |E| reach the pipeline's note through the same callback, whose
+    own refusal the reference ignores.
+    """
+    rec = RssRecord()
+    real_energy, real_combine = verify.energy, verify.combine
+    real_slice, real_scan = verify._dyadic_slice, repfn._band_runs
 
     def keep_slices(*args, **kwargs):
-        sl = reference_slice(*args, **kwargs) if reference \
+        return reference_slice(*args, **kwargs) if reference \
             else dyadic_slice(*args, **kwargs)
-        slices.append(sl)
+
+    def energy_spy(X, Y=None, *args, **kwargs):
+        rec.energies.append((X, Y))
+        return real_energy(X, Y, *args, **kwargs)
+
+    def combine_spy(X, Y, *args, **kwargs):
+        rec.combines.append((X, Y))
+        return real_combine(X, Y, *args, **kwargs)
+
+    def scan_spy(part, lo, hi):
+        rec.e_scans.append(part.size)
+        return real_scan(part, lo, hi)
+
+    def e_stage(X, F, k, op, budget, chosen):
+        rec.F = F
+        if reference:
+            sl = reference_slice(X, F, k, op, budget)
+            try:
+                chosen(sl.t, len(sl.support))
+            except BudgetExceeded:
+                pass
+        else:
+            with mock.patch.object(repfn, "_band_runs", scan_spy):
+                sl = real_slice(X, F, k, op, budget, chosen)
+        rec.E = sl.support
         return sl
 
-    patches = [*table_builds(builds),
-               mock.patch.object(verify, "dyadic_slice", keep_slices)]
+    def traced_e_stage(*args):
+        tracemalloc.start()
+        held = tracemalloc.get_traced_memory()[0]
+        try:
+            return e_stage(*args)
+        finally:
+            rec.e_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.stop()
+
+    patches = [*table_builds(rec.builds),
+               mock.patch.object(verify, "dyadic_slice", keep_slices),
+               mock.patch.object(verify, "_dyadic_slice",
+                                 traced_e_stage if trace else e_stage),
+               mock.patch.object(verify, "energy", energy_spy),
+               mock.patch.object(verify, "combine", combine_spy)]
     if reference:
         patches.append(mock.patch.object(verify, "_p_constraints",
                                          reference_constraints))
@@ -235,10 +298,7 @@ def run_rss(A, variant, budget, reference):
     finally:
         for p in reversed(patches):
             p.stop()
-    A0 = A if variant == "additive" else A.remove_zero()
-    # the third slice, when it was taken, is E
-    E = slices[2].support if len(slices) > 2 else None
-    return rep, E, (builds_over(builds, A0, E) if E is not None else 0)
+    return rep, rec
 
 
 def rss_cases():
@@ -249,32 +309,118 @@ def rss_cases():
         (random_set(F1009, 48, seed=48), None),
         (ap, None),
         (random_set(GroundField.prime(P31), 40, seed=1), None),
-        # the A x E energy exceeds the budget that A x F fits in: E is
-        # known, its size is not, and the constraints are skipped
+        # the A x E energy exceeds the budget that A x F fits in: |E| is
+        # read from the histogram, E is not written out, and the
+        # constraints are skipped
         (ap, 50_000),
         # the A x F slice exceeds it: no E
         (random_set(F1009, 48, seed=48), 5_000),
     ]
 
 
+def report_json(rep):
+    """The report as JSON text without elapsed_ms, where a skipped final
+    fit's nan equals itself."""
+    d = rep.to_dict()
+    d.pop("elapsed_ms")
+    return json.dumps(d, sort_keys=True)
+
+
+def check_rss_against_reference(A, variant, budget):
+    """The report equals the reference's; where energy(A, E, 4) fits, it is
+    the only table over A x E, and where it does not, E is neither written
+    out nor used."""
+    got, rec = run_rss(A, variant, budget, reference=False)
+    want, ref = run_rss(A, variant, budget, reference=True)
+    assert report_json(got) == report_json(want)
+    if ref.E is None:  # the A x F table is over the budget itself
+        assert rec.E is None and "|E|=n/a" in got.notes
+        return got
+    A0 = A if variant == "additive" else A.remove_zero()
+    assert f"|E|={len(ref.E)} " in got.notes
+    # the reference writes E and hands it to energy(A, E, 4), once
+    assert ref.over(A0, ref.E)[1] == 1
+    if "final=skipped" in got.notes:
+        # here E's values are never written, and no table over A x E is
+        # asked for: neither the energy nor the constraints' A-E (A/E),
+        # which the same budget refuses
+        assert rec.E is None and rec.e_scans == []
+        assert rec.over(A0, ref.E) == (0, 0, 0)
+        assert ref.over(A0, ref.E)[0] == 0
+        assert "exceed budget" in got.notes
+    else:
+        # energy(A, E, 4) is the only table over A x E, where the public
+        # p_constraint_check builds A-E (A/E) once more if its budget
+        # lets it get that far
+        assert rec.E == ref.E and rec.e_scans
+        assert rec.over(A0, rec.E) == (1, 1, 0)
+        assert ref.over(A0, ref.E)[0] in (1, 2)
+    return got
+
+
 @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
 @pytest.mark.parametrize("case", range(5))
 def test_rss_reports_match_reference(variant, case):
     A, budget = rss_cases()[case]
-    got, E, builds = run_rss(A, variant, budget, reference=False)
-    want, want_E, want_builds = run_rss(A, variant, budget, reference=True)
-    got, want = got.to_dict(), want.to_dict()
-    got.pop("elapsed_ms")
-    want.pop("elapsed_ms")
-    # as JSON text, where a skipped final fit's nan equals itself
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert E == want_E
-    if E is not None:
-        # energy(A, E, 4) is the only table over A x E, where the public
-        # p_constraint_check builds A-E (A/E) once more; a budget that
-        # refuses the energy refuses both
-        fits = "final=skipped" not in got["notes"]
-        assert (builds, want_builds) == ((1, 2) if fits else (0, 0))
+    check_rss_against_reference(A, variant, budget)
+
+
+def e_stage_cases():
+    """(A, variant) with E large enough that the pipeline's other tables
+    fit a budget of |A| x |E∖{0}| pairs."""
+    rnd = random_set(GroundField.prime(P31), 40, seed=1)
+    return [(rnd, "additive"), (rnd, "multiplicative"),
+            (ElemSet(GroundField.prime(65537), range(3, 3 + 5 * 24, 5)),
+             "multiplicative"),
+            (ElemSet(GroundField.char0(), [x * x + 3 * x for x in range(32)]),
+             "additive")]
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("side", ["fits", "over"])
+@pytest.mark.parametrize("via", ["argument", "SUMPROD_BUDGET"])
+def test_rss_e_stage_on_both_sides_of_the_budget(case, side, via,
+                                                  monkeypatch):
+    # a budget of exactly |A| x |E∖{0}| pairs fits energy(A, E, 4), one
+    # pair less does not; the same budget lets every other table through
+    A, variant = e_stage_cases()[case]
+    _, ref = run_rss(A, variant, None, reference=True)
+    A0 = A if variant == "additive" else A.remove_zero()
+    pairs = len(A0) * len(ref.E.remove_zero() if variant != "additive"
+                          else ref.E)
+    budget = pairs - (side == "over")
+    if via == "SUMPROD_BUDGET":
+        monkeypatch.setenv("SUMPROD_BUDGET", str(budget))
+        budget = None
+    got = check_rss_against_reference(A, variant, budget)
+    skipped = f"final=skipped ({len(A0)}x{len(ref.E)} pairs exceed budget " \
+        f"{pairs - 1})"
+    assert (skipped in got.notes) == (side == "over")
+    assert got.inputs["mu"] > 0
+
+
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_skipped_e_stage_allocates_nothing_of_e_size(variant):
+    # a budget one pair short of energy(A, E, 4): the skipped E stage holds
+    # the int32 A x F table, its histogram and buffers of the row block or
+    # the piece, never E's int64 values; the reference writes E out
+    A = random_set(GroundField.prime(P31), 64, seed=9)
+    _, ref = run_rss(A, variant, None, reference=True)
+    A0 = A if variant == "additive" else A.remove_zero()
+    budget = len(A0) * len(ref.E) - 1
+    piece = 1 << 10
+    slack = (1 << 16) + 2 * 32 * piece
+    with forced_threads(2, block=piece, chunk=piece):
+        got, rec = run_rss(A, variant, budget, reference=False, trace=True)
+        _, ref = run_rss(A, variant, budget, reference=True, trace=True)
+    assert "final=skipped" in got.notes and rec.E is None
+    # r_{A-F} (r_{A/F}) takes at most |A| as a multiplicity; a div table
+    # also holds the checked inverses of F and their int64 temporaries
+    bound = 4 * len(A0) * len(rec.F) + 8 * (len(A0) + 1) \
+        + 64 * len(rec.F) + slack
+    assert 8 * len(ref.E) > 4 * slack
+    assert rec.e_peak <= bound
+    assert ref.e_peak > bound + 8 * len(ref.E)
 
 
 def test_rss_reports_name_violated_constraints():
