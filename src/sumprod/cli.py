@@ -11,15 +11,15 @@ from typing import Optional
 
 from .counting import (bilinear_count, count_energy_equiv, f_collision_count,
                        tautological_count)
-from .energy import cauchy_schwarz_check, dyadic_slice, energy
+from .energy import dyadic_slice, energy
 from .families import FamilySpec, gen_family, local_search_min_ratio
 from .field import ElemSet, GroundField, read_set_file, render_set
 from .regularize import check_regular, default_slack, xue_regularize
+from .repfn import BudgetExceeded
 from .report import ConstraintViolation
 from .setalgebra import SpanSpec, combine, iterated_span
 from .suite import ConfigError, ExperimentConfig, run_suite
-from .verify import (check_kmps, check_mixed_energy, check_pluennecke,
-                     check_rss_proposition, check_sdz, main_theorem_probe)
+from .verify import LEMMAS, LemmaParams, main_theorem_probe, run_lemma
 
 
 def _field_from_args(args) -> Optional[GroundField]:
@@ -38,11 +38,8 @@ def _load(path: str, args) -> ElemSet:
 
 def _emit(args, obj, plain: str) -> None:
     if args.json:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            if hasattr(obj, "to_dict"):
-                obj = obj.to_dict()
-            else:
-                obj = dataclasses.asdict(obj)
+        if hasattr(obj, "to_dict"):
+            obj = obj.to_dict()
         print(json.dumps(obj, indent=2, sort_keys=True, default=str))
     else:
         print(plain)
@@ -123,55 +120,37 @@ def _cmd_count(args) -> int:
     return 0
 
 
-_VERIFY_ARITY = {"pluennecke": 1, "cauchy-schwarz": 1, "kmps": 3, "sdz": 4,
-                 "mixed": 2, "rss": 1, "main": 0}
-
-
 def _cmd_verify(args) -> int:
     sets = [_load(p, args) for p in args.sets]
-    lemma = args.lemma
-    if len(sets) < _VERIFY_ARITY[lemma]:
-        raise SystemExit(f"lemma {lemma!r} needs {_VERIFY_ARITY[lemma]} "
-                         f"set file(s), got {len(sets)}")
-    try:
-        if lemma == "pluennecke":
-            rep = check_pluennecke(sets[0], args.k, args.l,
-                                   budget=args.budget)
-        elif lemma == "cauchy-schwarz":
-            rep = cauchy_schwarz_check(sets[0], args.op, budget=args.budget)
-        elif lemma == "kmps":
-            rep = check_kmps(*sets[:3], budget=args.budget)
-        elif lemma == "sdz":
-            rep = check_sdz(*sets[:4], budget=args.budget)
-        elif lemma == "mixed":
-            rep = check_mixed_energy(sets[0], sets[1], args.variant,
-                                     slack_c=args.slack_c,
-                                     budget=args.budget)
-        elif lemma == "rss":
-            variant = args.variant if args.variant in (
-                "additive", "multiplicative") else "additive"
-            rep = check_rss_proposition(sets[0], variant,
-                                        slack_c=args.slack_c,
-                                        budget=args.budget)
-        elif lemma == "main":
-            res = main_theorem_probe(seed=args.seed or 0,
-                                     budget=args.budget)
-            _emit(args, res,
-                  f"min_ratio={res['min_ratio']:.4f} floor={res['floor']} "
-                  f"{'pass' if res['pass'] else 'fail'}")
-            return 0 if res["pass"] else 1
-        else:
-            raise SystemExit(f"unknown lemma {lemma!r}")
-    except ConstraintViolation as exc:
-        print(f"constraint violated: {exc}", file=sys.stderr)
-        return 1
+    if args.lemma == "main" and not sets:
+        res = main_theorem_probe(seed=args.seed or 0, budget=args.budget)
+        text, passed = json.dumps(res, sort_keys=True), res["pass"]
+        plain = (f"min_ratio={res['min_ratio']:.4f} floor={res['floor']} "
+                 f"{'pass' if passed else 'fail'}")
+    else:
+        lemma = LEMMAS[args.lemma]
+        if len(sets) != lemma.arity:
+            raise SystemExit(f"lemma {args.lemma!r} needs {lemma.arity} "
+                             f"set file(s), got {len(sets)}")
+        # --op names the variant of cauchy-schwarz and regular
+        variants = lemma.variants
+        variant = args.variant or (
+            args.op if args.op in variants else variants[0])
+        if variant not in variants:
+            raise SystemExit(f"unknown variant {variant!r} of lemma "
+                             f"{args.lemma!r}; its variants: "
+                             f"{', '.join(filter(None, variants)) or 'none'}")
+        res = run_lemma(args.lemma, tuple(sets), variant,
+                        LemmaParams(k=args.k, l=args.l, slack_c=args.slack_c,
+                                    budget=args.budget))
+        text, passed = res.to_json(), res.passed
+        plain = (f"{res.lemma}: {'pass' if passed else 'fail'} "
+                 f"fitted={res.fitted_constant:.6g} slack={res.slack:.6g}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(rep.to_json())
-    _emit(args, rep,
-          f"{rep.lemma}: {'pass' if rep.passed else 'fail'} "
-          f"fitted={rep.fitted_constant:.6g} slack={rep.slack:.6g}")
-    return 0 if rep.passed else 1
+            fh.write(text)
+    _emit(args, res, plain)
+    return 0 if passed else 1
 
 
 def _cmd_search(args) -> int:
@@ -281,14 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = add_parser("verify", help="run one lemma verifier")
-    p.add_argument("--lemma", required=True,
-                   choices=("pluennecke", "cauchy-schwarz", "kmps", "sdz",
-                            "mixed", "rss", "main"))
-    p.add_argument("sets", nargs="*")
+    p.add_argument("--lemma", required=True, choices=tuple(LEMMAS))
+    p.add_argument("sets", nargs="*",
+                   help="the lemma's set files; none for main runs the sweep")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--op", choices=("add", "mul"), default="add")
-    p.add_argument("--variant", default="E4+E2x")
+    p.add_argument("--variant", help="default: the lemma's first variant")
     p.add_argument("--slack-c", type=float, default=64.0)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=_cmd_verify)
@@ -316,7 +294,13 @@ def main(argv=None) -> int:
                           ("budget", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConstraintViolation as exc:
+        print(f"constraint violated: {exc}", file=sys.stderr)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .field import ElemSet
 from .repfn import _flat_sorted_int, _int_fast_ok, _object_table, _prepare
 

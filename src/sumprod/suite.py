@@ -20,22 +20,16 @@ from dataclasses import dataclass, field as dc_field, asdict
 from typing import List
 
 from . import __version__
-from .energy import cauchy_schwarz_check
-from .families import FamilySpec, gen_family, prime_with_subgroup, \
-    sum_product_ratio
+from .families import FamilySpec, gen_family, prime_with_subgroup
 from .field import ElemSet, GroundField
-from .regularize import check_regular, default_slack, xue_regularize
 from .repfn import BudgetExceeded
-from .report import ConstraintViolation, VerificationReport
-from .verify import (DEFAULT_P, MIXED_VARIANTS, check_kmps,
-                     check_mixed_energy, check_pluennecke,
-                     check_rss_proposition, check_sdz)
+from .report import ConstraintViolation
+from .verify import DEFAULT_P, LEMMAS, LemmaParams, run_lemma
 
 CSV_COLUMNS = ("lemma", "family", "n", "p", "lhs", "rhs_shape",
                "fitted_constant", "slack", "pass", "elapsed_ms")
 
-KNOWN_LEMMAS = ("pluennecke", "cauchy-schwarz", "kmps", "sdz", "mixed",
-                "rss", "regular", "main")
+KNOWN_LEMMAS = tuple(LEMMAS)
 KNOWN_FAMILIES = ("ap", "gp", "random", "subgroup")
 
 
@@ -139,7 +133,7 @@ def _cell_field(config: ExperimentConfig, family: str, n: int) -> GroundField:
     return fld
 
 
-def _gen(config, family, n, fld, seed) -> ElemSet:
+def _gen(family, n, fld, seed) -> ElemSet:
     return gen_family(FamilySpec(kind=family, n=n, field=fld, start=1,
                                  base=3, ratio=7, seed=seed))
 
@@ -149,76 +143,28 @@ def _run_cell(config: ExperimentConfig, lemma: str, family: str, n: int,
     """One (lemma, family, n, idx) cell -> CSV row dicts + report payloads."""
     seed = cell_seed(config.seed, lemma, family, n, idx)
     fld = _cell_field(config, family, n)
-    budget = config.table_budget
-    A = _gen(config, family, n, fld, seed)
-    reports: List[VerificationReport] = []
-
-    if lemma == "pluennecke":
-        reports.append(check_pluennecke(A, 2, 2, budget=budget))
-    elif lemma == "cauchy-schwarz":
-        reports.append(cauchy_schwarz_check(A, "add", budget=budget))
-        reports.append(cauchy_schwarz_check(A, "mul", budget=budget))
-    elif lemma == "kmps":
-        Y = _gen(config, "random", n, fld, seed + 1).remove_zero()
-        Z = _gen(config, "random", n, fld, seed + 2).remove_zero()
-        reports.append(check_kmps(A.remove_zero(), Y, Z,
-                                  ceiling=config.fitted_ceiling,
-                                  budget=budget))
-    elif lemma == "sdz":
-        B = _gen(config, "random", n, fld, seed + 1)
-        C = _gen(config, "random", n, fld, seed + 2)
-        D = _gen(config, "random", n, fld, seed + 3)
-        reports.append(check_sdz(A, B, C, D, ceiling=config.fitted_ceiling,
-                                 budget=budget))
-    elif lemma == "mixed":
-        U = _gen(config, "random", max(4, n // 4), fld, seed + 1)
-        for variant in MIXED_VARIANTS:
-            reports.append(check_mixed_energy(A, U, variant,
-                                              slack_c=config.slack_c,
-                                              budget=budget))
-    elif lemma == "rss":
-        for variant in ("additive", "multiplicative"):
-            reports.append(check_rss_proposition(A, variant,
-                                                 slack_c=config.slack_c,
-                                                 budget=budget))
-    elif lemma == "regular":
-        for op in ("add", "mul"):
-            d = xue_regularize(A, 4, op, budget=budget)
-            reports.append(check_regular(
-                d, A, 4, default_slack(len(A), config.slack_c),
-                budget=budget))
-    elif lemma == "main":
-        t0 = time.perf_counter()
-        ratios = [sum_product_ratio(A, ao, mo, budget=budget)
-                  for ao in ("add", "sub") for mo in ("mul", "div")]
-        lo = min(ratios)
-        reports.append(VerificationReport(
-            lemma="main-theorem-ratio",
-            inputs={"n": n, "family": family, "field": fld.describe()},
-            lhs=lo, rhs_shape=config.ratio_floor,
-            fitted_constant=lo / config.ratio_floor,
-            slack=1.0, passed=lo >= config.ratio_floor,
-            notes="min over add/sub x mul/div",
-            elapsed_ms=(time.perf_counter() - t0) * 1e3))
-    else:  # pragma: no cover - validate() rejects these
-        raise ConfigError(f"unknown lemma {lemma!r}")
-
-    rows = []
-    for j, rep in enumerate(reports):
-        rows.append({
-            "key": f"{lemma}-{family}-{n}-{idx}-{j}",
-            "row": {
-                "lemma": rep.lemma, "family": family, "n": n,
-                "p": fld.p if fld.is_prime_mode else 0,
-                "lhs": _fmt(rep.lhs), "rhs_shape": _fmt(rep.rhs_shape),
-                "fitted_constant": _fmt(rep.fitted_constant),
-                "slack": _fmt(rep.slack),
-                "pass": "pass" if rep.passed else "fail",
-                "elapsed_ms": _fmt(rep.elapsed_ms),
-            },
-            "report": rep.to_dict(),
-        })
-    return rows
+    spec = LEMMAS[lemma]
+    sets = spec.draw(_gen(family, n, fld, seed),
+                     lambda size, offset: _gen("random", size, fld,
+                                               seed + offset))
+    params = LemmaParams(ceiling=config.fitted_ceiling,
+                         slack_c=config.slack_c, floor=config.ratio_floor,
+                         budget=config.table_budget, family=family)
+    reports = [run_lemma(lemma, sets, variant, params)
+               for variant in spec.variants]
+    return [{
+        "key": f"{lemma}-{family}-{n}-{idx}-{j}",
+        "row": {
+            "lemma": rep.lemma, "family": family, "n": n,
+            "p": fld.p if fld.is_prime_mode else 0,
+            "lhs": _fmt(rep.lhs), "rhs_shape": _fmt(rep.rhs_shape),
+            "fitted_constant": _fmt(rep.fitted_constant),
+            "slack": _fmt(rep.slack),
+            "pass": "pass" if rep.passed else "fail",
+            "elapsed_ms": _fmt(rep.elapsed_ms),
+        },
+        "report": rep.to_dict(),
+    } for j, rep in enumerate(reports)]
 
 
 def _unfinished(rows: list, statuses: list, lemma: str, family: str, n: int,

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
-from .energy import _dyadic_slice, dyadic_slice, energy
+from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
 from .families import FamilySpec, gen_family, prime_with_subgroup, \
     sum_product_ratio
-from .regularize import (PopularityParams, default_slack, popular_sums,
-                         regu_iterate, xue_regularize)
+from .regularize import (PopularityParams, check_regular, default_slack,
+                         popular_sums, regu_iterate, xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
@@ -208,15 +210,18 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     n = len(A)
     K = default_slack(n, slack_c)
 
-    B, cert = regu_iterate(A, 4 / 3, params, rule)
-    C = cert.refined
-    if len(C) == 0:
+    def degenerate(why: str) -> VerificationReport:
         return VerificationReport(
             lemma=f"rss-proposition-{variant}",
             inputs={"n": n, "field": A.field.describe()},
             lhs=0.0, rhs_shape=0.0, fitted_constant=float("inf"), slack=K,
-            passed=False, notes="degenerate: popularity rule emptied B",
+            passed=False, notes=f"degenerate: {why}",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
+
+    B, cert = regu_iterate(A, 4 / 3, params, rule)
+    C = cert.refined
+    if len(C) == 0:
+        return degenerate("popularity rule emptied B")
 
     P = popular_sums(C, cert.eps, op=cop)
     slice_d = dyadic_slice(C, C, 4 / 3, eop, budget)
@@ -224,12 +229,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     D, t = slice_d.support, slice_d.t
     F, nu = slice_f.support, slice_f.t
     if min(len(D), len(F)) == 0:
-        return VerificationReport(
-            lemma=f"rss-proposition-{variant}",
-            inputs={"n": n, "field": A.field.describe()},
-            lhs=0.0, rhs_shape=0.0, fitted_constant=float("inf"), slack=K,
-            passed=False, notes="degenerate: empty dyadic support",
-            elapsed_ms=(time.perf_counter() - t0) * 1e3)
+        return degenerate("empty dyadic support")
 
     # clause (a): exact lower bound for the restricted tautological count
     count = _pair_popularity_square_sum(C, B, D, P, op=cop, budget=budget)
@@ -365,6 +365,26 @@ OPERATOR_COMBOS = (("add", "mul"), ("add", "div"), ("sub", "mul"),
                    ("sub", "div"))
 
 
+def sum_product_ratios(A: ElemSet, budget: Optional[int] = None) -> dict:
+    """A's sum-product ratio under each of the OPERATOR_COMBOS."""
+    return {f"{a}/{m}": sum_product_ratio(A, a, m, budget=budget)
+            for a, m in OPERATOR_COMBOS}
+
+
+def check_main_theorem(A: ElemSet, floor: float = 0.25,
+                       budget: Optional[int] = None,
+                       family: Optional[str] = None) -> VerificationReport:
+    """The smallest of A's sum-product ratios against the floor."""
+    t0 = time.perf_counter()
+    lo = min(sum_product_ratios(A, budget).values())
+    return VerificationReport(
+        lemma="main-theorem-ratio",
+        inputs={"n": len(A), "family": family, "field": A.field.describe()},
+        lhs=lo, rhs_shape=floor, fitted_constant=lo / floor,
+        slack=1.0, passed=lo >= floor, notes="min over add/sub x mul/div",
+        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+
+
 def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
                        sizes=(16, 32, 64, 128, 256, 512, 1024),
                        p: int = DEFAULT_P, seed: int = 0,
@@ -373,7 +393,6 @@ def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
     """Sweep probe families; record the min sum-product ratio over all four
     operator combinations. Cells violating |A| <= sqrt(p)/2 are skipped."""
     cells = []
-    overall_min = float("inf")
     for kind in families:
         for size in sizes:
             cell_p = p
@@ -386,15 +405,66 @@ def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
                 continue
             spec = FamilySpec(kind=kind, n=size, field=field, start=1,
                               base=3, ratio=7, seed=seed + size)
-            A = gen_family(spec)
-            ratios = {}
-            for addop, mulop in OPERATOR_COMBOS:
-                ratios[f"{addop}/{mulop}"] = sum_product_ratio(
-                    A, addop, mulop, budget=budget)
-            cell_min = min(ratios.values())
-            overall_min = min(overall_min, cell_min)
+            ratios = sum_product_ratios(gen_family(spec), budget)
             cells.append({"family": kind, "n": size, "p": cell_p,
-                          "ratios": ratios, "min": cell_min,
+                          "ratios": ratios, "min": min(ratios.values()),
                           "status": "ok"})
+    overall_min = min((c["min"] for c in cells if "min" in c),
+                      default=float("inf"))
     return {"cells": cells, "min_ratio": overall_min, "floor": floor,
             "pass": overall_min >= floor}
+
+
+# -- the lemma registry: what the suite and `sumprod verify` run ---------------
+
+@dataclass(frozen=True)
+class LemmaParams:
+    """What the registered checks read; family labels the main check's A."""
+
+    k: int = 2
+    l: int = 2
+    ceiling: float = DEFAULT_FITTED_CEILING
+    slack_c: float = 64.0
+    floor: float = 0.25
+    budget: Optional[int] = None
+    family: Optional[str] = None
+
+
+# run(sets, variant, params) checks `arity` sets. The suite runs every variant
+# ((None,) for a lemma without variants) on draw(A, rand), where
+# rand(size, offset) is a random set drawn at the cell seed + offset.
+Lemma = namedtuple("Lemma", "arity variants run draw",
+                   defaults=(lambda A, rand: (A,),))
+
+
+LEMMAS: Dict[str, Lemma] = {
+    "pluennecke": Lemma(1, (None,), lambda S, v, p: check_pluennecke(
+        S[0], p.k, p.l, budget=p.budget)),
+    "cauchy-schwarz": Lemma(1, ("add", "mul"), lambda S, v, p:
+                            cauchy_schwarz_check(S[0], v, budget=p.budget)),
+    "kmps": Lemma(3, (None,), lambda S, v, p: check_kmps(
+        *S, ceiling=p.ceiling, budget=p.budget),
+        lambda A, rand: (A.remove_zero(), rand(len(A), 1).remove_zero(),
+                         rand(len(A), 2).remove_zero())),
+    "sdz": Lemma(4, (None,), lambda S, v, p: check_sdz(
+        *S, ceiling=p.ceiling, budget=p.budget),
+        lambda A, rand: (A, *(rand(len(A), i) for i in (1, 2, 3)))),
+    "mixed": Lemma(2, tuple(MIXED_VARIANTS), lambda S, v, p:
+                   check_mixed_energy(*S, v, slack_c=p.slack_c,
+                                      budget=p.budget),
+                   lambda A, rand: (A, rand(max(4, len(A) // 4), 1))),
+    "rss": Lemma(1, ("additive", "multiplicative"), lambda S, v, p:
+                 check_rss_proposition(S[0], v, slack_c=p.slack_c,
+                                       budget=p.budget)),
+    "regular": Lemma(1, ("add", "mul"), lambda S, v, p: check_regular(
+        xue_regularize(S[0], 4, v, budget=p.budget), S[0], 4,
+        default_slack(len(S[0]), p.slack_c), budget=p.budget)),
+    "main": Lemma(1, (None,), lambda S, v, p: check_main_theorem(
+        S[0], p.floor, p.budget, p.family)),
+}
+
+
+def run_lemma(name: str, sets: tuple, variant: Optional[str],
+              params: LemmaParams) -> VerificationReport:
+    """Run one variant of a registered lemma on its sets."""
+    return LEMMAS[name].run(sets, variant, params)

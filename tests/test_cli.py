@@ -118,3 +118,123 @@ def test_energy_dyadic_is_one_table_build(tmp_path, capsys, op, k, pair):
     assert json.loads(js) == {"t": want.t, "support_size": len(want.support),
                               "energy": str(want.energy_value),
                               "certificate_ok": want.certificate_ok}
+
+
+def _fp_set(tmp_path, name, values):
+    path = tmp_path / f"{name}.txt"
+    path.write_text("# field prime 2147483647\n"
+                    + "".join(f"{v}\n" for v in values))
+    return str(path)
+
+
+def test_verify_main_sweep_writes_out(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    code, plain = run(capsys, "verify", "--lemma", "main", "--out", str(out))
+    assert code == 0 and plain.startswith("min_ratio=")
+    code, js = run(capsys, "verify", "--lemma", "main", "--json")
+    assert code == 0
+    assert json.loads(out.read_text()) == json.loads(js)
+
+
+@pytest.mark.parametrize("lemma, sets, listed", [
+    ("mixed", ["a", "u"], "E4+E2x, E4xE2+, E4xE4+, E4+E4x"),
+    ("rss", ["a"], "additive, multiplicative"),
+    ("cauchy-schwarz", ["a"], "add, mul"),
+])
+def test_verify_rejects_unknown_variant(tmp_path, capsys, lemma, sets,
+                                        listed):
+    files = {"a": _fp_set(tmp_path, "a", range(1, 41)),
+             "u": _fp_set(tmp_path, "u", range(1, 9))}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", lemma, *map(files.get, sets),
+              "--variant", "E2+E2x"])
+    assert exc.value.code == (f"unknown variant 'E2+E2x' of lemma {lemma!r}; "
+                              f"its variants: {listed}")
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_rejects_variant_of_plain_lemma(tmp_path, capsys):
+    a = _fp_set(tmp_path, "a", range(1, 41))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", "pluennecke", a, "--variant", "add"])
+    assert exc.value.code == ("unknown variant 'add' of lemma 'pluennecke'; "
+                              "its variants: none")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "10", "verify", "--lemma", "pluennecke", "a"],
+    ["verify", "--lemma", "cauchy-schwarz", "a", "--budget", "10"],
+    ["--budget", "10", "count", "kmps", "a", "a", "a"],
+    ["--budget", "10", "op", "add", "a", "a"],
+    ["--budget", "10", "span", "a"],
+])
+def test_budget_overrun_is_a_message_not_a_traceback(tmp_path, capsys, argv):
+    a = _fp_set(tmp_path, "a", range(1, 41))
+    code = main([a if x == "a" else x for x in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert "exceed budget 10" in captured.err
+
+
+def test_constraint_violation_outside_verify(tmp_path, capsys):
+    # `regularize` reaches no p-constraint, `verify` does: both exit 1 with
+    # the reason on stderr
+    small = tmp_path / "s.txt"
+    small.write_text("# field prime 101\n" + "\n".join(map(str, range(1, 33))))
+    code = main(["verify", "--lemma", "kmps", str(small), str(small),
+                 str(small)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("constraint violated: |X||Y||Z| << p^2: "
+                            "32768 exceeds 10201/4\n")
+
+
+@pytest.mark.parametrize("lemma, count, arity", [
+    ("cauchy-schwarz", 2, 1), ("pluennecke", 0, 1), ("sdz", 5, 4),
+    ("sdz", 3, 4), ("kmps", 4, 3), ("mixed", 3, 2), ("rss", 2, 1),
+    ("regular", 2, 1), ("main", 2, 1),
+])
+def test_verify_needs_exactly_its_arity(tmp_path, capsys, lemma, count,
+                                        arity):
+    a = _fp_set(tmp_path, "a", range(1, 41))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", lemma, *[a] * count])
+    assert exc.value.code == (f"lemma {lemma!r} needs {arity} set file(s), "
+                              f"got {count}")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_verify_regular_runs_the_suite_check(tmp_path, capsys, op):
+    from sumprod import check_regular, default_slack, read_set_file, \
+        xue_regularize
+    a = _fp_set(tmp_path, "a", random.Random(3).sample(range(1, 2**31 - 1),
+                                                       48))
+    A = read_set_file(a)[0]
+    want = check_regular(xue_regularize(A, 4, op), A, 4, default_slack(48))
+    code, js = run(capsys, "verify", "--lemma", "regular", a, "--op", op,
+                   "--json")
+    got = json.loads(js)
+    assert code == (0 if want.passed else 1)
+    got.pop("elapsed_ms")
+    expected = json.loads(want.to_json())
+    expected.pop("elapsed_ms")
+    assert got == expected
+    code, by_variant = run(capsys, "verify", "--lemma", "regular", a,
+                           "--variant", op, "--op", "add")
+    assert by_variant.startswith(f"regular-decomposition-{op}: ")
+
+
+def test_verify_main_on_one_set(tmp_path, capsys):
+    from sumprod import read_set_file, sum_product_ratio
+    a = _fp_set(tmp_path, "a", range(1, 33))
+    A = read_set_file(a)[0]
+    lo = min(sum_product_ratio(A, ao, mo) for ao in ("add", "sub")
+             for mo in ("mul", "div"))
+    code, js = run(capsys, "verify", "--lemma", "main", a, "--json")
+    rep = json.loads(js)
+    assert code == 0 and rep["lemma"] == "main-theorem-ratio"
+    assert rep["lhs"] == lo and rep["pass"] is (lo >= 0.25)
+    assert rep["inputs"] == {"n": 32, "family": None,
+                             "field": A.field.describe()}

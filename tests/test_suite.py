@@ -112,3 +112,27 @@ def test_determinism_modulo_timing(tmp_path):
         return rows
 
     assert run("a") == run("b")
+
+
+def test_known_lemmas_are_the_registry_in_order():
+    from sumprod import suite, verify
+    assert suite.KNOWN_LEMMAS == tuple(verify.LEMMAS) == (
+        "pluennecke", "cauchy-schwarz", "kmps", "sdz", "mixed", "rss",
+        "regular", "main")
+
+
+def test_cells_reach_checks_through_run_lemma(tmp_path):
+    # every report of a cell comes from one `verify.run_lemma` call per
+    # variant, in the registry's order
+    from unittest import mock
+    from sumprod import suite, verify
+    with mock.patch.object(suite, "run_lemma",
+                           wraps=verify.run_lemma) as spy:
+        run_suite(ExperimentConfig(lemmas=list(suite.KNOWN_LEMMAS),
+                                   families=["ap"], sizes=[16],
+                                   out_dir=str(tmp_path / "out")))
+    calls = [(c.args[0], c.args[2]) for c in spy.call_args_list]
+    assert calls == [(name, v) for name, lem in verify.LEMMAS.items()
+                     for v in lem.variants]
+    rows = _read_csv(tmp_path / "out" / "suite.csv")
+    assert len(rows) == len(calls)

@@ -132,3 +132,100 @@ def test_report_roundtrip(c0):
     rep = check_pluennecke(ElemSet(c0, range(8)), 2, 1)
     back = VerificationReport.from_json(rep.to_json())
     assert back == rep
+
+
+def test_registry_arity_matches_the_suite_draw(fp):
+    from sumprod.verify import LEMMAS
+    A = ElemSet(fp, range(1, 33))
+    drawn = []
+
+    def rand(size, offset):
+        drawn.append((size, offset))
+        return random_set(fp, size, seed=offset)
+
+    for name, lem in LEMMAS.items():
+        drawn.clear()
+        sets = lem.draw(A, rand)
+        assert len(sets) == lem.arity, name
+        assert lem.variants and len(set(lem.variants)) == len(lem.variants)
+        assert len(drawn) == lem.arity - 1, name
+        assert [o for _, o in drawn] == list(range(1, lem.arity)), name
+    assert LEMMAS["mixed"].draw(A, rand)[1] == random_set(fp, 8, seed=1)
+    zero = ElemSet(fp, range(0, 32))
+    assert all(0 not in S.elements()
+               for S in LEMMAS["kmps"].draw(zero, lambda n, o: zero))
+
+
+def test_run_lemma_matches_the_direct_checks(fp):
+    from sumprod import cauchy_schwarz_check
+    from sumprod.verify import LemmaParams, run_lemma
+
+    def same(a, b):
+        a, b = a.to_dict(), b.to_dict()
+        a.pop("elapsed_ms"), b.pop("elapsed_ms")
+        return a == b
+
+    A, B, C, D = (random_set(fp, 24, seed=s) for s in range(4))
+    p = LemmaParams(k=2, l=1, ceiling=8.0, slack_c=16.0, budget=10**7)
+    assert same(run_lemma("pluennecke", (A,), None, p),
+                check_pluennecke(A, 2, 1))
+    assert same(run_lemma("cauchy-schwarz", (A,), "mul", p),
+                cauchy_schwarz_check(A, "mul"))
+    assert same(run_lemma("kmps", (A, B, C), None, p),
+                check_kmps(A, B, C, ceiling=8.0))
+    assert same(run_lemma("sdz", (A, B, C, D), None, p),
+                check_sdz(A, B, C, D, ceiling=8.0))
+    assert same(run_lemma("mixed", (A, B), "E4xE2+", p),
+                check_mixed_energy(A, B, "E4xE2+", slack_c=16.0))
+    assert same(run_lemma("rss", (A,), "multiplicative", p),
+                check_rss_proposition(A, "multiplicative", slack_c=16.0))
+
+
+def test_main_check_and_sweep_share_the_ratios():
+    from sumprod import FamilySpec, gen_family, sum_product_ratio
+    from sumprod.verify import (OPERATOR_COMBOS, check_main_theorem,
+                                sum_product_ratios)
+    F = GroundField.prime(2**31 - 1)
+    A = gen_family(FamilySpec(kind="gp", n=32, field=F, start=1, base=3,
+                              ratio=7, seed=1 + 32))
+    ratios = sum_product_ratios(A)
+    assert ratios == {f"{a}/{m}": sum_product_ratio(A, a, m)
+                      for a, m in OPERATOR_COMBOS}
+    rep = check_main_theorem(A, floor=2.0, family="gp")
+    assert rep.lhs == min(ratios.values()) and rep.rhs_shape == 2.0
+    assert rep.passed is (rep.lhs >= 2.0)
+    assert rep.inputs == {"n": 32, "family": "gp", "field": F.describe()}
+    res = main_theorem_probe(families=("gp",), sizes=(32,), seed=1)
+    assert res["cells"][0]["ratios"] == ratios
+    assert res["min_ratio"] == rep.lhs
+
+
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_rss_degenerate_reports(c0, variant):
+    # neither degenerate branch is reached by the probe families, so force
+    # each: an emptied refinement, then an empty dyadic support
+    from types import SimpleNamespace
+    from unittest import mock
+    from sumprod import verify
+    A = ElemSet(c0, range(1, 33))
+    want = {"lemma": f"rss-proposition-{variant}",
+            "inputs": {"n": 32, "field": c0.describe()}, "lhs": 0.0,
+            "rhs_shape": 0.0, "fitted_constant": float("inf"),
+            "slack": verify.default_slack(32), "pass": False}
+    empty = SimpleNamespace(refined=ElemSet(c0, []), eps=0.5, c2=1.0)
+    with mock.patch.object(verify, "regu_iterate",
+                           return_value=(A, empty)):
+        rep = check_rss_proposition(A, variant).to_dict()
+    rep.pop("elapsed_ms")
+    assert rep == dict(want, notes="degenerate: popularity rule emptied B")
+    real = verify.dyadic_slice
+
+    def no_support(*args):
+        sl = real(*args)
+        return SimpleNamespace(support=ElemSet(c0, []), t=sl.t,
+                               energy_value=sl.energy_value)
+
+    with mock.patch.object(verify, "dyadic_slice", side_effect=no_support):
+        rep = check_rss_proposition(A, variant).to_dict()
+    rep.pop("elapsed_ms")
+    assert rep == dict(want, notes="degenerate: empty dyadic support")
