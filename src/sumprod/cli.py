@@ -300,6 +300,10 @@ def main(argv=None) -> int:
         print(f"constraint violated: {exc}", file=sys.stderr)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # a bad input (ParseError and FieldMismatch are ValueErrors too); an
+        # ArithmeticError is a failed exactness check and keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
     return 1
 
 

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .field import ElemSet
-from .repfn import (RepFn, _flat_sorted_int, _int_fast_ok, _object_table,
-                    _prepare, count_spectrum, rep_function)
+from .repfn import RepFn, _table, count_spectrum, rep_function
 from .report import VerificationReport
 from .setalgebra import combine
 
@@ -176,29 +174,6 @@ def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
     return _certified(support, hist, t, score, k)
 
 
-def _level_set(A: ElemSet, B: ElemSet, op: str, band,
-               budget: Optional[int] = None) -> Tuple[np.ndarray, ElemSet]:
-    """(hist, S): the multiplicity histogram of r_{A∘B} and its level set
-    S = {x : lo <= r(x) < hi}, with [lo, hi) = band(hist).
-
-    hist has no trailing zeros (an empty table's is [0]). Only S is written
-    out: the int kernel's "level" reduction, or else the exact object table.
-    """
-    B2, _ = _prepare(A, B, op, budget)
-    if len(A) == 0 or len(B2) == 0:
-        table = Counter()
-    elif _int_fast_ok(A.field, op, A.ints, B2.ints):
-        (hist, vals), _ = _flat_sorted_int(A, B2, op, "level", band)
-        return hist, ElemSet._from_sorted_array(A.field, vals)
-    else:
-        table = _object_table(A, B2, op)
-    hist = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
-                       minlength=1)
-    lo, hi = band(hist)
-    return hist, ElemSet(A.field, [x for x, c in table.items()
-                                   if lo <= c < hi])
-
-
 def dyadic_slice(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
                  op: str = "add", budget: Optional[int] = None) -> DyadicSlice:
     """dyadic_extract(energy_rep(A, B, op), k), from one table build that
@@ -222,7 +197,7 @@ def _dyadic_slice(A: ElemSet, B: Optional[ElemSet], k: float, op: str,
             chosen(t, int(hist[t:2 * t].sum()))
         return t, 2 * t
 
-    hist, support = _level_set(A, B, _TABLE_OP[op], band, budget)
+    hist, support = _table(A, B, _TABLE_OP[op], "level", band, budget)
     return _certified(support, hist, *level, k)
 
 

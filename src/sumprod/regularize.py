@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .field import ElemSet
-from .energy import _level_set, dyadic_slice, energy
-from .repfn import _grid, _int_fast_ok, _sorted_lookup
+from .energy import dyadic_slice, energy
+from .repfn import _grid, _int_fast_ok, _sorted_lookup, _table
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -63,7 +63,7 @@ def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
             if support else 1
         return max(1, cutoff), hist.size
 
-    return _level_set(A, A, op, band)[1]
+    return _table(A, A, op, "level", band)[1]
 
 
 def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,

@@ -1,5 +1,11 @@
 """Representation functions r_{A∘B} with exact multiplicities.
 
+Every pair table goes through one entry point, `_table`: `rep_function`,
+`count_spectrum`, `setalgebra.combine` and the level sets of `energy` and
+`regularize` each ask it for one reduction. It owns the op, field and
+budget checks, the empty table, and the choice between the int kernel and
+the exact object table.
+
 The hot path (prime mode / int-valued sets) streams A x B in row blocks into
 one flat array, sorts it and reduces the sorted runs into what the caller
 asks for: the support, the support with its counts, the run-length
@@ -104,13 +110,6 @@ class RepFn:
         return self._hist
 
 
-def _check_ops(A: ElemSet, B: ElemSet, op: str) -> None:
-    if op not in OPS:
-        raise ValueError(f"unknown operator {op!r}")
-    if A.field != B.field:
-        raise FieldMismatch(f"field mismatch: {A.field} vs {B.field}")
-
-
 def _int_fast_ok(field: GroundField, op: str, *arrays) -> bool:
     """The one rule for int64 fast paths: is `op` exact on these arrays?
 
@@ -200,30 +199,6 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
-def _flat_sorted_int(A: ElemSet, B: ElemSet, op: str, reduce: str,
-                     band=None) -> Tuple[object, bool]:
-    """The sorted op-table over A x B, reduced (int fast path only).
-
-    Returns (`_sorted_table(..., reduce, band)`, half). When B has A's
-    contents, the answer follows from the unordered pairs, and half is True:
-      sub   the table holds the class min(d, p-d) of d = a_j - a_i for i < j
-            (char0: d > 0); the diagonal is the known r(0) = |A|. The
-            "support", "rep" and "level" reductions write both c and -c; the
-            "spectrum" is that of the classes.
-      add/mul, reduce="support": the table holds a_i op a_j for i <= j,
-            which has the same support as the full table.
-    Otherwise (div, or add/mul tables of multiplicities) the table holds all
-    |A||B| values; div multiplies by the checked inverses of B.
-    """
-    a, b = A.ints, B.ints
-    half = (op == "sub" or reduce == "support" and op in ("add", "mul")) \
-        and (A is B or np.array_equal(a, b))
-    if op == "div":
-        b = _inverses(b, A.field.p)
-        op = "mul"
-    return _sorted_table(a, b, op, A.field.p, half, reduce, band), half
-
-
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                   half: bool, reduce: str, band=None):
     """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
@@ -239,9 +214,9 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     values and their int64 counts), "spectrum" (the run-length histogram)
     or "level" ((hist, values): the histogram of r, trimmed to its largest
     multiplicity, and the sorted int64 values x with lo <= r(x) < hi, where
-    [lo, hi) = band(hist)). A half sub table's support, counts and level
-    set are mirrored into r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c), the
-    class count; its "level" histogram is that of r_{A-A} too.
+    [lo, hi) = band(hist)). A half sub table is mirrored into r_{A-A}:
+    r(0) = |A| and r(c) = r(-c) = g(c), the class count, so each of its
+    reductions, the "spectrum" too, is that of r_{A-A}.
 
     Tables of at least _PARALLEL_MIN pairs are filled, sorted and reduced
     on every usable core: the rows split into one range of about equal
@@ -332,7 +307,8 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     owner write the values whose run length lies in [lo, hi) at the offset
     its own share gives. mirror = (n, p) marks a half sub table of n
     values: its classes c and their negatives -c (p - c in F_p) are both
-    written, and 0, hit n times.
+    written, and 0, hit n times; its histogram (a class count g is the
+    multiplicity of two values) is folded into that of r_{A-A}.
     """
     count = reduce in ("support", "rep")
 
@@ -368,13 +344,13 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
             hist[:h.size] += h
             for length in long:
                 hist[length] += 1
-        if reduce == "spectrum":
-            return hist
         if mirror is not None:
             # a class count g is the multiplicity of both c and -c
             n = mirror[0]
             hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
             hist[n] += 1
+        if reduce == "spectrum":
+            return hist
         hist = hist[:np.flatnonzero(hist)[-1] + 1 if hist.any() else 1]
         blo, bhi = band(hist)
         owned = [int(h[blo:bhi].sum()) + sum(blo <= x < bhi for x in long)
@@ -666,7 +642,7 @@ def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
 def _self_div_logs(A: ElemSet, B: ElemSet) -> Optional[np.ndarray]:
     """Sorted discrete logs of B when r_{A/B} is taken over logs, else None.
 
-    B holds no 0 (see `_prepare`). The log path runs in prime mode when
+    B holds no 0 (see `_table`). The log path runs in prime mode when
     A∖{0} has B's contents, the table has at least _LOG_MIN pairs and every
     prime factor of p-1 is at most _LOG_MAX_FACTOR. Below about 2^18 pairs
     the logs cost more than the halved table saves (2-3 ms per call).
@@ -700,14 +676,86 @@ def _check_budget(n: int, m: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(f"{n}x{m} pairs exceed budget {budget}")
 
 
-def _prepare(A: ElemSet, B: ElemSet, op: str, budget: Optional[int]):
-    _check_ops(A, B, op)
+def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
+           budget: Optional[int] = None):
+    """The table of a ∘ b over A x B, reduced: every pair table is built here.
+
+    Checks the op and the fields, drops a 0 from B for div (its |A| pairs
+    are recorded as excluded) and refuses a table above the budget. Inputs
+    `_int_fast_ok` accepts go to the int kernel `_sorted_table`, all others
+    to the exact object table. Returns, by `reduce`:
+      "support"   the ElemSet {a ∘ b};
+      "rep"       the RepFn r_{A∘B};
+      "spectrum"  hist[m] = #{x : r(x) = m}; the int path checks that it
+                  holds the |A||B∖{0}| pairs;
+      "level"     (hist, S): hist trimmed to the largest multiplicity (an
+                  empty table's is [0]) and S = {x : lo <= r(x) < hi}, with
+                  [lo, hi) = band(hist).
+    When B has A's contents, sub tables and add/mul supports take the
+    unordered pairs only, and a large div spectrum is taken over discrete
+    logs (see `_self_div_logs`): r_{A/A} is r_{L-L} over Z/(p-1).
+    """
+    if op not in OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    if A.field != B.field:
+        raise FieldMismatch(f"field mismatch: {A.field} vs {B.field}")
+    field = A.field
     excluded = 0
     if op == "div" and 0 in B:
         excluded = len(A)
         B = B.remove_zero()
-    _check_budget(len(A), len(B), budget)
-    return B, excluded
+    n, m = len(A), len(B)
+    _check_budget(n, m, budget)
+    rhs = m + (1 if excluded else 0)
+    if not (n and m) and reduce == "rep":
+        empty = np.zeros(0, dtype=np.int64)
+        return RepFn(field, op, empty, empty, excluded, n, rhs)
+    if n and m and _int_fast_ok(field, op, A.ints, B.ints):
+        a, b, kop, mod = A.ints, B.ints, op, field.p
+        half = (op == "sub" or reduce == "support" and op in ("add", "mul")) \
+            and (A is B or np.array_equal(a, b))
+        logs = _self_div_logs(A, B) if op == "div" and reduce == "spectrum" \
+            else None
+        if logs is not None:
+            a, b, kop, mod, half = logs, logs, "sub", field.p - 1, True
+        elif op == "div":
+            b, kop = _inverses(b, mod), "mul"
+        out = _sorted_table(a, b, kop, mod, half, reduce, band)
+        if reduce == "support":
+            return ElemSet._from_sorted_array(field, out)
+        if reduce == "rep":
+            return RepFn(field, op, *out, excluded, n, rhs)
+        if reduce == "level":
+            return out[0], ElemSet._from_sorted_array(field, out[1])
+        hist = out
+        if logs is not None:
+            # mod = p-1 is even, so the class mod/2 (a/b = -1) is its own
+            # negative: one value hit 2g times, not two values hit g times;
+            # g counts the logs L with L + mod/2 among the logs
+            low = logs[logs < mod // 2]
+            g = int(_sorted_lookup(logs, low + mod // 2, True)[1].sum())
+            if g:
+                hist[g] -= 2
+                hist[2 * g] += 1  # 2g <= |B|: the pairs {a, -a}
+            if n > m:
+                hist[m] += 1  # 0 in A: the value 0 = 0/b for every b in B
+        mass = _exact_dot(np.arange(hist.size), hist)
+        if mass != n * m:
+            raise ArithmeticError(f"spectrum mass {mass} != {n}x{m} pairs")
+        return hist
+    table = _object_table(A, B, op)
+    if reduce == "support":
+        return ElemSet(field, table.keys())
+    if reduce == "rep":
+        vals = sorted(table)
+        return RepFn(field, op, tuple(vals), [table[v] for v in vals],
+                     excluded, n, rhs)
+    hist = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
+                       minlength=1)
+    if reduce == "spectrum":
+        return hist
+    lo, hi = band(hist)
+    return hist, ElemSet(field, [x for x, c in table.items() if lo <= c < hi])
 
 
 def rep_function(A: ElemSet, B: ElemSet, op: str,
@@ -716,22 +764,7 @@ def rep_function(A: ElemSet, B: ElemSet, op: str,
 
     Div mode excludes zero-denominator pairs and records how many were dropped.
     """
-    field = A.field
-    B2, excluded = _prepare(A, B, op, budget)
-    rhs = len(B2) + (1 if excluded else 0)
-
-    if len(A) == 0 or len(B2) == 0:
-        return RepFn(field, op, np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=np.int64), excluded, len(A), rhs)
-
-    if _int_fast_ok(A.field, op, A.ints, B2.ints):
-        (vals, counts), _ = _flat_sorted_int(A, B2, op, "rep")
-        return RepFn(field, op, vals, counts, excluded, len(A), rhs)
-
-    table = _object_table(A, B2, op)
-    vals = sorted(table)
-    return RepFn(field, op, tuple(vals), [table[v] for v in vals],
-                 excluded, len(A), rhs)
+    return _table(A, B, op, "rep", budget=budget)
 
 
 def count_spectrum(A: ElemSet, B: ElemSet, op: str,
@@ -742,38 +775,4 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     comfortably in memory. Large self div spectra are taken over discrete
     logs (see `_self_div_logs`): r_{A/A} is r_{L-L} over Z/(p-1).
     """
-    B2, _ = _prepare(A, B, op, budget)
-    if len(A) == 0 or len(B2) == 0:
-        return np.zeros(1, dtype=np.int64)
-    if not _int_fast_ok(A.field, op, A.ints, B2.ints):
-        table = _object_table(A, B2, op)
-        return np.bincount(np.asarray(list(table.values()), dtype=np.int64))
-    logs = _self_div_logs(A, B2) if op == "div" else None
-    self_neg = 0  # g(M/2) on the log path
-    if logs is None:
-        hist, half = _flat_sorted_int(A, B2, op, "spectrum")
-    else:
-        M = A.field.p - 1
-        hist = _sorted_table(logs, logs, "sub", M, True, "spectrum")
-        half = True
-        # M is even, so the class M/2 (a/b = -1) is its own negative; g(M/2)
-        # counts the logs L with L + M/2 among the logs
-        low = logs[logs < M // 2]
-        self_neg = int(_sorted_lookup(logs, low + M // 2, True)[1].sum())
-    if half:
-        # a class count g(c) is the multiplicity of both c and -c, except
-        # for M/2, one value hit 2g(M/2) times; 0 is hit |B2| times
-        n = len(B2)
-        if self_neg:
-            hist[self_neg] -= 1
-        hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
-        hist[n] += 1
-        if self_neg:
-            hist[2 * self_neg] += 1  # 2g(M/2) <= n: the pairs {a, -a}
-    if logs is not None and len(A) > len(B2):
-        hist[len(B2)] += 1  # 0 in A: the value 0 = 0/b for every b in B2
-    mass = _exact_dot(np.arange(hist.size), hist)
-    if mass != len(A) * len(B2):
-        raise ArithmeticError(f"spectrum mass {mass} != {len(A)}x{len(B2)} "
-                              f"pairs")
-    return hist
+    return _table(A, B, op, "spectrum", budget=budget)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .field import ElemSet
-from .repfn import _flat_sorted_int, _int_fast_ok, _object_table, _prepare
+from .repfn import _table
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,7 @@ class SpanSpec:
 def combine(A: ElemSet, B: ElemSet, op: str,
             budget: Optional[int] = None) -> ElemSet:
     """The exact set {a ∘ b}; support of rep_function(A, B, op)."""
-    B2, _ = _prepare(A, B, op, budget)
-    if len(A) == 0 or len(B2) == 0:
-        return ElemSet.empty(A.field)
-    if _int_fast_ok(A.field, op, A.ints, B2.ints):
-        vals, _ = _flat_sorted_int(A, B2, op, "support")
-        return ElemSet._from_sorted_array(A.field, vals)
-    return ElemSet(A.field, _object_table(A, B2, op).keys())
+    return _table(A, B, op, "support", budget=budget)
 
 
 def iterated_span(A: ElemSet, spec: SpanSpec,

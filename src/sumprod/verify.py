@@ -18,8 +18,7 @@ from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
 from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
-from .families import FamilySpec, gen_family, prime_with_subgroup, \
-    sum_product_ratio
+from .families import FamilySpec, gen_family, prime_with_subgroup
 from .regularize import (PopularityParams, check_regular, default_slack,
                          popular_sums, regu_iterate, xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
@@ -189,7 +188,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
 
     The E stage is decided from the histogram of the A x F table: once its
     level mu is chosen, |E| is known, and when energy(A, E, 4) would exceed
-    the budget (|A| x |E∖{0}| pairs, `_prepare`'s rule and message) the cell
+    the budget (|A| x |E∖{0}| pairs, `_table`'s rule and message) the cell
     reports final=skipped with |E| and mu, and E is never written out. The
     p-constraints, whose A-E (A/E) table the same budget refuses, are then
     skipped too.
@@ -366,8 +365,15 @@ OPERATOR_COMBOS = (("add", "mul"), ("add", "div"), ("sub", "mul"),
 
 
 def sum_product_ratios(A: ElemSet, budget: Optional[int] = None) -> dict:
-    """A's sum-product ratio under each of the OPERATOR_COMBOS."""
-    return {f"{a}/{m}": sum_product_ratio(A, a, m, budget=budget)
+    """A's sum-product ratio under each of the OPERATOR_COMBOS, as
+    `sum_product_ratio` gives it, from one build of each of A+A, A-A, AA
+    and A/A (A+A first: no other of them has more pairs)."""
+    if len(A) < 2:
+        raise ValueError("sum-product ratio needs |A| >= 2")
+    Az = A.remove_zero()
+    sizes = {op: len(combine(X, X, op, budget=budget))
+             for X, op in ((A, "add"), (A, "sub"), (Az, "mul"), (Az, "div"))}
+    return {f"{a}/{m}": max(sizes[a], sizes[m]) / len(A) ** 1.25
             for a, m in OPERATOR_COMBOS}
 
 

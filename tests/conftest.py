@@ -33,6 +33,16 @@ def forced_threads(threads, block=repfn._BLOCK, chunk=64):
                                _PARALLEL_MIN=0, _BLOCK=block, _CHUNK=chunk)
 
 
+def table_and_half(A, B, op, reduce, band=None):
+    """(repfn._table(A, B, op, reduce, band), the half flag of the one int
+    kernel build it makes)."""
+    with mock.patch.object(repfn, "_sorted_table",
+                           wraps=repfn._sorted_table) as kernel:
+        out = repfn._table(A, B, op, reduce, band)
+    (half,) = [call.args[4] for call in kernel.call_args_list]
+    return out, half
+
+
 def traced_peak(fn):
     """(fn(), peak bytes traced above the bytes held before the call)."""
     tracemalloc.start()

@@ -177,6 +177,34 @@ def test_budget_overrun_is_a_message_not_a_traceback(tmp_path, capsys, argv):
     assert "exceed budget 10" in captured.err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "--lemma", "kmps", "z", "z", "z"],
+     "0 in X: the collision lemma needs subsets of F*"),
+    (["verify", "--lemma", "rss", "seven"],
+     "|A| = 7 below the pipeline minimum 16"),
+    (["energy", "bare"],
+     "{bare}: no '# field ...' header and no field given"),
+], ids=["kmps-zero", "rss-seven", "energy-no-header"])
+def test_bad_input_is_a_message_not_a_traceback(tmp_path, capsys, argv, err):
+    # ValueErrors (ParseError among them) exit 1 with the reason on stderr
+    files = {"z": _fp_set(tmp_path, "z", range(0, 8)),
+             "seven": _fp_set(tmp_path, "seven", range(1, 8)),
+             "bare": str(tmp_path / "bare.txt")}
+    (tmp_path / "bare.txt").write_text("1\n2\n3\n")
+    code = main([files.get(x, x) for x in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {err.format(**files)}\n"
+
+
+def test_exactness_failure_keeps_its_traceback(tmp_path):
+    # an ArithmeticError is a failed exactness check, not a bad input
+    a = _fp_set(tmp_path, "a", range(1, 41))
+    with mock.patch.object(repfn, "_exact_dot", return_value=-1), \
+            pytest.raises(ArithmeticError, match="spectrum mass -1"):
+        main(["energy", a])
+
+
 def test_constraint_violation_outside_verify(tmp_path, capsys):
     # `regularize` reaches no p-constraint, `verify` does: both exit 1 with
     # the reason on stderr

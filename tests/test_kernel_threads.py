@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from sumprod import ElemSet, GroundField, combine, count_spectrum, rep_function
+from sumprod import (ElemSet, GroundField, RepFn, combine, count_spectrum,
+                     rep_function)
 from sumprod import repfn
 from sumprod.families import subgroup_of_order
-from sumprod.repfn import _flat_sorted_int, _object_table, _sort_reduce
+from sumprod.repfn import _object_table, _sort_reduce
 
 from conftest import (P31, forced_threads, pair_table_case, random_set,
-                      self_table_case, traced_peak)
+                      self_table_case, table_and_half, traced_peak)
 
 REDUCTIONS = ("support", "rep", "spectrum", "level")
 
@@ -30,6 +31,17 @@ REDUCTIONS = ("support", "rep", "spectrum", "level")
 def repeated(hist):
     """The band of the "level" reduction: every value hit twice or more."""
     return 2, hist.size
+
+
+def int_arrays(out):
+    """The int64 arrays of a `repfn._table` result."""
+    if isinstance(out, RepFn):
+        return [out.values, out.counts]
+    if isinstance(out, ElemSet):
+        return [out.ints]
+    if isinstance(out, tuple):  # "level": (hist, S)
+        return [out[0], out[1].ints]
+    return [out]
 
 
 def results(A, B, op):
@@ -93,17 +105,15 @@ def test_threaded_arrays_equal_one_thread(threads, field, n, m, op, shape):
         for reduce in REDUCTIONS:
             # small row blocks, so that each thread's range spans several
             with forced_threads(1, block=1000):
-                one, one_half = _flat_sorted_int(A, B, op, reduce,
-                                                 repeated)
+                one, one_half = table_and_half(A, B, op, reduce, repeated)
             with forced_threads(threads, block=1000), mock.patch.object(
                     repfn, "ThreadPoolExecutor",
                     wraps=ThreadPoolExecutor) as pool:
-                many, many_half = _flat_sorted_int(A, B, op, reduce,
-                                                   repeated)
+                many, many_half = table_and_half(A, B, op, reduce, repeated)
             assert pool.call_args == mock.call(threads)
             assert many_half == one_half
-            outputs = zip(many, one) if reduce in ("rep", "level") \
-                else [(many, one)]
+            outputs = list(zip(int_arrays(many), int_arrays(one)))
+            assert len(outputs) == (2 if reduce in ("rep", "level") else 1)
             for got, want in outputs:
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want)

@@ -21,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 
 from sumprod import (ElemSet, GroundField, check_rss_proposition,
                      dyadic_extract, energy_rep, p_constraint_check,
-                     popular_sums, rep_function, setalgebra, verify)
+                     popular_sums, regularize, rep_function, setalgebra,
+                     verify)
 from sumprod import repfn
-from sumprod.energy import _dyadic_level, _level_set, dyadic_slice
-from sumprod.repfn import BudgetExceeded, _flat_sorted_int
+from sumprod.energy import _dyadic_level, dyadic_slice
+from sumprod.repfn import BudgetExceeded, _table
 
 from conftest import (P31, forced_threads, pair_table_case, random_set,
-                      self_table_case, traced_peak)
+                      self_table_case, table_and_half, traced_peak)
 
 # the package binds the name `energy` to the function
 energy_mod = importlib.import_module("sumprod.energy")
@@ -57,7 +58,7 @@ def check_level_sets(A, B, op):
     r = rep_function(A, B, op)
     want = r.count_histogram().tolist()
     for lo, hi in bands(np.asarray(want)):
-        hist, S = _level_set(A, B, op, lambda h: (lo, hi))
+        hist, S = _table(A, B, op, "level", lambda h: (lo, hi))
         assert hist.dtype == np.int64 and hist.tolist() == want
         assert S == filtered(r, lo, hi), (lo, hi)
         if S.ints is not None:
@@ -125,13 +126,12 @@ def test_half_sub_band_holds_r0(threads, field):
     A = random_set(field, 40, seed=3)
     r = rep_function(A, A, "sub")
     with forced_threads(threads, chunk=4):
-        (hist, vals), half = _flat_sorted_int(A, A, "sub", "level",
-                                              lambda h: (40, 41))
-        assert half and vals.tolist() == [0]
-        (_, vals), _ = _flat_sorted_int(A, A, "sub", "level",
-                                        lambda h: (2, 41))
-    assert vals.tolist() == filtered(r, 2, 41).ints.tolist()
-    assert 0 in vals.tolist() and hist.tolist() == \
+        (hist, S), half = table_and_half(A, A, "sub", "level",
+                                         lambda h: (40, 41))
+        assert half and S.ints.tolist() == [0]
+        _, S = _table(A, A, "sub", "level", lambda h: (2, 41))
+    assert S.ints.tolist() == filtered(r, 2, 41).ints.tolist()
+    assert 0 in S.ints.tolist() and hist.tolist() == \
         r.count_histogram().tolist()
 
 
@@ -143,15 +143,14 @@ def test_level_histogram_is_trimmed(threads):
     A = random_set(F101, 60, seed=4)
     seen = []
     with forced_threads(threads, chunk=4):
-        (hist, _), _ = _flat_sorted_int(A, A, "sub", "level",
-                                        lambda h: seen.append(h) or (1, 1))
+        hist, _ = _table(A, A, "sub", "level",
+                         lambda h: seen.append(h) or (1, 1))
     assert hist[-1] > 0 and hist.size - 1 == 60
     assert seen[0] is hist
     B = random_set(F101, 60, seed=5)
     with forced_threads(threads, chunk=4):
-        (hist, vals), _ = _flat_sorted_int(A, B, "add", "level",
-                                           lambda h: (1, 1))
-    assert vals.size == 0 and hist[-1] > 0
+        hist, S = _table(A, B, "add", "level", lambda h: (1, 1))
+    assert len(S) == 0 and hist[-1] > 0
     assert hist.size - 1 == max(rep_function(A, B, "add").counts)
 
 
@@ -197,16 +196,17 @@ def reference_constraints(A, aux, known, budget, helper=verify._p_constraints):
 
 
 def table_builds(record):
-    """Patch every binding of the int kernel entry to record (A, B)."""
-    orig = repfn._flat_sorted_int
+    """Patch every binding of the table entry to record (A, B) of each
+    table it returns (a table its budget refuses is never built)."""
+    orig = repfn._table
 
-    def spy(A, B, op, reduce, band=None):
+    def spy(A, B, op, reduce, band=None, budget=None):
+        out = orig(A, B, op, reduce, band, budget)
         record.append((A, B))
-        return orig(A, B, op, reduce, band)
+        return out
 
-    return mock.patch.multiple(repfn, _flat_sorted_int=spy), \
-        mock.patch.multiple(setalgebra, _flat_sorted_int=spy), \
-        mock.patch.multiple(energy_mod, _flat_sorted_int=spy)
+    return [mock.patch.multiple(mod, _table=spy)
+            for mod in (repfn, setalgebra, energy_mod, regularize)]
 
 
 class RssRecord:
@@ -447,9 +447,9 @@ def test_level_peak_memory_is_table_plus_selection(threads):
 
     with forced_threads(threads, block=piece, chunk=piece):
         for band in (lambda h: (1, 2), lambda h: (2, h.size)):
-            (hist, vals), peak = traced_peak(
-                lambda: _flat_sorted_int(A, B, "sub", "level", band)[0])
-            assert peak <= bound(hist, vals.size)
+            (hist, S), peak = traced_peak(
+                lambda: _table(A, B, "sub", "level", band))
+            assert peak <= bound(hist, len(S))
         sl, peak = traced_peak(lambda: dyadic_slice(A, B, 2, "add"))
         hist = rep_function(A, B, "sub").count_histogram()
         assert peak <= bound(hist, len(sl.support))

@@ -15,9 +15,9 @@ import pytest
 
 from sumprod import ElemSet, GroundField, count_spectrum, rep_function
 from sumprod import repfn
-from sumprod.repfn import _flat_sorted_int, _region_spectrum
+from sumprod.repfn import _region_spectrum
 
-from conftest import P31, forced_threads, random_set
+from conftest import P31, forced_threads, random_set, table_and_half
 
 FORCED = {"default": repfn._DENSE, "run ends": -1.0, "adjacencies": 2.0}
 
@@ -113,6 +113,6 @@ def test_table_spectra_match_rep_counts(path, threads, chunk, case):
         want = np.bincount(rep_function(A, B, op).counts)
         assert trimmed(got) == trimmed(want)
         if not (A is B or op == "div"):
-            # a rectangular table's raw spectrum is that of r itself
-            raw, half = _flat_sorted_int(A, B, op, "spectrum")
+            # a rectangular table is built whole, and its spectrum is r's
+            raw, half = table_and_half(A, B, op, "spectrum")
             assert not half and trimmed(raw) == trimmed(want)

@@ -130,8 +130,8 @@ def test_xue_builds_each_round_histogram_once(fp, op):
     # one kernel build per round: its level reduction gives both the round's
     # slice and its histogram, and no other table is sorted
     A = random_set(fp, 200, seed=5, lo=1)
-    with mock.patch.object(energy_mod, "_flat_sorted_int",
-                           wraps=energy_mod._flat_sorted_int) as flat, \
+    with mock.patch.object(energy_mod, "_table",
+                           wraps=energy_mod._table) as flat, \
             mock.patch.object(repfn, "_sort_reduce",
                               wraps=repfn._sort_reduce) as sort, \
             mock.patch.object(regularize, "dyadic_slice",

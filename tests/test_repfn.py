@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from sumprod import (BudgetExceeded, ElemSet, GroundField, count_spectrum,
                      rep_function)
 from sumprod import repfn
-from sumprod.repfn import (_exact_dot, _flat_sorted_int, _grid,
-                           _int_fast_ok, _inverses, _object_table)
+from sumprod.repfn import (_exact_dot, _grid, _int_fast_ok, _inverses,
+                           _object_table, _table)
 
-from conftest import P31, pair_table_case, random_set, self_table_case
+from conftest import (P31, pair_table_case, random_set, self_table_case,
+                      table_and_half)
 
 small_sets = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
@@ -128,7 +129,7 @@ def test_self_tables_build_half_square(fp, op, table, support):
     for reduce in ("rep", "spectrum", "support"):
         with mock.patch.object(repfn, "_sort_reduce",
                                wraps=repfn._sort_reduce) as reducer:
-            _flat_sorted_int(A, copy, op, reduce)
+            _table(A, copy, op, reduce)
         flat = reducer.call_args.args[0]
         assert flat.size == (support if reduce == "support" else table)
 
@@ -138,8 +139,8 @@ def test_large_table_on_usable_cores(fp, op):
     # above the one-thread threshold: filled and sorted on every core this
     # process may use, on one thread when pinned to one core
     A = random_set(fp, 1500, seed=5)
-    (vals, counts), half = _flat_sorted_int(A, ElemSet(fp, list(A)[:-1]),
-                                            op, "rep")
+    r, half = table_and_half(A, ElemSet(fp, list(A)[:-1]), op, "rep")
+    vals, counts = r.values, r.counts
     a, b = A.ints, A.ints[:-1]
     want = np.remainder(a[:, None] + b if op == "add" else a[:, None] - b,
                         fp.p)

@@ -200,6 +200,47 @@ def test_main_check_and_sweep_share_the_ratios():
     assert res["min_ratio"] == rep.lhs
 
 
+@pytest.mark.parametrize("values", [range(1, 33), range(0, 40, 3),
+                                    [0, 1], [5, 9]])
+def test_main_theorem_builds_each_table_once(values):
+    # A+A, A-A, AA and A/A are built once each, A+A first, and every ratio
+    # is sum_product_ratio's float, 0 dropped on the product side
+    from unittest import mock
+    from sumprod import families, sum_product_ratio, verify
+    from sumprod.setalgebra import combine
+    A = ElemSet(GroundField.prime(2**31 - 1), values)
+    want = {f"{a}/{m}": sum_product_ratio(A, a, m)
+            for a, m in verify.OPERATOR_COMBOS}
+    calls = []
+
+    def spy(X, Y, op, budget=None):
+        calls.append((X, op))
+        return combine(X, Y, op, budget=budget)
+
+    with mock.patch.object(verify, "combine", spy), \
+            mock.patch.object(families, "combine", spy):
+        rep = verify.check_main_theorem(A)
+    Az = A.remove_zero()
+    assert calls == [(A, "add"), (A, "sub"), (Az, "mul"), (Az, "div")]
+    assert verify.sum_product_ratios(A) == want
+    assert rep.lhs == min(want.values())
+
+
+def test_main_theorem_refusals_match_sum_product_ratio():
+    from sumprod import BudgetExceeded, sum_product_ratio
+    from sumprod.verify import sum_product_ratios
+    F = GroundField.prime(2**31 - 1)
+    with pytest.raises(ValueError, match=r"needs \|A\| >= 2"):
+        sum_product_ratios(ElemSet(F, [3]))
+    A = random_set(F, 20, seed=2)
+    with pytest.raises(BudgetExceeded) as got:
+        sum_product_ratios(A, budget=399)
+    with pytest.raises(BudgetExceeded) as want:
+        sum_product_ratio(A, budget=399)
+    assert str(got.value) == str(want.value) == \
+        "20x20 pairs exceed budget 399"
+
+
 @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
 def test_rss_degenerate_reports(c0, variant):
     # neither degenerate branch is reached by the probe families, so force
