@@ -13,7 +13,7 @@ import numpy as np
 
 from .field import ElemSet, FieldMismatch
 from .repfn import (BudgetExceeded, _exact_dot, _grid, _int_fast_ok,
-                    _sorted_lookup, rep_function, table_budget)
+                    _packed_sort, _sorted_lookup, rep_function, table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
@@ -41,14 +41,21 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     field = X.field
     if _int_fast_ok(field, "mul", X.ints, sums.values):
         prods = _grid(X.ints, sums.values, "mul", field.p)
-        weights = np.broadcast_to(sums.counts, prods.shape).ravel()
-        order = np.argsort(prods, axis=None)
-        prods = prods.ravel()[order]
+        packed = _packed_sort(prods, 1)
+        if packed is not None:
+            # one sort of the products, each packed with its sum's index
+            flat, bits, _ = packed
+            prods = flat >> bits
+            weights = sums.counts[flat & ((1 << bits) - 1)]
+        else:  # char0 products too far apart to pack
+            order = np.argsort(prods, axis=None)
+            weights = np.broadcast_to(sums.counts, prods.shape).ravel()[order]
+            prods = prods.ravel()[order]
         start = np.empty(prods.size, dtype=bool)  # a run of equal v starts
         start[0] = True
         np.not_equal(prods[1:], prods[:-1], out=start[1:])
         # m(v) sums the int64 weights of one run: at most |X||Y||Z|
-        m = np.add.reduceat(weights[order], np.flatnonzero(start))
+        m = np.add.reduceat(weights, np.flatnonzero(start))
     else:
         table = Counter()
         for x in X:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import ElemSet
 from .energy import dyadic_slice, energy
-from .repfn import _grid, _int_fast_ok, _sorted_lookup, _table
+from .repfn import _grid, _hits_per, _int_fast_ok, _table
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -93,19 +93,21 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
                 out[zero] = b.size - int(op == "div" and 0 in B)
             rows = ~zero
         tr = t[rows]
+        # the grid's targets run along axis 0, or along axis 1 for mul
+        axis = 0
         if op == "add":
             grid = _grid(-tr, s, "add", p)
         elif op == "sub":
             grid = _grid(tr, s, "sub", p)
         elif op == "mul":
-            grid = _grid(s, tr, "div", p).T
+            grid, axis = _grid(s, tr, "div", p), 1
         else:
             grid = _grid(tr, s[s != 0], "div", p)
-        out[rows] = _sorted_lookup(b, grid)[1].sum(axis=1)
+        out[rows] = _hits_per(b, grid, axis)
         return out
     if fast:
-        grid = _grid(t, b[b != 0] if op == "div" else b, op, p)
-        return _sorted_lookup(s, grid)[1].sum(axis=1).astype(np.int64)
+        return _hits_per(s, _grid(t, b[b != 0] if op == "div" else b, op, p),
+                         0)
     fop = getattr(field, op)
     out = []
     for a in targets:

@@ -6,21 +6,30 @@ Every pair table goes through one entry point, `_table`: `rep_function`,
 budget checks, the empty table, and the choice between the int kernel and
 the exact object table.
 
-The hot path (prime mode / int-valued sets) streams A x B in row blocks into
-one flat array, sorts it and reduces the sorted runs into what the caller
-asks for: the support, the support with its counts, the run-length
-histogram, or one level set {x : lo <= r(x) < hi} with the histogram it was
-chosen from. Large tables are filled, sorted and reduced on every usable core,
-each thread reducing the slice it sorted; runs that cross the slice seams
-are stitched, so the results are those of one thread. This is what makes
-fourth-moment energies of 10^4-element sets take seconds. Rational or
+The hot path (prime mode / int-valued sets) has two forms. A support or a
+rep table, and a small or multiplicative table, streams A x B in row blocks
+into one flat array, sorts it and reduces the sorted runs into what the
+caller asks for: the support, or the support with its counts. Large tables
+are filled, sorted and reduced on every usable core, each thread reducing
+the slice it sorted; runs that cross the slice seams are stitched, so the
+results are those of one thread. A large add/sub table that reduces to its
+run-length histogram ("spectrum") or to one level set
+{x : lo <= r(x) < hi} with the histogram it was chosen from ("level") is
+never held whole: its value range is cut into buckets of at most _BUCKET
+pairs, and each bucket is gathered from runs of the sorted operand, sorted
+and reduced on its own. Div spectra and level sets of large tables take
+the same route over discrete logs. This is what makes fourth-moment
+energies of 10^4-element sets take seconds in bounded memory. Rational or
 oversized values fall back to an exact Counter.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import mmap
 import os
+import queue
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, NamedTuple, Optional, Tuple
@@ -36,8 +45,14 @@ DEFAULT_BUDGET = 100_000_000  # pair insertions
 _BLOCK = 1 << 17  # pairs per row block, so that a block stays in cache
 _PARALLEL_MIN = 1 << 21  # pairs; smaller tables fill and sort on one thread
 _CHUNK = 1 << 16  # table values a reducing worker scans at a time
-_LOG_MIN = _PARALLEL_MIN  # pairs; smaller self div spectra keep the inverses
+_BUCKET = 1 << 22  # pairs of a value bucket, unless one value holds more
+_GATHER = 1 << 16  # short-run values a bucket worker gathers at a time
+_LONG_RUN = 512  # values; longer runs are copied as slices
+_BIG = 1 << 62  # above every |value| of a char0 add/sub table
+_LOG_MIN = _PARALLEL_MIN  # pairs; smaller div tables keep the inverses
+_LOG_SIDE = 256  # elements; a div table with a shorter side keeps them too
 _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
+_LOG_PIECE = 1 << 14  # values a log worker takes at a time
 _LOOKUP_SORT_MIN = 1 << 10  # keys; fewer are searched in their own order
 _DENSE = 0.5  # share of equal adjacent pairs above which a piece is dense
 
@@ -141,9 +156,10 @@ def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
         if e & 1:
             np.multiply(out, base, out=out)
             np.remainder(out, p, out=out)
-        np.multiply(base, base, out=base)
-        np.remainder(base, p, out=base)
         e >>= 1
+        if e:
+            np.multiply(base, base, out=base)
+            np.remainder(base, p, out=base)
     return out
 
 
@@ -218,11 +234,13 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     r(0) = |A| and r(c) = r(-c) = g(c), the class count, so each of its
     reductions, the "spectrum" too, is that of r_{A-A}.
 
-    Tables of at least _PARALLEL_MIN pairs are filled, sorted and reduced
-    on every usable core: the rows split into one range of about equal
-    output per thread, each written to its own slice of the table, and the
-    table is partitioned at the range cuts so that each thread sorts and
-    reduces one slice. The results are the same as on one thread.
+    An add/sub "spectrum" or "level" table of at least _PARALLEL_MIN pairs
+    is built one value bucket at a time (see `_bucket_table`). Any other
+    table of that size is filled, sorted and reduced on every usable core:
+    the rows split into one range of about equal output per thread, each
+    written to its own slice of the table, and the table is partitioned at
+    the range cuts so that each thread sorts and reduces one slice. The
+    results are the same as on one thread.
     """
     n, m = a.size, b.size
     small = p is not None and p <= (1 << 31) - 1
@@ -234,6 +252,10 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     np.cumsum(m - strict - np.arange(n) if half else np.full(n, m),
               out=offsets[1:])
     size = int(offsets[-1])
+    # an empty table has no range to split
+    large = bool(size) and size >= _PARALLEL_MIN
+    if large and op in ("add", "sub") and reduce in ("spectrum", "level"):
+        return _bucket_table(a, b, op, p, half, reduce, band, dtype)
     out = np.empty(size, dtype=dtype)
     rows = max(1, _BLOCK // max(m, 1))
     mirror = (n, p) if half and strict else None
@@ -272,8 +294,7 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
             raise RuntimeError(f"pair kernel filled rows {lo}..{hi} up to "
                                f"slot {filled}, expected {offsets[hi]}")
 
-    # an empty table has no range to split
-    threads = _threads() if size and size >= _PARALLEL_MIN else 1
+    threads = _threads() if large else 1
     if threads == 1:
         fill(0, n)
         return _sort_reduce(out, [0, size], reduce, mirror, map, band)
@@ -337,24 +358,12 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     if not count:
         parts = list(run(_region_spectrum, [flat] * len(starts), starts,
                          ends))
-        size = max([2] + [h.size for h, _ in parts]
-                   + [max(long, default=0) + 1 for _, long in parts])
-        hist = np.zeros(size, dtype=np.int64)
-        for h, long in parts:
-            hist[:h.size] += h
-            for length in long:
-                hist[length] += 1
-        if mirror is not None:
-            # a class count g is the multiplicity of both c and -c
-            n = mirror[0]
-            hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
-            hist[n] += 1
+        hist = _merge_spectra(parts, mirror)
         if reduce == "spectrum":
             return hist
-        hist = hist[:np.flatnonzero(hist)[-1] + 1 if hist.any() else 1]
+        hist = _trim(hist)
         blo, bhi = band(hist)
-        owned = [int(h[blo:bhi].sum()) + sum(blo <= x < bhi for x in long)
-                 for h, long in parts]
+        owned = [_band_count(part, blo, bhi) for part in parts]
         zero = zero and blo <= mirror[0] < bhi
 
     k = sum(owned)
@@ -414,6 +423,272 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     if reduce == "level":
         return hist, vals
     return vals if counts is None else (vals, counts)
+
+
+def _merge_spectra(parts: list, mirror) -> np.ndarray:
+    """The run-length histogram of a table from the (hist, long) parts of
+    its pieces (see `_region_spectrum`). mirror = (n, p) marks a half sub
+    table of n values: a class count g is the multiplicity of both c and
+    -c, and 0 is hit n times."""
+    size = max([2] + [h.size for h, _ in parts]
+               + [max(long, default=0) + 1 for _, long in parts])
+    hist = np.zeros(size, dtype=np.int64)
+    for h, long in parts:
+        hist[:h.size] += h
+        for length in long:
+            hist[length] += 1
+    if mirror is not None:
+        n = mirror[0]
+        hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
+        hist[n] += 1
+    return hist
+
+
+def _trim(hist: np.ndarray) -> np.ndarray:
+    """hist up to its last nonzero entry ([0] when all are zero)."""
+    return hist[:np.flatnonzero(hist)[-1] + 1 if hist.any() else 1]
+
+
+def _band_count(part: Tuple[np.ndarray, list], lo: int, hi: int) -> int:
+    """Runs of one (hist, long) part whose length lies in [lo, hi)."""
+    h, long = part
+    return int(h[lo:hi].sum()) + sum(lo <= x < hi for x in long)
+
+
+class _Term(NamedTuple):
+    """The pairs (i, j) of a table whose value is shift[i] + col[j] and
+    lies in [lo, hi). col is sorted, so the j of row i whose values lie in
+    one range form one run of col. col64 and shift64 are int64 copies for
+    the searches, whose keys may leave the table's dtype."""
+
+    col: np.ndarray
+    shift: np.ndarray
+    lo: int
+    hi: int
+    col64: np.ndarray
+    shift64: np.ndarray
+
+    def starts(self, edges: np.ndarray) -> np.ndarray:
+        """starts[k, i]: the first j of row i whose value is at least
+        edges[k], so that row i's values in [edges[k], edges[l]) are the
+        run starts[k, i]:starts[l, i] of col."""
+        keys = np.clip(edges, self.lo, self.hi)[:, None] - self.shift64
+        return np.searchsorted(self.col64, keys)
+
+
+def _bucket_terms(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
+                  half: bool, dtype) -> Tuple[list, int, int]:
+    """(terms, lo, hi): the pairs of an add/sub table as `_Term`s, and the
+    range [lo, hi) of its values.
+
+    A full table is a_i + c_j with c = b for add and c = -b (mod `mod`)
+    sorted for sub; its rows are the shorter side. Mod `mod`, a row's
+    values are a_i + c_j below mod, then a_i + c_j - mod: two terms. A half
+    sub table (b is a, sorted and distinct) holds the class min(d, mod - d)
+    of d = a_j - a_i, i < j: d itself up to mod // 2, and
+    mod - d = a_i + (mod - a_j) below (mod + 1) // 2, so that the class
+    mod / 2 of an even mod is taken once. In char0 it holds d >= 1.
+    """
+    def term(col, shift, lo, hi):
+        return _Term(col.astype(dtype), shift.astype(dtype), lo, hi,
+                     col.astype(np.int64), shift.astype(np.int64))
+
+    if half:
+        if mod is None:
+            return [term(a, -a, 1, _BIG)], 1, int(a[-1] - a[0]) + 1
+        top = mod // 2 + 1
+        return [term(a, -a, 1, top),
+                term((mod - a)[::-1], a, 1, (mod + 1) // 2)], 1, top
+    if op == "sub":
+        b = np.sort(-b if mod is None else (mod - b) % mod)
+    if b.size < a.size:
+        a, b = b, a
+    if mod is None:
+        return [term(b, a, -_BIG, _BIG)], int(a[0] + b[0]), \
+            int(a[-1] + b[-1]) + 1
+    low = term(b, a, 0, mod)  # the wrapped term shares its columns
+    return [low, low._replace(shift=(a - mod).astype(dtype),
+                              shift64=a - mod)], 0, mod
+
+
+def _plan(terms: list, lo: int, hi: int, total: int,
+          limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(edges, counts): value buckets [edges[k], edges[k+1]) that cover
+    [lo, hi) and hold counts[k] <= limit pairs each, from exact pair counts.
+
+    A range of more than limit pairs and more than one value is cut into
+    equal parts, until every range holds at most limit pairs or one value
+    (a value is never hit by more pairs than the rows); the ranges are then
+    joined greedily. Raises unless the counts add up to `total`.
+    """
+    rows = terms[0].shift.size
+    step = max(1, 4 * _GATHER // rows)  # edges searched at a time
+
+    def below(edges):
+        # the pairs with a value below each edge, up to one constant
+        return np.concatenate([
+            sum(t.starts(edges[k:k + step]).sum(axis=1) for t in terms)
+            for k in range(0, edges.size, step)])
+
+    edges = np.asarray([lo, hi], dtype=np.int64)
+    cum = below(edges)
+    if cum[1] - cum[0] != total:
+        raise RuntimeError(f"value buckets hold {cum[1] - cum[0]} pairs, "
+                           f"expected {total}")
+    while True:
+        counts, width = np.diff(cum), np.diff(edges)
+        over = np.flatnonzero((counts > limit) & (width > 1))
+        if not over.size:
+            break
+        new = []
+        for k in over.tolist():
+            parts = int(min(width[k], max(16, 4 * counts[k] // limit)))
+            new.append(edges[k] + width[k] // parts * np.arange(1, parts))
+        new = np.concatenate(new)
+        edges = np.concatenate((edges, new))
+        order = np.argsort(edges)
+        edges, cum = edges[order], np.concatenate((cum, below(new)))[order]
+    cuts = [0]
+    while cuts[-1] < edges.size - 1:
+        k = int(np.searchsorted(cum, cum[cuts[-1]] + limit, "right")) - 1
+        cuts.append(max(k, cuts[-1] + 1))
+    return edges[cuts], np.diff(cum[cuts])
+
+
+def _copy_runs(out: np.ndarray, w: int, term: _Term, start: np.ndarray,
+               length: np.ndarray) -> int:
+    """Write col[start[i]:start[i] + length[i]] + shift[i] for every row i
+    to out from w on; return where the writes end. Runs of at least
+    _LONG_RUN values are copied as slices, shorter ones gathered about
+    _GATHER values at a time."""
+    if w + int(length.sum()) > out.size:
+        raise RuntimeError(f"a value bucket holds more than its "
+                           f"{out.size} planned pairs")
+    long = length >= _LONG_RUN
+    for i in np.flatnonzero(long).tolist():
+        s, n = int(start[i]), int(length[i])
+        np.add(term.col[s:s + n], term.shift[i], out=out[w:w + n])
+        w += n
+    rows = np.flatnonzero(~long & (length > 0))
+    if not rows.size:
+        return w
+    start, length, shift = start[rows], length[rows], term.shift[rows]
+    ends = np.cumsum(length)
+    cuts = np.searchsorted(ends, np.arange(_GATHER, int(ends[-1]), _GATHER))
+    for r0, r1 in zip([0, *cuts.tolist()], [*cuts.tolist(), rows.size]):
+        if r0 == r1:
+            continue
+        n = int(ends[r1 - 1] - ends[r0] + length[r0])
+        # run r of the group starts at index first[r] of the gather
+        first = ends[r0:r1] - length[r0:r1] - (ends[r0] - length[r0])
+        idx = np.repeat((start[r0:r1] - first).astype(np.int32),
+                        length[r0:r1])
+        idx += np.arange(n, dtype=np.int32)
+        part = out[w:w + n]
+        np.take(term.col, idx, out=part)
+        part += np.repeat(shift[r0:r1], length[r0:r1])
+        w += n
+    return w
+
+
+def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
+                  half: bool, reduce: str, band, dtype):
+    """`_sorted_table`'s "spectrum" or "level" of an add/sub table, built
+    one value bucket at a time.
+
+    The value range is cut into buckets of at most _BUCKET pairs (or the
+    pairs of one value, if more) at edges chosen from exact pair counts
+    (`_plan`), and into at least two buckets per thread. Each row adds one
+    or two runs of the sorted operand to a bucket (`_bucket_terms`). Each
+    worker gathers, sorts and reduces whole buckets, which hold disjoint
+    values, so no run crosses a bucket and no array is table-sized; a
+    bucket whose gathered size differs from its planned count raises.
+    "level" merges the buckets' histograms, asks band(hist) for [lo, hi),
+    and gathers again only the buckets that hold values hit between lo and
+    hi - 1 times, writing those values in bucket order.
+    """
+    terms, lo, hi = _bucket_terms(a, b, op, mod, half, dtype)
+    rows = terms[0].shift.size
+    total = a.size * (a.size - 1) // 2 if half else a.size * b.size
+    threads = _threads()
+    limit = max(rows, min(_BUCKET, -(-total // (2 * threads))))
+    edges, counts = _plan(terms, lo, hi, total, limit)
+    busy = np.flatnonzero(counts)
+    buckets = list(zip(edges[busy].tolist(), edges[busy + 1].tolist(),
+                       counts[busy].tolist()))
+    mirror = (a.size, mod) if half else None
+
+    block = _buffers(min(threads, len(buckets)), int(counts.max()), dtype)
+    space = queue.SimpleQueue()
+    for buf in block:
+        space.put(buf)
+
+    def reduced(reduce_bucket, bucket, *args):
+        lo, hi, count = bucket
+        buf = space.get()
+        try:
+            out, w = buf[:count], 0
+            for t in terms:
+                start, end = t.starts(np.asarray([lo, hi], dtype=np.int64))
+                w = _copy_runs(out, w, t, start, end - start)
+            if w != count:
+                raise RuntimeError(f"a value bucket holds {w} pairs, "
+                                   f"planned {count}")
+            out.sort()
+            return reduce_bucket(out, *args)
+        finally:
+            space.put(buf)
+
+    def level(v, offset, size):
+        w = offset
+        for c0, c1 in _run_chunks(v, 0, v.size):
+            x = _band_runs(v[c0:c1], blo, bhi)
+            vals[w:w + x.size] = x
+            w += x.size
+        if w != offset + size:
+            raise RuntimeError(f"a value bucket wrote {w - offset} band "
+                               f"values, planned {size}")
+
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    try:
+        run = pool.map if pool else map
+        parts = list(run(reduced, [_spectrum_of] * len(buckets), buckets))
+        hist = _merge_spectra(parts, mirror)
+        if reduce == "spectrum":
+            return hist
+        hist = _trim(hist)
+        blo, bhi = band(hist)
+        owned = [_band_count(part, blo, bhi) for part in parts]
+        vals = np.empty(sum(owned), dtype=np.int64)
+        offsets = np.cumsum([0] + owned[:-1]).tolist()
+        todo = [k for k, c in enumerate(owned) if c]
+        list(run(reduced, [level] * len(todo), [buckets[k] for k in todo],
+                 [offsets[k] for k in todo], [owned[k] for k in todo]))
+    finally:
+        if pool:
+            pool.shutdown()
+    if mirror is None:
+        return hist, vals
+    zero = np.zeros(int(blo <= a.size < bhi), dtype=np.int64)
+    if mod is None:  # [-c..., 0, c...]
+        return hist, np.concatenate((-vals[::-1], zero, vals))
+    return hist, np.concatenate((zero, vals, mod - vals[::-1]))
+
+
+def _buffers(rows: int, width: int, dtype) -> np.ndarray:
+    """An uninitialised rows x width array, one bucket buffer per row,
+    mapped apart from the malloc heap so that the system gets its pages
+    back as soon as it is dropped. A freed heap block below the allocator's
+    trim threshold (which glibc raises to 64 MiB) stays resident, and two
+    16 MiB buckets left that way raised the next table's peak RSS."""
+    size = rows * width * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(rows,
+                                                                    width)
+
+
+def _spectrum_of(v: np.ndarray) -> Tuple[np.ndarray, list]:
+    """`_region_spectrum` of the whole sorted array v."""
+    return _region_spectrum(v, 0, v.size)
 
 
 def _band_runs(part: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -547,6 +822,56 @@ def _sorted_lookup(arr: np.ndarray, vals: np.ndarray,
     return idx.reshape(vals.shape), hit.reshape(vals.shape)
 
 
+def _packed_sort(grid: np.ndarray,
+                 axis: int) -> Optional[Tuple[np.ndarray, int, int]]:
+    """(P, bits, base): the keys of grid packed with their index k along
+    `axis` as (grid[i, j] - base) << bits | k, base = grid.min(), in one
+    sorted int64 array; None when the keys' range does not fit the 63 - bits
+    bits left. grid (nonempty) is overwritten."""
+    size = grid.shape[axis]
+    bits = max(1, (size - 1).bit_length())
+    base = int(grid.min())
+    if (int(grid.max()) - base + 1) >> (63 - bits):
+        return None
+    np.subtract(grid, base, out=grid)
+    grid <<= bits
+    grid |= np.arange(size).reshape((-1, 1) if axis == 0 else (1, -1))
+    packed = grid.ravel()
+    packed.sort()
+    return packed, bits, base
+
+
+def _hits_per(arr: np.ndarray, grid: np.ndarray, axis: int) -> np.ndarray:
+    """hits[k] = #{keys of grid at index k along axis that lie in arr},
+    arr sorted and distinct; grid is overwritten.
+
+    One sort of the packed keys (`_packed_sort`) puts the keys equal to a
+    value of arr into one block, which two ascending searches of arr's
+    values find; the indices in the blocks are then counted. Keys whose
+    range does not fit the packing take `_sorted_lookup`.
+    """
+    if not grid.size or not arr.size:
+        return np.zeros(grid.shape[axis], dtype=np.int64)
+    packed = _packed_sort(grid, axis)
+    if packed is None:
+        return _sorted_lookup(arr, grid)[1].sum(axis=1 - axis)
+    flat, bits, base = packed
+    top = base + (int(flat[-1]) >> bits)
+    v = arr[np.searchsorted(arr, base):np.searchsorted(arr, top, "right")]
+    v = v - base
+    lo = np.searchsorted(flat, v << bits)
+    hi = np.searchsorted(flat, (v + 1) << bits)
+    found = hi > lo
+    # inside[t] = 1 where flat[t] lies in a block: +1 at its start, -1 past
+    # its end (blocks are disjoint, so no index repeats within lo or hi)
+    inside = np.zeros(flat.size + 1, dtype=np.int8)
+    inside[lo[found]] = 1
+    inside[hi[found]] -= 1
+    np.cumsum(inside, out=inside)
+    index = flat[inside[:-1].view(bool)] & ((1 << bits) - 1)
+    return np.bincount(index, minlength=grid.shape[axis])
+
+
 class _LogTable(NamedTuple):
     """Pohlig-Hellman data for discrete logs base g in F_p^*.
 
@@ -554,20 +879,28 @@ class _LogTable(NamedTuple):
     exactly dividing p-1: `roots` are the q-th roots of unity gamma^j
     (gamma = g^((p-1)/q)) in sorted order, `digits` the j of each, and
     steps[i][d] = c_i^d with c_i = g_e^(-q^i), g_e = g^((p-1)/q^e), which
-    strips the digit d found at place i < e-1.
+    strips the digit d found at place i < e-1. `powers` = (low, high) with
+    low[k] = g^k and high[k] = g^(2^16 k), so that
+    g^s = low[s & 0xFFFF] * high[s >> 16] for every s in [0, p-1).
     """
 
     p: int
     g: int
     parts: tuple
+    powers: Tuple[np.ndarray, np.ndarray]
 
 
 def _geometric(c: int, q: int, p: int) -> np.ndarray:
-    """[c^0, c^1, ..., c^(q-1)] mod p as int64."""
-    out = [1] * q
-    for j in range(1, q):
-        out[j] = out[j - 1] * c % p
-    return np.asarray(out, dtype=np.int64)
+    """[c^0, c^1, ..., c^(q-1)] mod p as int64, doubling the known prefix
+    at each step: out[k:2k] = out[:k] * c^k."""
+    out = np.ones(q, dtype=np.int64)
+    k, ck = 1, c % p
+    while k < q:
+        part = out[k:2 * k]
+        np.multiply(out[:part.size], ck, out=part)
+        np.remainder(part, p, out=part)
+        k, ck = 2 * k, ck * ck % p
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -586,19 +919,44 @@ def _log_table(p: int) -> Optional[_LogTable]:
         steps = tuple(_geometric(pow(g_e, -q**i, p), q, p)
                       for i in range(e - 1))
         parts.append((q, e, powers[order], order, steps))
-    return _LogTable(p, g, tuple(parts))
+    low = _geometric(g, min(p - 1, 1 << 16), p)
+    high = _geometric(pow(g, 1 << 16, p), ((p - 2) >> 16) + 1, p)
+    return _LogTable(p, g, tuple(parts), (low, high))
 
 
-def _pow_base(g: int, e: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise g^e mod p for one base and nonnegative int64 exponents."""
-    out = np.ones_like(e)
-    e = e.copy()
-    while e.any():
-        odd = (e & 1).astype(bool)
-        out[odd] = out[odd] * g % p
-        g = g * g % p
-        e >>= 1
+def _pow_g(s: np.ndarray, table: _LogTable,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Elementwise g^s mod p for int64 s in [0, p-1), from the power
+    tables, written to out (s itself will do) _CHUNK values at a time.
+
+    The tables are checked first (low[0] = high[0] = 1, each entry g resp.
+    g^(2^16) times the one before), so that a corrupted table raises
+    ArithmeticError instead of giving a wrong power.
+    """
+    p, g = table.p, table.g
+    low, high = table.powers
+    if not (low[0] == high[0] == 1
+            and (low[1:] == low[:-1] * g % p).all()
+            and (high[1:] == high[:-1] * pow(g, 1 << 16, p) % p).all()):
+        raise ArithmeticError(f"the power tables of g = {g} mod {p} are "
+                              f"corrupted")
+    out = np.empty_like(s) if out is None else out
+    for c in range(0, s.size, _CHUNK):
+        part = s[c:c + _CHUNK]
+        np.remainder(low[part & 0xFFFF] * high[part >> 16], p,
+                     out=out[c:c + _CHUNK])
     return out
+
+
+def _cofactor_powers(x: np.ndarray, moduli: list, p: int) -> list:
+    """[x^(N / Q) mod p for Q in moduli], N the product of moduli, by a
+    remainder tree: each half of the moduli raises x to the product of the
+    other half once, instead of one full power per modulus."""
+    if len(moduli) == 1:
+        return [x]
+    left, right = moduli[:len(moduli) // 2], moduli[len(moduli) // 2:]
+    return (_cofactor_powers(_pow_mod(x, math.prod(right), p), left, p)
+            + _cofactor_powers(_pow_mod(x, math.prod(left), p), right, p))
 
 
 def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
@@ -606,24 +964,46 @@ def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
 
     Vectorised Pohlig-Hellman in int64, exact because p < 2^31 keeps every
     product below 2^62: each base-q digit of L mod q^e is looked up among
-    the q-th roots of unity, and the residues are joined by the CRT. Raises
+    the q-th roots of unity, and the residues are joined by the CRT. The
+    values are taken in pieces of _LOG_PIECE, split over every usable core
+    when there are several. Raises
     ArithmeticError for x = 0 mod p and whenever some g^L differs from x.
     """
     p = table.p
     x = np.remainder(x, p, dtype=np.int64)
     if not x.all():
         raise ArithmeticError(f"0 has no discrete log mod {p}")
+    # pieces of _LOG_PIECE values keep each worker's temporaries small
+    pieces = [x[i:i + _LOG_PIECE] for i in range(0, x.size, _LOG_PIECE)]
+    threads = min(_threads(), len(pieces))
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            logs = list(pool.map(_logs_of, pieces, [table] * len(pieces)))
+    else:
+        logs = [_logs_of(piece, table) for piece in pieces]
+    logs = np.concatenate(logs)
+    if not (_pow_g(logs, table) == x).all():
+        raise ArithmeticError(f"a discrete log mod {p} fails g^L = x")
+    return logs
+
+
+def _logs_of(x: np.ndarray, table: _LogTable) -> np.ndarray:
+    """`_discrete_logs` of nonzero residues x, unchecked."""
+    p = table.p
     logs = np.zeros_like(x)
     mod = 1  # logs is known mod `mod`
-    for q, e, roots, digits, steps in table.parts:
-        qe = q**e
-        h = _pow_mod(x, (p - 1) // qe, p)  # g_e^(L mod q^e)
+    moduli = [q**e for q, e, *_ in table.parts]
+    for (q, e, roots, digits, steps), qe, h in zip(
+            table.parts, moduli, _cofactor_powers(x, moduli, p)):
+        # h = g_e^(L mod q^e)
         part = np.zeros_like(x)
         for i in range(e):
             # h = g_e^(digits of L mod q^e at places >= i), so its q^(e-1-i)
             # power is gamma^(digit i)
-            idx, hit = _sorted_lookup(roots, _pow_mod(h, q**(e - 1 - i), p))
-            if not hit.all():
+            key = _pow_mod(h, q**(e - 1 - i), p) if i < e - 1 else h
+            idx = np.searchsorted(roots, key)
+            np.minimum(idx, roots.size - 1, out=idx)
+            if not (roots[idx] == key).all():
                 raise ArithmeticError(f"no {q}-th root of unity mod {p} "
                                       f"matches a log digit")
             d = digits[idx]
@@ -634,30 +1014,92 @@ def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
         t = (part - logs) % qe * pow(mod, -1, qe) % qe
         logs += mod * t
         mod *= qe
-    if not (_pow_base(table.g, logs, p) == x).all():
-        raise ArithmeticError(f"a discrete log mod {p} fails g^L = x")
     return logs
 
 
-def _self_div_logs(A: ElemSet, B: ElemSet) -> Optional[np.ndarray]:
-    """Sorted discrete logs of B when r_{A/B} is taken over logs, else None.
+def _div_logs(A: ElemSet,
+              B: ElemSet) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(logs of A∖{0}, logs of B), each sorted, when r_{A/B} is taken over
+    discrete logs, else None; the same array twice when A∖{0} has B's
+    contents.
 
-    B holds no 0 (see `_table`). The log path runs in prime mode when
-    A∖{0} has B's contents, the table has at least _LOG_MIN pairs and every
-    prime factor of p-1 is at most _LOG_MAX_FACTOR. Below about 2^18 pairs
-    the logs cost more than the halved table saves (2-3 ms per call).
+    B holds no 0 (see `_table`). The log path runs in prime mode when the
+    table has at least _LOG_MIN pairs, the shorter of A∖{0} and B at least
+    _LOG_SIDE elements (and one), and every prime factor of p-1 is at most
+    _LOG_MAX_FACTOR. Below those sizes the logs cost more than the sub
+    table saves.
     """
     if not A.field.is_prime_mode or len(A) * len(B) < _LOG_MIN:
         return None
     a = A.ints[1:] if A.ints[0] == 0 else A.ints
-    if not np.array_equal(a, B.ints):
+    if min(a.size, len(B)) < max(1, _LOG_SIDE):
         return None
     table = _log_table(A.field.p)
     if table is None:
         return None
-    logs = _discrete_logs(B.ints, table)
-    logs.sort()
-    return logs
+    if np.array_equal(a, B.ints):
+        logs = _discrete_logs(B.ints, table)
+        logs.sort()
+        return logs, logs
+    logs = _discrete_logs(np.concatenate((a, B.ints)), table)
+    return np.sort(logs[:a.size]), np.sort(logs[a.size:])
+
+
+def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
+               band=None):
+    """The "spectrum" or "level" of r_{A/B} from the logs la of A∖{0} and
+    lb of B (see `_div_logs`).
+
+    r_{A/B}(g^s) = r_{la-lb}(s) over Z/(p-1), a half sub table when la is
+    lb. M = p-1 is even, so there the class M/2 (the pairs a, -a with
+    a/(-a) = -1) is one value hit 2h times, where the kernel counts two
+    values hit h times; a 0 in A adds the value 0, hit |lb| times. Both
+    enter the histogram before the band is chosen. A level set is mapped
+    back by s -> g^s, sorted again, and must hold as many values as its
+    band of the histogram, or ArithmeticError is raised.
+    """
+    table = _log_table(A.field.p)
+    M, m = table.p - 1, lb.size
+    zero = A.ints[0] == 0
+    half = la is lb
+    # h = #{L in lb : L + M/2 in lb, L < M/2}, the pairs {a, -a}
+    h = int(_sorted_lookup(lb, lb[lb < M // 2] + M // 2, True)[1].sum()) \
+        if half else 0
+
+    def fixed(hist):
+        top = max(2 * h, m if zero else 0)
+        hist = np.pad(hist, (0, max(0, top + 1 - hist.size)))
+        if h:
+            hist[h] -= 2
+            hist[2 * h] += 1
+        if zero:
+            hist[m] += 1
+        return hist
+
+    if reduce == "spectrum":
+        return fixed(_sorted_table(la, lb, "sub", M, half, "spectrum"))
+    chosen = []
+
+    def log_band(hist):
+        hist = _trim(fixed(hist))
+        chosen.extend([hist, *band(hist)])
+        return chosen[1:]
+
+    s = _sorted_table(la, lb, "sub", M, half, "level", log_band)[1]
+    hist, lo, hi = chosen
+    if h:
+        s = s[s != M // 2]
+        if lo <= 2 * h < hi:
+            s = np.append(s, M // 2)
+    x = _pow_g(s, table, out=s)
+    if zero and lo <= m < hi:
+        x = np.append(x, 0)
+    x.sort()
+    if x.size != int(hist[lo:hi].sum()) or _count_runs(x) != x.size:
+        raise ArithmeticError(f"a level set over logs mod {table.p} maps "
+                              f"back to {x.size} values, not the "
+                              f"{int(hist[lo:hi].sum())} of its band")
+    return hist, x
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -691,9 +1133,11 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
       "level"     (hist, S): hist trimmed to the largest multiplicity (an
                   empty table's is [0]) and S = {x : lo <= r(x) < hi}, with
                   [lo, hi) = band(hist).
-    When B has A's contents, sub tables and add/mul supports take the
-    unordered pairs only, and a large div spectrum is taken over discrete
-    logs (see `_self_div_logs`): r_{A/A} is r_{L-L} over Z/(p-1).
+    The int path checks that the histogram of a "spectrum" or "level"
+    holds the |A||B∖{0}| pairs. When B has A's contents, sub tables and
+    add/mul supports take the unordered pairs only. A large div spectrum or
+    level set is taken over discrete logs (see `_div_logs`): r_{A/B} is
+    r_{L_A - L_B} over Z/(p-1), half for a self table.
     """
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}")
@@ -711,37 +1155,28 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
         empty = np.zeros(0, dtype=np.int64)
         return RepFn(field, op, empty, empty, excluded, n, rhs)
     if n and m and _int_fast_ok(field, op, A.ints, B.ints):
-        a, b, kop, mod = A.ints, B.ints, op, field.p
-        half = (op == "sub" or reduce == "support" and op in ("add", "mul")) \
-            and (A is B or np.array_equal(a, b))
-        logs = _self_div_logs(A, B) if op == "div" and reduce == "spectrum" \
-            else None
+        logs = _div_logs(A, B) if op == "div" and reduce in (
+            "spectrum", "level") else None
         if logs is not None:
-            a, b, kop, mod, half = logs, logs, "sub", field.p - 1, True
-        elif op == "div":
-            b, kop = _inverses(b, mod), "mul"
-        out = _sorted_table(a, b, kop, mod, half, reduce, band)
-        if reduce == "support":
-            return ElemSet._from_sorted_array(field, out)
-        if reduce == "rep":
-            return RepFn(field, op, *out, excluded, n, rhs)
-        if reduce == "level":
-            return out[0], ElemSet._from_sorted_array(field, out[1])
-        hist = out
-        if logs is not None:
-            # mod = p-1 is even, so the class mod/2 (a/b = -1) is its own
-            # negative: one value hit 2g times, not two values hit g times;
-            # g counts the logs L with L + mod/2 among the logs
-            low = logs[logs < mod // 2]
-            g = int(_sorted_lookup(logs, low + mod // 2, True)[1].sum())
-            if g:
-                hist[g] -= 2
-                hist[2 * g] += 1  # 2g <= |B|: the pairs {a, -a}
-            if n > m:
-                hist[m] += 1  # 0 in A: the value 0 = 0/b for every b in B
+            out = _over_logs(A, *logs, reduce, band)
+        else:
+            a, b, kop, mod = A.ints, B.ints, op, field.p
+            half = (op == "sub" or reduce == "support"
+                    and op in ("add", "mul")) \
+                and (A is B or np.array_equal(a, b))
+            if op == "div":
+                b, kop = _inverses(b, mod), "mul"
+            out = _sorted_table(a, b, kop, mod, half, reduce, band)
+            if reduce == "support":
+                return ElemSet._from_sorted_array(field, out)
+            if reduce == "rep":
+                return RepFn(field, op, *out, excluded, n, rhs)
+        hist = out if reduce == "spectrum" else out[0]
         mass = _exact_dot(np.arange(hist.size), hist)
         if mass != n * m:
-            raise ArithmeticError(f"spectrum mass {mass} != {n}x{m} pairs")
+            raise ArithmeticError(f"{reduce} mass {mass} != {n}x{m} pairs")
+        if reduce == "level":
+            return hist, ElemSet._from_sorted_array(field, out[1])
         return hist
     table = _object_table(A, B, op)
     if reduce == "support":
@@ -771,8 +1206,10 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
                    budget: Optional[int] = None) -> np.ndarray:
     """Multiplicity histogram of r_{A∘B}: hist[m] = #values hit exactly m times.
 
-    Avoids materialising the value keys, so energies of 10^4-element sets fit
-    comfortably in memory. Large self div spectra are taken over discrete
-    logs (see `_self_div_logs`): r_{A/A} is r_{L-L} over Z/(p-1).
+    No value is written out: a large add/sub table is sorted one value
+    bucket of at most _BUCKET pairs at a time, so energies of 10^4-element
+    sets take a few bucket-sized buffers. Large div spectra are taken over
+    discrete logs (see `_div_logs`): r_{A/B} is r_{L_A - L_B} over
+    Z/(p-1), which is bucketed too.
     """
     return _table(A, B, op, "spectrum", budget=budget)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 import tracemalloc
@@ -43,13 +44,33 @@ def table_and_half(A, B, op, reduce, band=None):
     return out, half
 
 
+@contextlib.contextmanager
+def mapped_buffers():
+    """Record the size of each block of bucket buffers the pair kernel maps
+    outside the malloc heap, which tracemalloc does not see; yields the
+    list of sizes in bytes."""
+    sizes = []
+    real = repfn._buffers
+
+    def spy(*args):
+        block = real(*args)
+        sizes.append(block.nbytes)
+        return block
+
+    with mock.patch.object(repfn, "_buffers", spy):
+        yield sizes
+
+
 def traced_peak(fn):
-    """(fn(), peak bytes traced above the bytes held before the call)."""
+    """(fn(), peak bytes traced above the bytes held before the call, plus
+    the largest block of bucket buffers mapped during it)."""
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - held
+        with mapped_buffers() as mapped:
+            held = tracemalloc.get_traced_memory()[0]
+            result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - held
+        return result, peak + max(mapped, default=0)
     finally:
         tracemalloc.stop()
 

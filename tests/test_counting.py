@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      f_collision_count, tautological_count)
 
+from sumprod import counting
 from sumprod.counting import _pair_popularity_square_sum
 from sumprod.families import subgroup_of_order
 
@@ -179,3 +181,25 @@ def test_energy_equiv_budget(c0):
         count_energy_equiv(ElemSet(c0, range(65)), "add", 2)
     with pytest.raises(ValueError):
         count_energy_equiv(ElemSet(c0, [1, 2]), "add", 3)
+
+
+
+@pytest.mark.parametrize("M, fits", [((1 << 30) - 1, True), (1 << 30, False)])
+def test_f_collision_on_both_sides_of_the_packing_limit(M, fits):
+    # four sums y + z pack their index in 2 bits, so the products x(y+z)
+    # must span fewer than 2^61 - 1 values: +-M(M+1) spans 2^61 - 2^31 for
+    # M = 2^30 - 1, and 2^61 + 2^31 for M = 2^30, which takes the argsort
+    C0 = GroundField.char0()
+    X, Y, Z = ElemSet(C0, [M, -M]), ElemSet(C0, [M, 1]), ElemSet(C0, [-1, 1])
+    routes = []
+    real = counting._packed_sort
+
+    def spy(grid, axis):
+        out = real(grid, axis)
+        routes.append(out is not None)
+        return out
+
+    with mock.patch.object(counting, "_packed_sort", spy):
+        got = f_collision_count(X, Y, Z)
+    assert routes == [fits]
+    assert got == counted_f_collision(X, Y, Z)

@@ -183,8 +183,8 @@ def test_seams_match_object_path_and_one_thread(threads, case, op, chunk):
             np.bincount(np.asarray(list(pairs.values()), dtype=np.int64),
                         minlength=1).tolist(),
             sorted(pairs))
-    # the log path of self div spectra runs at every table size here
-    with mock.patch.object(repfn, "_LOG_MIN", 0):
+    # the log path of div spectra runs at every table size here
+    with mock.patch.multiple(repfn, _LOG_MIN=0, _LOG_SIDE=0):
         with forced_threads(1, chunk=chunk):
             one = results(A, B, op)
         with forced_threads(threads, chunk=chunk):
@@ -196,16 +196,20 @@ def test_seams_match_object_path_and_one_thread(threads, case, op, chunk):
 def test_peak_memory_is_table_plus_outputs(threads):
     # about 2*10^6 pairs: the int32 table and the int64 outputs are the
     # floor, and every other buffer scales with the row block or the chunk,
-    # not with the table (a table-sized bool mask alone would add 1.9 MiB)
+    # not with the table (a table-sized bool mask alone would add 1.9 MiB).
+    # A spectrum holds no table: one value bucket per thread, its gather
+    # buffers and the operands' sorted copies.
     F = GroundField.prime(P31)
     A = random_set(F, 2000, seed=21)
     B = random_set(F, 1000, seed=22)
-    piece = 1 << 12
+    piece, bucket = 1 << 12, 1 << 15
     slack = (1 << 16) + threads * 32 * piece
     with forced_threads(threads, block=piece, chunk=piece):
         S, peak = traced_peak(lambda: combine(A, A, "add"))
         assert peak <= 4 * (2000 * 2001 // 2) + 8 * len(S) + slack
         r, peak = traced_peak(lambda: rep_function(A, B, "sub"))
         assert peak <= 4 * 2000 * 1000 + 16 * len(r) + slack
-        hist, peak = traced_peak(lambda: count_spectrum(A, B, "sub"))
-        assert peak <= 4 * 2000 * 1000 + 8 * hist.size + slack
+        with mock.patch.multiple(repfn, _BUCKET=bucket, _GATHER=piece):
+            hist, peak = traced_peak(lambda: count_spectrum(A, B, "sub"))
+        assert peak <= threads * (4 * bucket + 64 * piece) \
+            + 32 * (2000 + 1000) + 8 * hist.size + slack

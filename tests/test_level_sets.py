@@ -27,8 +27,9 @@ from sumprod import repfn
 from sumprod.energy import _dyadic_level, dyadic_slice
 from sumprod.repfn import BudgetExceeded, _table
 
-from conftest import (P31, forced_threads, pair_table_case, random_set,
-                      self_table_case, table_and_half, traced_peak)
+from conftest import (P31, forced_threads, mapped_buffers, pair_table_case,
+                      random_set, self_table_case, table_and_half,
+                      traced_peak)
 
 # the package binds the name `energy` to the function
 energy_mod = importlib.import_module("sumprod.energy")
@@ -277,9 +278,11 @@ def run_rss(A, variant, budget, reference, trace=False):
         tracemalloc.start()
         held = tracemalloc.get_traced_memory()[0]
         try:
-            return e_stage(*args)
+            with mapped_buffers() as mapped:
+                return e_stage(*args)
         finally:
-            rec.e_peak = tracemalloc.get_traced_memory()[1] - held
+            rec.e_peak = tracemalloc.get_traced_memory()[1] - held \
+                + max(mapped, default=0)
             tracemalloc.stop()
 
     patches = [*table_builds(rec.builds),
@@ -408,16 +411,21 @@ def test_skipped_e_stage_allocates_nothing_of_e_size(variant):
     _, ref = run_rss(A, variant, None, reference=True)
     A0 = A if variant == "additive" else A.remove_zero()
     budget = len(A0) * len(ref.E) - 1
-    piece = 1 << 10
+    piece, bucket = 1 << 10, 1 << 13
     slack = (1 << 16) + 2 * 32 * piece
-    with forced_threads(2, block=piece, chunk=piece):
+    # the A x F table is bucketed; its div form is taken over logs
+    with forced_threads(2, block=piece, chunk=piece), mock.patch.multiple(
+            repfn, _BUCKET=bucket, _GATHER=piece, _LOG_MIN=0, _LOG_SIDE=0):
         got, rec = run_rss(A, variant, budget, reference=False, trace=True)
         _, ref = run_rss(A, variant, budget, reference=True, trace=True)
     assert "final=skipped" in got.notes and rec.E is None
     # r_{A-F} (r_{A/F}) takes at most |A| as a multiplicity; a div table
-    # also holds the checked inverses of F and their int64 temporaries
-    bound = 4 * len(A0) * len(rec.F) + 8 * (len(A0) + 1) \
-        + 64 * len(rec.F) + slack
+    # also holds the checked logs of A and F, their int64 temporaries and
+    # those of the check of the 2^16 + 2^15 entry power tables
+    bound = 2 * (4 * bucket + 64 * piece) + 8 * (len(A0) + 1) \
+        + 96 * (len(A0) + len(rec.F)) + slack
+    if variant == "multiplicative":
+        bound += 16 << 16
     assert 8 * len(ref.E) > 4 * slack
     assert rec.e_peak <= bound
     assert ref.e_peak > bound + 8 * len(ref.E)
@@ -432,20 +440,23 @@ def test_rss_reports_name_violated_constraints():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_level_peak_memory_is_table_plus_selection(threads):
-    # about 2*10^6 pairs: the int32 table, the histogram and the selected
-    # int64 values are the floor; every other buffer scales with the row
-    # block or the piece. Building the RepFn and filtering it costs its
-    # int64 values and counts on top, which this bound refuses.
+    # about 2*10^6 pairs, never held whole: one value bucket per thread and
+    # its gather buffers, the operands' sorted copies, the histogram and
+    # the selected int64 values are the floor; every other buffer scales
+    # with the piece. Building the RepFn and filtering it costs its int32
+    # table and int64 values and counts on top, which this bound refuses.
     F = GroundField.prime(P31)
     A = random_set(F, 2000, seed=21)
     B = random_set(F, 1000, seed=22)
-    piece = 1 << 12
+    piece, bucket = 1 << 12, 1 << 15
     slack = (1 << 16) + threads * 32 * piece
 
     def bound(hist, selected):
-        return 4 * 2000 * 1000 + 8 * hist.size + 8 * selected + slack
+        return threads * (4 * bucket + 64 * piece) + 32 * (2000 + 1000) \
+            + 8 * hist.size + 8 * selected + slack
 
-    with forced_threads(threads, block=piece, chunk=piece):
+    with forced_threads(threads, block=piece, chunk=piece), \
+            mock.patch.multiple(repfn, _BUCKET=bucket, _GATHER=piece):
         for band in (lambda h: (1, 2), lambda h: (2, h.size)):
             (hist, S), peak = traced_peak(
                 lambda: _table(A, B, "sub", "level", band))

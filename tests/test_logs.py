@@ -1,10 +1,11 @@
-"""Self div spectra over discrete logs.
+"""Div spectra over discrete logs.
 
-count_spectrum takes r_{A/A} as r_{L-L} over Z/(p-1), L = log(A∖{0}), for
-tables of at least repfn._LOG_MIN pairs when every prime factor of p-1 is
-at most 2^16. These tests lower the gate to 0, so that tiny tables take the
-log path, and compare it with the object table and with the inverse path
-(the gate raised out of reach).
+count_spectrum takes r_{A/B} as r_{L_A - L_B} over Z/(p-1),
+L = log(A∖{0}), for tables of at least repfn._LOG_MIN pairs whose shorter
+side has at least repfn._LOG_SIDE elements, when every prime factor of p-1
+is at most 2^16; r_{A/A} is a half table. These tests lower both gates to
+0, so that tiny tables take the log path, and compare it with the object
+table and with the inverse path (the pair gate raised out of reach).
 """
 
 import random
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from sumprod import ElemSet, GroundField, count_spectrum, energy
 from sumprod import repfn
-from sumprod.repfn import _discrete_logs, _log_table, _object_table
+from sumprod.energy import dyadic_slice
+from sumprod.repfn import (_discrete_logs, _log_table, _object_table, _pow_g,
+                           _table)
 
 from conftest import P31
 
@@ -28,7 +31,8 @@ P_OVER_BOUND = 917519
 
 
 def log_gate(pairs):
-    return mock.patch.object(repfn, "_LOG_MIN", pairs)
+    """Take logs from `pairs` pairs on, whatever the shorter side."""
+    return mock.patch.multiple(repfn, _LOG_MIN=pairs, _LOG_SIDE=0)
 
 
 def spy():
@@ -216,15 +220,169 @@ def test_gate_refusals():
     A = ElemSet(F, named_sets(P31)["random"])
     B = ElemSet(F, list(A)[1:])
     with spy() as logs:
-        count_spectrum(A, A, "div")  # below the default gate
+        count_spectrum(A, A, "div")  # below the default gates
         with log_gate(0):
-            count_spectrum(A, B, "div")  # rectangular
             count_spectrum(A, A, "sub")
             repfn.rep_function(A, A, "div")
         assert logs.call_count == 0
         with log_gate(len(A) ** 2):
             count_spectrum(A, A, "div")
         assert logs.call_count == 1
+        # a rectangular table takes logs as well, of both sides at once
+        with log_gate(0):
+            assert count_spectrum(A, B, "div").tolist() == \
+                object_spectrum(A, B)
+        assert logs.call_count == 2
+        # a shorter side below _LOG_SIDE keeps the inverses at any size
+        with mock.patch.object(repfn, "_LOG_MIN", 0):
+            count_spectrum(A, B, "div")
+        assert logs.call_count == 2
     C = ElemSet(GroundField.char0(), [0, 1, 2, 4, -2])
     with log_gate(0):  # char0 has no logs
         assert count_spectrum(C, C, "div").tolist() == object_spectrum(C, C)
+
+
+def level_bands(hist):
+    top = hist.size - 1
+    return [(m, m + 1) for m in np.flatnonzero(hist).tolist()] + \
+        [(1, top + 1), (2, top + 1), (0, 1), (top + 1, top + 2)]
+
+
+def check_log_levels(A, B=None):
+    """Level sets and dyadic slices over logs agree with the inverse path
+    and with filters of the object table."""
+    B = A if B is None else B
+    pairs = _object_table(A, B.remove_zero(), "div")
+    want = np.asarray(object_spectrum(A, B))
+    want = want[:np.flatnonzero(want)[-1] + 1] if want.any() else want[:1]
+    for lo, hi in level_bands(want):
+        with log_gate(0), spy() as logs:
+            hist, S = _table(A, B, "div", "level", lambda h: (lo, hi))
+        assert logs.call_count == (1 if len(A.remove_zero())
+                                   and len(B.remove_zero()) else 0)
+        with log_gate(1 << 62):
+            inv_hist, inv_S = _table(A, B, "div", "level",
+                                     lambda h: (lo, hi))
+        assert hist.tolist() == inv_hist.tolist() == want.tolist()
+        assert S == inv_S
+        assert list(S.elements()) == sorted(
+            x for x, c in pairs.items() if lo <= c < hi), (lo, hi)
+    if len(pairs):
+        for k in (2, 4):
+            with log_gate(0):
+                got = dyadic_slice(A, B, k, "mul")
+            with log_gate(1 << 62):
+                assert got == dyadic_slice(A, B, k, "mul")
+
+
+@pytest.mark.parametrize("p", [3, 101, P31])
+@pytest.mark.parametrize("name", list(named_sets(101)))
+def test_log_level_sets_match_object_and_inverse_paths(p, name):
+    check_log_levels(ElemSet(GroundField.prime(p), named_sets(p)[name]))
+
+
+CROSS = [("random", "coset"), ("with-zero", "plus-minus"),
+         ("plus-minus-zero", "units"), ("coset-zero", "plus-minus"),
+         ("zero-and-one", "random"), ("one", "with-zero")]
+
+
+@pytest.mark.parametrize("p", [5, 101, P31])
+@pytest.mark.parametrize("names", CROSS, ids="/".join)
+def test_cross_log_tables_match_object_and_inverse_paths(p, names):
+    F = GroundField.prime(p)
+    A, B = (ElemSet(F, named_sets(p)[name]) for name in names)
+    for X, Y in ((A, B), (B, A)):
+        check_log_path(X, Y)
+        check_log_levels(X, Y)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_log_tables_on_buckets(threads):
+    # the log path's sub tables mod p-1 through the bucketed kernel: the
+    # class (p-1)/2 of a half table and the 0 of A beside tiny buckets
+    F = GroundField.prime(P31)
+    sets = named_sets(P31)
+    A = ElemSet(F, sets["plus-minus-zero"])
+    B = ElemSet(F, sets["coset"])
+    with mock.patch.multiple(repfn, _threads=lambda: threads,
+                             _PARALLEL_MIN=0, _BUCKET=5), \
+            mock.patch.object(repfn, "_bucket_table",
+                              wraps=repfn._bucket_table) as kernel:
+        check_log_path(A)
+        check_log_levels(A)
+        check_log_levels(A, B)
+    assert kernel.call_count > 0
+
+
+@pytest.mark.parametrize("side", [255, 256])
+def test_shorter_side_gate(side):
+    # with the pair gate at 0, a div table takes logs once the shorter of
+    # A∖{0} and B∖{0} holds 256 elements
+    F = GroundField.prime(P31)
+    rng = random.Random(side)
+    A = ElemSet(F, [0] + rng.sample(range(1, P31), 400))
+    B = ElemSet(F, [0] + rng.sample(range(1, P31), side))
+    C = ElemSet(F, rng.sample(range(1, P31), side))
+    with mock.patch.object(repfn, "_LOG_MIN", 0), spy() as logs:
+        got = [count_spectrum(X, Y, "div").tolist()
+               for X, Y in ((A, B), (B, A), (C, C))]
+    assert logs.call_count == (3 if side >= 256 else 0)
+    assert got == [object_spectrum(X, Y) for X, Y in ((A, B), (B, A), (C, C))]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_corrupted_power_table_raises(which):
+    table = _log_table(P31)
+    powers = [part.copy() for part in table.powers]
+    powers[which][7] += 1
+    bad = table._replace(powers=tuple(powers))
+    s = np.arange(0, P31 - 1, 99991, dtype=np.int64)
+    with pytest.raises(ArithmeticError, match="power tables"):
+        _pow_g(s, bad)
+    with pytest.raises(ArithmeticError):
+        _discrete_logs(np.arange(1, 3000, dtype=np.int64), bad)
+    A = ElemSet(GroundField.prime(P31), named_sets(P31)["random"])
+    with log_gate(0), mock.patch.object(repfn, "_log_table",
+                                        lambda p: bad):
+        with pytest.raises(ArithmeticError):
+            count_spectrum(A, A, "div")
+        with pytest.raises(ArithmeticError):
+            _table(A, A, "div", "level", lambda h: (1, h.size))
+    # the cached table itself is untouched
+    assert (_pow_g(s, table) == [pow(7, x, P31) for x in s.tolist()]).all()
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat", "shift"])
+def test_failed_map_back_raises(fault):
+    # a level set over logs that does not map back to its band's count of
+    # distinct values raises
+    A = ElemSet(GroundField.prime(P31), named_sets(P31)["plus-minus-zero"])
+    real = repfn._sorted_table
+
+    def faulty(*args):
+        out = real(*args)
+        if args[5] != "level":
+            return out
+        hist, s = out
+        s = {"drop": s[1:], "repeat": np.append(s, s[-1]),
+             "shift": np.append(s[1:], s[-1])}[fault]
+        return hist, s
+
+    with log_gate(0), mock.patch.object(repfn, "_sorted_table", faulty):
+        with pytest.raises(ArithmeticError, match="maps back"):
+            _table(A, A, "div", "level", lambda h: (1, h.size))
+
+
+@pytest.mark.parametrize("p", [P_BIG_FACTOR, P_OVER_BOUND])
+def test_large_factor_prime_levels_and_cross_tables_keep_inverses(p):
+    F = GroundField.prime(p)
+    rng = random.Random(2)
+    A = ElemSet(F, [0] + rng.sample(range(1, p), 60))
+    B = ElemSet(F, rng.sample(range(1, p), 40))
+    with log_gate(0), spy() as logs:
+        got = count_spectrum(A, B, "div").tolist()
+        hist, S = _table(A, A, "div", "level", lambda h: (1, h.size))
+        _table(A, B, "div", "level", lambda h: (2, h.size))
+    assert logs.call_count == 0
+    assert got == object_spectrum(A, B)
+    assert len(S) == len(_object_table(A, A.remove_zero(), "div"))

@@ -116,3 +116,48 @@ def test_random_keys_either_route(arr, vals, cols):
     for crossover in (0, 1 << 30):
         with mock.patch.object(repfn, "_LOOKUP_SORT_MIN", crossover):
             check(arr, vals)
+
+
+def packing_grid(rows, cols, bits_left, fits, seed):
+    """A grid whose keys span 2^bits_left - 2 values (the most that packs)
+    or one more, with repeats of arr's values, the extremes and keys in
+    between."""
+    rng = np.random.default_rng(seed)
+    span = (1 << bits_left) - 2 + (not fits)
+    base = -(1 << 62) if bits_left > 62 else -(span // 3)
+    arr = np.unique(np.concatenate((
+        [base, base + span], base + rng.integers(0, span, 40, dtype=np.int64),
+        [base + 1, base + span - 1])))
+    grid = np.clip(rng.choice(np.concatenate((arr, arr + 1, arr - 1)),
+                              size=(rows, cols)), base, base + span)
+    grid[0, 0], grid[-1, -1] = base, base + span
+    return arr, grid.astype(np.int64)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 1000])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("fits", [True, False])
+def test_hits_on_both_sides_of_the_packing_limit(rows, axis, fits):
+    # keys packed with a k of `bits` bits must span at most 2^(63 - bits)
+    # - 2 values; one more takes the lookup route, with the same counts
+    size = rows if axis == 0 else 7
+    bits = max(1, (size - 1).bit_length())
+    arr, grid = packing_grid(rows, 7, 63 - bits, fits, rows * 10 + axis)
+    want = np.isin(grid, arr).sum(axis=1 - axis)
+    assert (repfn._packed_sort(grid.copy(), axis) is not None) == fits
+    with mock.patch.object(repfn, "_sorted_lookup",
+                           wraps=repfn._sorted_lookup) as lookup:
+        got = repfn._hits_per(arr, grid.copy(), axis)
+    assert (lookup.call_count == 0) == fits
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=st.lists(st.integers(-50, 50), max_size=30, unique=True),
+       vals=st.lists(st.integers(-60, 60), min_size=1, max_size=80),
+       cols=st.sampled_from([1, 2, 5]), axis=st.sampled_from([0, 1]))
+def test_hits_per_random_keys(arr, vals, cols, axis):
+    arr = np.asarray(sorted(arr), dtype=np.int64)
+    grid = np.resize(np.asarray(vals, dtype=np.int64), (len(vals), cols))
+    want = np.isin(grid, arr).sum(axis=1 - axis)
+    assert repfn._hits_per(arr, grid.copy(), axis).tolist() == want.tolist()
