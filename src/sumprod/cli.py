@@ -98,8 +98,11 @@ def _cmd_regularize(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    sets = [_load(p, args) for p in args.sets]
     eq = args.equation
+    if eq != "energy-equiv" and (args.op, args.k) != (None, None):
+        raise SystemExit(f"--op and --k are read by energy-equiv only, "
+                         f"not by {eq}")
+    sets = [_load(p, args) for p in args.sets]
     if eq == "kmps":
         if len(sets) != 3:
             raise SystemExit("kmps needs 3 set files (X Y Z)")
@@ -115,7 +118,8 @@ def _cmd_count(args) -> int:
     else:  # energy-equiv
         if len(sets) != 1:
             raise SystemExit("energy-equiv needs 1 set file")
-        c = count_energy_equiv(sets[0], args.op, args.k)
+        c = count_energy_equiv(sets[0], args.op or "add",
+                               2 if args.k is None else args.k)
     _emit(args, {"equation": eq, "count": str(c)}, str(c))
     return 0
 
@@ -255,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation", choices=("kmps", "sdz", "tautological",
                                         "energy-equiv"))
     p.add_argument("sets", nargs="+")
-    p.add_argument("--op", choices=("add", "mul"), default="add")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--op", choices=("add", "mul"),
+                   help="energy-equiv only (default: add)")
+    p.add_argument("--k", type=int, help="energy-equiv only (default: 2)")
     p.set_defaults(func=_cmd_count)
 
     p = add_parser("verify", help="run one lemma verifier")

@@ -12,8 +12,9 @@ from typing import Optional
 import numpy as np
 
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, _exact_dot, _grid, _int_fast_ok,
-                    _packed_sort, _sorted_lookup, rep_function, table_budget)
+from .repfn import (BudgetExceeded, _exact_dot, _grid, _in_grid,
+                    _int_fast_ok, _packed_sort, _sorted_lookup, rep_function,
+                    table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
@@ -39,24 +40,20 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     # multiset X x multiset(Y+Z)
     sums = rep_function(Y, Z, "add", budget=budget)
     field = X.field
+    packed = None
     if _int_fast_ok(field, "mul", X.ints, sums.values):
-        prods = _grid(X.ints, sums.values, "mul", field.p)
-        packed = _packed_sort(prods, 1)
-        if packed is not None:
-            # one sort of the products, each packed with its sum's index
-            flat, bits, _ = packed
-            prods = flat >> bits
-            weights = sums.counts[flat & ((1 << bits) - 1)]
-        else:  # char0 products too far apart to pack
-            order = np.argsort(prods, axis=None)
-            weights = np.broadcast_to(sums.counts, prods.shape).ravel()[order]
-            prods = prods.ravel()[order]
+        # one sort of the products, each packed with its sum's index
+        packed = _packed_sort(_grid(X.ints, sums.values, "mul", field.p))
+    if packed is not None:
+        flat, bits, _ = packed
+        prods = flat >> bits
+        weights = sums.counts[flat & ((1 << bits) - 1)]
         start = np.empty(prods.size, dtype=bool)  # a run of equal v starts
         start[0] = True
         np.not_equal(prods[1:], prods[:-1], out=start[1:])
         # m(v) sums the int64 weights of one run: at most |X||Y||Z|
         m = np.add.reduceat(weights, np.flatnonzero(start))
-    else:
+    else:  # exact objects, or char0 products too far apart to pack
         table = Counter()
         for x in X:
             for s, c in sums.items():
@@ -76,7 +73,7 @@ def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
     prod = rep_function(A, B, "mul", budget=budget)
     diff = rep_function(C, D, "sub", budget=budget)
     if isinstance(prod.values, np.ndarray) and isinstance(diff.values, np.ndarray):
-        idx, hit = _sorted_lookup(diff.values, prod.values, True)
+        idx, hit = _sorted_lookup(diff.values, prod.values)
         return _exact_dot(prod.counts[hit], diff.counts[idx[hit]])
     dd = diff.to_dict()
     return sum(c * dd.get(v, 0) for v, c in prod.items())
@@ -105,8 +102,12 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     op "add": pair condition a-b in D, popularity condition a+c in P.
     op "mul": pair condition a/b in D, popularity condition a*c in P.
     g(a,b) = |{c in B : a∘c in P and b∘c in P}|.
+
+    Two `_in_grid` masks carry both conditions, so every input takes one
+    route: popular[i, c] = a_i∘c in P gives g = popular popular^T as one
+    float64 matmul (exact: each entry is at most |B|), and the pair mask
+    a_i∘a_j^-1 in D, False for a/0, selects the g(a,b) that are summed.
     """
-    field = B.field
     F = pairs_from
     nf, nb = len(F), len(B)
     if nf == 0 or nb == 0:
@@ -115,35 +116,11 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     if nf * nb > budget or nf * nf > budget:
         raise BudgetExceeded("pair table exceeds budget")
 
-    inv_op = "sub" if op == "add" else "div"
-    # a∘b^-1 must be a field element for every pair: no b = 0 for mul
-    if P.ints is not None and D.ints is not None \
-            and _int_fast_ok(field, op, F.ints, B.ints) \
-            and _int_fast_ok(field, inv_op, F.ints) \
-            and not (op == "mul" and 0 in F):
-        p, a = field.p, F.ints
-        popular = _sorted_lookup(P.ints, _grid(a, B.ints, op, p))[1]
-        popular = popular.astype(np.float64)          # 0/1
-        g = popular @ popular.T                       # g[i,j], exact in float64
-        gi = g[_sorted_lookup(D.ints, _grid(a, a, inv_op, p))[1]]
-        gi = gi.astype(np.int64)
-        return _exact_dot(gi, gi)
-
-    fop = field.add if op == "add" else field.mul
-    finv = field.sub if op == "add" else field.div
-    total = 0
-    b_list = list(B)
-    pop = {a: frozenset(c for c in b_list if fop(a, c) in P) for a in F}
-    for a in F:
-        for b in F:
-            try:
-                key = finv(a, b)
-            except ZeroDivisionError:
-                continue
-            if key in D:
-                g = len(pop[a] & pop[b])
-                total += g * g
-    return total
+    popular = _in_grid(F, B, op, P).astype(np.float64)
+    g = popular @ popular.T
+    gi = g[_in_grid(F, F, "sub" if op == "add" else "div", D)]
+    gi = gi.astype(np.int64)
+    return _exact_dot(gi, gi)
 
 
 def count_energy_equiv(A: ElemSet, op: str = "add", k: int = 2,

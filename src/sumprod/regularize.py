@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import ElemSet
 from .energy import dyadic_slice, energy
-from .repfn import _grid, _hits_per, _int_fast_ok, _table
+from .repfn import _in_grid, _int_fast_ok, _table
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -70,55 +70,29 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
                        op: str) -> np.ndarray:
     """count[i] = |{b in B : targets[i] ∘ b in P}| for op add/sub/mul/div.
 
-    For fixed t, b -> t∘b is a bijection onto its image, so the count is
-    also the number of s in P whose preimage lies in B: t+b = s iff s-t = b,
+    The count sums one row of the `_in_grid` mask of targets ∘ B in P. For
+    fixed t, b -> t∘b is a bijection onto its image, so the count is also
+    the number of s in P whose preimage lies in B: t+b = s iff s-t = b,
     t-b = s iff t-s = b, tb = s iff s/t = b (t != 0), t/b = s iff t/s = b
-    (t, s != 0). The int grid therefore runs over the smaller of B and P and
-    is looked up in the other. Char0 has no exact int inverses, so char0 mul
-    keeps the B grid.
+    (t, s != 0). When P is the smaller set and the preimage grid is int
+    (char0 has no int inverses), the mask of preimages in B is summed
+    instead, and t = 0 (for mul/div every b maps to 0) is counted apart.
     """
     field = targets.field
-    p = field.p
-    t, b, s = targets.ints, B.ints, P.ints
-    fast = s is not None and _int_fast_ok(field, op, t, b)
+    t, s = targets.ints, P.ints
     # the preimage of s is s-t, t-s, s/t or t/s
     pre_op = "sub" if op in ("add", "sub") else "div"
-    if fast and len(P) < len(B) and _int_fast_ok(field, pre_op, t, s):
-        out = np.zeros(t.size, dtype=np.int64)
-        rows = slice(None)
-        if op in ("mul", "div"):
-            # t = 0 maps every b to 0: count all of B (nonzero b for div)
-            zero = t == 0
-            if 0 in P:
-                out[zero] = b.size - int(op == "div" and 0 in B)
-            rows = ~zero
-        tr = t[rows]
-        # the grid's targets run along axis 0, or along axis 1 for mul
-        axis = 0
-        if op == "add":
-            grid = _grid(-tr, s, "add", p)
-        elif op == "sub":
-            grid = _grid(tr, s, "sub", p)
-        elif op == "mul":
-            grid, axis = _grid(s, tr, "div", p), 1
-        else:
-            grid = _grid(tr, s[s != 0], "div", p)
-        out[rows] = _hits_per(b, grid, axis)
-        return out
-    if fast:
-        return _hits_per(s, _grid(t, b[b != 0] if op == "div" else b, op, p),
-                         0)
-    fop = getattr(field, op)
-    out = []
-    for a in targets:
-        c = 0
-        for bb in B:
-            if op == "div" and bb == 0:
-                continue
-            if fop(a, bb) in P:
-                c += 1
-        out.append(c)
-    return np.asarray(out, dtype=np.int64)
+    if not (len(P) < len(B) and _int_fast_ok(field, pre_op, t, s)):
+        return _in_grid(targets, B, op, P).sum(axis=1)
+    if op in ("add", "mul"):
+        out = _in_grid(P, targets, pre_op, B).sum(axis=0)
+    else:
+        out = _in_grid(targets, P, pre_op, B).sum(axis=1)
+    if op in ("mul", "div"):
+        # t = 0 maps every b to 0: count all of B (nonzero b for div)
+        full = len(B) - int(op == "div" and 0 in B)
+        out[t == 0] = full if 0 in P else 0
+    return out
 
 
 def popularity_rule(A: ElemSet, eps, theta=Fraction(2, 3),
@@ -265,7 +239,8 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
             best = (n_thr, cand, C, S, tau, rnd, sl.energy_value, rc[mask])
         if n_thr >= len(cand) / 2:
             break
-        order = np.argsort(rc, kind="stable")
+        # (rc, i) packed as rc * |cand| + i: a stable sort of rc
+        order = np.sort(rc * rc.size + np.arange(rc.size)) % rc.size
         cand = ElemSet(A.field, [lst[i] for i in order[len(order) // 2:]])
 
     _, B, C, S, tau, rnd, e_val, rc_C = best

@@ -21,6 +21,10 @@ and reduced on its own. Div spectra and level sets of large tables take
 the same route over discrete logs. This is what makes fourth-moment
 energies of 10^4-element sets take seconds in bounded memory. Rational or
 oversized values fall back to an exact Counter.
+
+Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
+`_in_grid`: the membership counts of `regularize` and the pair-popularity
+count of `counting` are sums and products of its exact masks.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ _LOG_MIN = _PARALLEL_MIN  # pairs; smaller div tables keep the inverses
 _LOG_SIDE = 256  # elements; a div table with a shorter side keeps them too
 _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
 _LOG_PIECE = 1 << 14  # values a log worker takes at a time
-_LOOKUP_SORT_MIN = 1 << 10  # keys; fewer are searched in their own order
 _DENSE = 0.5  # share of equal adjacent pairs above which a piece is dense
 
 
@@ -544,10 +547,10 @@ def _plan(terms: list, lo: int, hi: int, total: int,
         for k in over.tolist():
             parts = int(min(width[k], max(16, 4 * counts[k] // limit)))
             new.append(edges[k] + width[k] // parts * np.arange(1, parts))
+        # new is sorted and falls strictly between edges
         new = np.concatenate(new)
-        edges = np.concatenate((edges, new))
-        order = np.argsort(edges)
-        edges, cum = edges[order], np.concatenate((cum, below(new)))[order]
+        at = np.searchsorted(edges, new)
+        edges, cum = np.insert(edges, at, new), np.insert(cum, at, below(new))
     cuts = [0]
     while cuts[-1] < edges.size - 1:
         k = int(np.searchsorted(cum, cum[cuts[-1]] + limit, "right")) - 1
@@ -794,82 +797,90 @@ def _region_spectrum(flat: np.ndarray, lo: int,
     return hist, long
 
 
-def _sorted_lookup(arr: np.ndarray, vals: np.ndarray,
-                   ascending: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(idx, hit) with hit = vals in the sorted array arr, elementwise.
+def _sorted_lookup(arr: np.ndarray,
+                   vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(idx, hit) with hit = vals in the sorted array arr, elementwise, by
+    one plain `searchsorted`.
 
     Where hit is True, arr[idx] equals the value; elsewhere idx is only a
-    valid index (or 0 when arr is empty). From _LOOKUP_SORT_MIN keys on,
-    the keys are argsorted once and searched in ascending order, so that
-    the search walks arr in order instead of at random, and idx and hit
-    are scattered back; keys known to be ascending skip the argsort. The
-    flag only picks the faster route: the result is the same either way.
+    valid index (or 0 when arr is empty).
     """
     if arr.size == 0:
         return (np.zeros(vals.shape, dtype=np.intp),
                 np.zeros(vals.shape, dtype=bool))
-    if ascending or vals.size < _LOOKUP_SORT_MIN:
-        idx = np.searchsorted(arr, vals)
-        np.clip(idx, 0, arr.size - 1, out=idx)
-        return idx, arr[idx] == vals
-    flat = vals.ravel()
-    order = np.argsort(flat)
-    found, hit_sorted = _sorted_lookup(arr, flat[order], True)
-    idx = np.empty(flat.size, dtype=np.intp)
-    idx[order] = found
-    hit = np.empty(flat.size, dtype=bool)
-    hit[order] = hit_sorted
-    return idx.reshape(vals.shape), hit.reshape(vals.shape)
+    idx = np.searchsorted(arr, vals)
+    np.clip(idx, 0, arr.size - 1, out=idx)
+    return idx, arr[idx] == vals
 
 
-def _packed_sort(grid: np.ndarray,
-                 axis: int) -> Optional[Tuple[np.ndarray, int, int]]:
-    """(P, bits, base): the keys of grid packed with their index k along
-    `axis` as (grid[i, j] - base) << bits | k, base = grid.min(), in one
-    sorted int64 array; None when the keys' range does not fit the 63 - bits
-    bits left. grid (nonempty) is overwritten."""
-    size = grid.shape[axis]
-    bits = max(1, (size - 1).bit_length())
+def _packed_sort(grid: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
+    """(P, bits, base): the keys of grid packed with their column j as
+    (grid[i, j] - base) << bits | j, base = grid.min(), in one sorted int64
+    array; None when the keys' range does not fit the 63 - bits bits left.
+    grid (nonempty) is overwritten."""
+    cols = grid.shape[1]
+    bits = max(1, (cols - 1).bit_length())
     base = int(grid.min())
     if (int(grid.max()) - base + 1) >> (63 - bits):
         return None
     np.subtract(grid, base, out=grid)
     grid <<= bits
-    grid |= np.arange(size).reshape((-1, 1) if axis == 0 else (1, -1))
+    grid |= np.arange(cols)
     packed = grid.ravel()
     packed.sort()
     return packed, bits, base
 
 
-def _hits_per(arr: np.ndarray, grid: np.ndarray, axis: int) -> np.ndarray:
-    """hits[k] = #{keys of grid at index k along axis that lie in arr},
-    arr sorted and distinct; grid is overwritten.
+def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
+    """mask[i, j] = X[i] ∘ Y[j] in S, exact; False where op is div and
+    Y[j] = 0.
 
-    One sort of the packed keys (`_packed_sort`) puts the keys equal to a
-    value of arr into one block, which two ascending searches of arr's
-    values find; the indices in the blocks are then counted. Keys whose
-    range does not fit the packing take `_sorted_lookup`.
+    Inputs `_int_fast_ok` accepts (S is only looked up, so it needs int
+    values only) build the grid with `_grid`, without a 0 of Y for div.
+    Its keys are packed with their flat index (`_packed_sort` on the grid
+    as one row) and sorted once: the keys equal to a value of S form one
+    block, found by two ascending searches of S's values, and the indices
+    in the blocks, or outside them when those are fewer, are marked. Int
+    keys too far apart to pack take one plain `_sorted_lookup`; every other
+    input takes the field's exact ops.
     """
-    if not grid.size or not arr.size:
-        return np.zeros(grid.shape[axis], dtype=np.int64)
-    packed = _packed_sort(grid, axis)
+    field = X.field
+    x, y, s = X.ints, Y.ints, S.ints
+    if s is None or not _int_fast_ok(field, op, x, y):
+        fop, members = getattr(field, op), frozenset(S)
+        mask = np.zeros((len(X), len(Y)), dtype=bool)
+        for i, a in enumerate(X):
+            mask[i] = [not (op == "div" and b == 0) and fop(a, b) in members
+                       for b in Y]
+        return mask
+    # a 0 of Y (y[0] in F_p) is left out and comes back as a False column
+    zero = int(op == "div" and y.size > 0 and y[0] == 0)
+    y = y[zero:]
+    grid = _grid(x, y, op, field.p)
+    packed = _packed_sort(grid.reshape(1, -1)) if grid.size else None
     if packed is None:
-        return _sorted_lookup(arr, grid)[1].sum(axis=1 - axis)
-    flat, bits, base = packed
-    top = base + (int(flat[-1]) >> bits)
-    v = arr[np.searchsorted(arr, base):np.searchsorted(arr, top, "right")]
-    v = v - base
-    lo = np.searchsorted(flat, v << bits)
-    hi = np.searchsorted(flat, (v + 1) << bits)
-    found = hi > lo
-    # inside[t] = 1 where flat[t] lies in a block: +1 at its start, -1 past
-    # its end (blocks are disjoint, so no index repeats within lo or hi)
-    inside = np.zeros(flat.size + 1, dtype=np.int8)
-    inside[lo[found]] = 1
-    inside[hi[found]] -= 1
-    np.cumsum(inside, out=inside)
-    index = flat[inside[:-1].view(bool)] & ((1 << bits) - 1)
-    return np.bincount(index, minlength=grid.shape[axis])
+        hits = _sorted_lookup(s, grid)[1]
+    else:
+        flat, bits, base = packed
+        top = base + (int(flat[-1]) >> bits)
+        v = s[np.searchsorted(s, base):np.searchsorted(s, top, "right")]
+        v = v - base
+        lo = np.searchsorted(flat, v << bits)
+        hi = np.searchsorted(flat, (v + 1) << bits)
+        found = hi > lo
+        # inside[t] = 1 where flat[t] lies in a block: +1 at its start, -1
+        # past its end (the blocks are disjoint)
+        inside = np.zeros(flat.size + 1, dtype=np.int8)
+        inside[lo[found]] = 1
+        inside[hi[found]] -= 1
+        np.cumsum(inside, out=inside)
+        inside = inside[:-1].view(bool)
+        # the fewer of the hits and the misses are scattered back
+        dense = 2 * np.count_nonzero(inside) > flat.size
+        hits = np.full(flat.size, dense)
+        hits[flat[inside != dense] & ((1 << bits) - 1)] = not dense
+        hits = hits.reshape(x.size, y.size)
+    return np.pad(hits, ((0, 0), (1, 0))) if zero else hits
 
 
 class _LogTable(NamedTuple):
@@ -914,11 +925,13 @@ def _log_table(p: int) -> Optional[_LogTable]:
     parts = []
     for q, e in sorted(factors.items()):
         powers = _geometric(pow(g, (p - 1) // q, p), q, p)
-        order = np.argsort(powers)
+        roots = np.sort(powers)
+        digits = np.empty(q, dtype=np.int64)  # the j of gamma^j = roots[k]
+        digits[np.searchsorted(roots, powers)] = np.arange(q)
         g_e = pow(g, (p - 1) // q**e, p)
         steps = tuple(_geometric(pow(g_e, -q**i, p), q, p)
                       for i in range(e - 1))
-        parts.append((q, e, powers[order], order, steps))
+        parts.append((q, e, roots, digits, steps))
     low = _geometric(g, min(p - 1, 1 << 16), p)
     high = _geometric(pow(g, 1 << 16, p), ((p - 2) >> 16) + 1, p)
     return _LogTable(p, g, tuple(parts), (low, high))
@@ -1063,7 +1076,7 @@ def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
     zero = A.ints[0] == 0
     half = la is lb
     # h = #{L in lb : L + M/2 in lb, L < M/2}, the pairs {a, -a}
-    h = int(_sorted_lookup(lb, lb[lb < M // 2] + M // 2, True)[1].sum()) \
+    h = int(_sorted_lookup(lb, lb[lb < M // 2] + M // 2)[1].sum()) \
         if half else 0
 
     def fixed(hist):

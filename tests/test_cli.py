@@ -120,6 +120,43 @@ def test_energy_dyadic_is_one_table_build(tmp_path, capsys, op, k, pair):
                               "certificate_ok": want.certificate_ok}
 
 
+@pytest.mark.parametrize("argv", [
+    ["tautological", "b", "d", "b", "--op", "mul"],
+    ["tautological", "b", "d", "b", "--k", "2"],
+    ["sdz", "b", "d", "b", "d", "--k", "7"],
+    ["kmps", "b", "d", "b", "--op", "add"],
+], ids=["tautological-op", "tautological-k", "sdz-k", "kmps-op"])
+def test_count_refuses_a_flag_its_equation_ignores(tmp_path, capsys, argv):
+    # only energy-equiv reads --op and --k; given to another equation they
+    # would change nothing, so they are refused before any set is read
+    files = {}
+    for name, values in (("b", [1, 2, 3, 5, 8]), ("d", [1, 2, 3])):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text("# field prime 101\n"
+                               + "".join(f"{v}\n" for v in values))
+    with pytest.raises(SystemExit) as exc:
+        main(["count", *[str(files.get(x, x)) for x in argv]])
+    assert exc.value.code == ("--op and --k are read by energy-equiv only, "
+                              f"not by {argv[0]}")
+    assert capsys.readouterr().out == ""
+    code, out = run(capsys, "count", "tautological", str(files["b"]),
+                    str(files["d"]), str(files["b"]))
+    assert code == 0 and out.strip() == "3"
+
+
+def test_count_energy_equiv_keeps_its_defaults(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("# field prime 101\n1\n2\n3\n5\n8\n")
+    code, plain = run(capsys, "count", "energy-equiv", str(a))
+    assert code == 0
+    code, out = run(capsys, "count", "energy-equiv", str(a), "--op", "add",
+                    "--k", "2")
+    assert code == 0 and out == plain
+    code, out = run(capsys, "count", "energy-equiv", str(a), "--op", "mul",
+                    "--k", "4")
+    assert code == 0 and out != plain
+
+
 def _fp_set(tmp_path, name, values):
     path = tmp_path / f"{name}.txt"
     path.write_text("# field prime 2147483647\n"

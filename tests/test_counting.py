@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      f_collision_count, tautological_count)
 
-from sumprod import counting
+from sumprod import counting, repfn
 from sumprod.counting import _pair_popularity_square_sum
 from sumprod.families import subgroup_of_order
 
@@ -135,6 +135,18 @@ def test_pair_popularity_mul_with_zero_in_pairs_from():
     assert _pair_popularity_square_sum(F, B, D, P, op="mul") == 70
 
 
+def test_pair_popularity_mul_with_zero_in_pairs_from_is_int():
+    # 0 in F leaves only a/0 without a ratio, which the pair mask marks
+    # False, so both masks come from int grids and no object loop runs
+    F13 = GroundField.prime(13)
+    F, B, D, P = (ElemSet(F13, v) for v in ([0, 1, 2, 3], [1, 2, 4, 5],
+                                            [0, 1, 2, 7], [0, 2, 4, 5, 8, 10]))
+    with mock.patch.object(repfn, "_grid", wraps=repfn._grid) as grid:
+        assert _pair_popularity_square_sum(F, B, D, P, op="mul") == 70
+    assert [c.args[2] for c in grid.call_args_list] == ["mul", "div"]
+    assert 0 not in grid.call_args_list[1].args[1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(tiny0, tiny0, tiny0, tiny0, st.booleans())
 def test_pair_popularity_mul_vs_naive(f, b, d, p, prime):
@@ -188,18 +200,22 @@ def test_energy_equiv_budget(c0):
 def test_f_collision_on_both_sides_of_the_packing_limit(M, fits):
     # four sums y + z pack their index in 2 bits, so the products x(y+z)
     # must span fewer than 2^61 - 1 values: +-M(M+1) spans 2^61 - 2^31 for
-    # M = 2^30 - 1, and 2^61 + 2^31 for M = 2^30, which takes the argsort
+    # M = 2^30 - 1, and 2^61 + 2^31 for M = 2^30, which takes the exact
+    # Counter route
     C0 = GroundField.char0()
     X, Y, Z = ElemSet(C0, [M, -M]), ElemSet(C0, [M, 1]), ElemSet(C0, [-1, 1])
     routes = []
     real = counting._packed_sort
 
-    def spy(grid, axis):
-        out = real(grid, axis)
+    def spy(grid):
+        out = real(grid)
         routes.append(out is not None)
         return out
 
-    with mock.patch.object(counting, "_packed_sort", spy):
+    with mock.patch.object(counting, "_packed_sort", spy), \
+            mock.patch.object(counting, "Counter",
+                              wraps=counting.Counter) as counter:
         got = f_collision_count(X, Y, Z)
     assert routes == [fits]
+    assert counter.call_count == (not fits)
     assert got == counted_f_collision(X, Y, Z)
