@@ -12,9 +12,9 @@ from typing import Optional
 import numpy as np
 
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, _exact_dot, _grid, _in_grid,
-                    _int_fast_ok, _packed_sort, _sorted_lookup, rep_function,
-                    table_budget)
+from .repfn import (BudgetExceeded, _check_budget, _exact_dot, _grid,
+                    _in_grid, _int_fast_ok, _packed_sort, _sorted_lookup,
+                    rep_function, table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
@@ -112,9 +112,8 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     nf, nb = len(F), len(B)
     if nf == 0 or nb == 0:
         return 0
-    budget = budget if budget is not None else table_budget()
-    if nf * nb > budget or nf * nf > budget:
-        raise BudgetExceeded("pair table exceeds budget")
+    _check_budget(nf, nb, budget)
+    _check_budget(nf, nf, budget)
 
     popular = _in_grid(F, B, op, P).astype(np.float64)
     g = popular @ popular.T

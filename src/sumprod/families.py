@@ -64,6 +64,23 @@ def prime_with_subgroup(order: int, near: int = 1 << 31) -> int:
     raise ValueError(f"no prime p <= {near} with {order} | p-1")
 
 
+def probe_field(kind: str, n: int, field: GroundField) -> GroundField:
+    """The field of a probe cell: `field`, except that a subgroup of order n
+    needs n | p-1, so a subgroup cell moves to F_q with
+    q = prime_with_subgroup(n, near=p) when n does not divide p-1."""
+    if kind == "subgroup" and field.is_prime_mode and (field.p - 1) % n:
+        return GroundField.prime(prime_with_subgroup(n, near=field.p))
+    return field
+
+
+def probe_set(kind: str, n: int, field: GroundField, seed: int) -> ElemSet:
+    """The probe set of one suite or `verify` cell, over
+    probe_field(kind, n, field): APs start at 1, GPs are 3·7^i."""
+    return gen_family(FamilySpec(kind=kind, n=n,
+                                 field=probe_field(kind, n, field), start=1,
+                                 base=3, ratio=7, seed=seed))
+
+
 def gen_family(spec: FamilySpec) -> ElemSet:
     """Deterministic set of exactly n elements."""
     field = spec.field

@@ -243,6 +243,8 @@ class ElemSet:
         if self._arr is not None and other._arr is not None:
             if self._arr.size == 0:
                 return True
+            if other._arr.size == 0:
+                return False
             idx = np.searchsorted(other._arr, self._arr)
             idx = np.clip(idx, 0, other._arr.size - 1)
             return bool(np.all(other._arr[idx] == self._arr))

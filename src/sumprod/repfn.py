@@ -6,21 +6,21 @@ Every pair table goes through one entry point, `_table`: `rep_function`,
 budget checks, the empty table, and the choice between the int kernel and
 the exact object table.
 
-The hot path (prime mode / int-valued sets) has two forms. A support or a
-rep table, and a small or multiplicative table, streams A x B in row blocks
-into one flat array, sorts it and reduces the sorted runs into what the
-caller asks for: the support, or the support with its counts. Large tables
-are filled, sorted and reduced on every usable core, each thread reducing
-the slice it sorted; runs that cross the slice seams are stitched, so the
-results are those of one thread. A large add/sub table that reduces to its
-run-length histogram ("spectrum") or to one level set
-{x : lo <= r(x) < hi} with the histogram it was chosen from ("level") is
-never held whole: its value range is cut into buckets of at most _BUCKET
-pairs, and each bucket is gathered from runs of the sorted operand, sorted
-and reduced on its own. Div spectra and level sets of large tables take
-the same route over discrete logs. This is what makes fourth-moment
-energies of 10^4-element sets take seconds in bounded memory. Rational or
-oversized values fall back to an exact Counter.
+The hot path (prime mode / int-valued sets) has two producers of sorted
+pieces of whole runs, in value order, and one reducer, `_reduce`, that
+turns them into what the caller asks for: the support, the support with its
+counts, the run-length histogram ("spectrum") or one level set
+{x : lo <= r(x) < hi} with the histogram it was chosen from ("level"). The
+row split (`_sort_reduce`) streams A x B in row blocks into one flat array,
+sorted in slices on every usable core; runs that cross the slice seams are
+stitched, so the results are those of one thread. A large add/sub table
+that reduces to a spectrum or a level set is never held whole: its value
+range is cut into buckets of at most _BUCKET pairs, and each bucket is
+gathered from runs of the sorted operand and sorted on its own
+(`_bucket_table`). Div spectra and level sets of large tables take the same
+route over discrete logs. This is what makes fourth-moment energies of
+10^4-element sets take seconds in bounded memory. Rational or oversized
+values fall back to an exact Counter.
 
 Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
 `_in_grid`: the membership counts of `regularize` and the pair-popularity
@@ -29,6 +29,7 @@ count of `counting` are sums and products of its exact masks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
@@ -218,6 +219,17 @@ def _threads() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _pool(threads: int):
+    """A map over `threads` threads: the builtin map for one, else a
+    thread pool's map; the pool is shut down on exit."""
+    if threads == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        yield pool.map
+
+
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                   half: bool, reduce: str, band=None):
     """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
@@ -228,8 +240,8 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     min(d, p - d) of d = a_j - a_i (char0: d itself), and i <= j for
     add/mul. A modulus up to 2^31 - 1 keeps the values in int32: add/sub use
     a shifted subtraction plus one conditional correction instead of a
-    modulo. The table itself is never returned; `_sort_reduce` turns it
-    into `reduce`: "support" (sorted distinct int64 values), "rep" (those
+    modulo. The table itself is never returned; `_reduce` turns it into
+    `reduce`: "support" (sorted distinct int64 values), "rep" (those
     values and their int64 counts), "spectrum" (the run-length histogram)
     or "level" ((hist, values): the histogram of r, trimmed to its largest
     multiplicity, and the sorted int64 values x with lo <= r(x) < hi, where
@@ -298,41 +310,30 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                                f"slot {filled}, expected {offsets[hi]}")
 
     threads = _threads() if large else 1
-    if threads == 1:
-        fill(0, n)
-        return _sort_reduce(out, [0, size], reduce, mirror, map, band)
     cuts = [size * k // threads for k in range(1, threads)]
     bounds = [0, *np.searchsorted(offsets, cuts).tolist(), n]
-    with ThreadPoolExecutor(threads) as pool:
-        list(pool.map(fill, bounds[:-1], bounds[1:]))
-        # every value left of a cut is <= every value right of it, so
-        # sorting the slices sorts flat
-        out.partition(cuts)
-        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, pool.map,
-                            band)
+    with _pool(threads) as run:
+        list(run(fill, bounds[:-1], bounds[1:]))
+        if cuts:
+            # every value left of a cut is <= every value right of it, so
+            # sorting the slices sorts flat
+            out.partition(cuts)
+        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, run, band)
 
 
 def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
                  mirror: Optional[Tuple[int, Optional[int]]], run,
                  band=None):
-    """Sort flat's slices edges[i]:edges[i+1] in place and reduce the table.
+    """Sort flat's slices edges[i]:edges[i+1] in place and `_reduce` them.
 
     Every value of a slice is <= every value of the next, and `run` maps a
     function over the slices (the builtin map, or a pool's). The worker
-    that sorts a slice also counts its runs. The seams are stitched here:
-    a slice whose first value equals the last value of the previous
-    non-empty slice continues that run, so each run belongs to the slice it
-    starts in, even a run that spans several slices. Each owning slice
-    then reduces whole runs from its first own run start up to the next
-    owner's, writing the support ("support"), the support and its counts
-    ("rep") into its part of the int64 outputs, or returning its share of
-    the run-length histogram ("spectrum"). "level" takes the shares of the
-    histogram, merges them, asks band(hist) for [lo, hi), and has each
-    owner write the values whose run length lies in [lo, hi) at the offset
-    its own share gives. mirror = (n, p) marks a half sub table of n
-    values: its classes c and their negatives -c (p - c in F_p) are both
-    written, and 0, hit n times; its histogram (a class count g is the
-    multiplicity of two values) is folded into that of r_{A-A}.
+    that sorts a slice also counts its runs for "support" and "rep". The
+    seams are stitched here: a slice whose first value equals the last
+    value of the previous non-empty slice continues that run, so each run
+    belongs to the slice it starts in, even a run that spans several
+    slices. The owners' ranges, from each first own run start up to the
+    next owner's, are the pieces `_reduce` gets, as views of flat.
     """
     count = reduce in ("support", "rep")
 
@@ -354,19 +355,42 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
         if lo < hi:
             starts.append(lo)
             owned.append(k)
-    ends = starts[1:] + [flat.size]
+    pieces = [flat[lo:hi] for lo, hi in zip(starts, starts[1:] + [flat.size])]
+    return _reduce(pieces, lambda piece, f: f(piece), reduce, mirror, run,
+                   band, owned if count else None)
 
+
+def _reduce(pieces: list, load, reduce: str,
+            mirror: Optional[Tuple[int, Optional[int]]], run, band,
+            owned: Optional[list] = None):
+    """Reduce a table held as sorted pieces of whole runs, in value order.
+
+    load(piece, f) returns f(values) for the piece's sorted values, and
+    `run` maps a function over the pieces (the builtin map, or a pool's).
+    "support" and "rep" take owned, the runs of each piece, and write the
+    support, or the support and its counts, into the int64 outputs, each
+    piece at the offset the runs before it give. "spectrum" merges the
+    pieces' shares of the run-length histogram. "level" merges them too,
+    asks band(hist) for [lo, hi) and has each piece that holds such runs
+    write the values whose run length lies in [lo, hi) at the offset its
+    own share gives. A piece that writes a count other than its share
+    raises RuntimeError. mirror = (n, p) marks a half sub table of n
+    values: its classes c and their negatives -c (p - c in F_p) are both
+    written, and 0, hit n times; its histogram (a class count g is the
+    multiplicity of two values) is folded into that of r_{A-A}.
+    """
     zero = mirror is not None  # a half table writes 0 with count n
     blo = bhi = 0
-    if not count:
-        parts = list(run(_region_spectrum, [flat] * len(starts), starts,
-                         ends))
+    if owned is None:
+        parts = list(run(load, pieces, [_region_spectrum] * len(pieces)))
         hist = _merge_spectra(parts, mirror)
         if reduce == "spectrum":
             return hist
         hist = _trim(hist)
         blo, bhi = band(hist)
-        owned = [_band_count(part, blo, bhi) for part in parts]
+        # the runs of each piece whose length lies in [lo, hi)
+        owned = [int(h[blo:bhi].sum()) + sum(blo <= x < bhi for x in long)
+                 for h, long in parts]
         zero = zero and blo <= mirror[0] < bhi
 
     k = sum(owned)
@@ -386,43 +410,45 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
         if counts is not None:
             counts[at_zero] = n
 
-    def write(lo: int, hi: int, offset: int) -> None:
+    def write(v: np.ndarray, offset: int, share: int) -> None:
         w = w0 = first + offset
-        for c0, c1 in _run_chunks(flat, lo, hi):
-            part = flat[c0:c1]
+        stop = w0 + share
+        for part in _run_chunks(v):
             if reduce == "level":
-                v = _band_runs(part, blo, bhi)
-                vals[w:w + v.size] = v
-                w += v.size
-                continue
-            if part[0] == part[-1]:  # one run
-                vals[w] = part[0]
+                x = _band_runs(part, blo, bhi)
+            elif part[0] == part[-1]:  # one run
+                x, at = part[:1], np.zeros(1, dtype=np.intp)
+            else:
+                new = np.empty(part.size, dtype=bool)  # a run starts here
+                new[0] = True
+                np.not_equal(part[1:], part[:-1], out=new[1:])
+                x = part[new]
                 if counts is not None:
-                    counts[w] = part.size
-                w += 1
-                continue
-            new = np.empty(part.size, dtype=bool)  # a run starts here
-            new[0] = True
-            np.not_equal(part[1:], part[:-1], out=new[1:])
-            v = part[new]
-            vals[w:w + v.size] = v
+                    at = np.flatnonzero(new)
+            w += x.size
+            if w > stop:
+                continue  # past its share a piece only counts
+            vals[w - x.size:w] = x
             if counts is not None:
-                at = np.flatnonzero(new)
-                np.subtract(at[1:], at[:-1], out=counts[w:w + at.size - 1])
-                counts[w + at.size - 1] = part.size - at[-1]
-            w += v.size
+                dst = counts[w - x.size:w]
+                np.subtract(at[1:], at[:-1], out=dst[:-1])
+                dst[-1] = part.size - at[-1]
+        if w != stop:
+            raise RuntimeError(f"a table piece wrote {w - w0} values, its "
+                               f"share is {share}")
         if neg is not None:
             # the negatives of a forward segment, reversed, end at top - offset
             end = top - offset
-            fwd, rev = slice(w0, w), slice(end - (w - w0), end)
+            fwd, rev = slice(w0, w), slice(end - share, end)
             np.subtract(neg, vals[fwd][::-1], out=vals[rev])
             if counts is not None:
                 counts[rev] = counts[fwd][::-1]
 
-    # an owner with nothing in the band has nothing to scan
+    # a piece with nothing in the band has nothing to scan
     busy = [i for i, c in enumerate(owned) if c]
-    list(run(write, [starts[i] for i in busy], [ends[i] for i in busy],
-             [offsets[i] for i in busy]))
+    list(run(load, [pieces[i] for i in busy],
+             [functools.partial(write, offset=offsets[i], share=owned[i])
+              for i in busy]))
     if reduce == "level":
         return hist, vals
     return vals if counts is None else (vals, counts)
@@ -450,12 +476,6 @@ def _merge_spectra(parts: list, mirror) -> np.ndarray:
 def _trim(hist: np.ndarray) -> np.ndarray:
     """hist up to its last nonzero entry ([0] when all are zero)."""
     return hist[:np.flatnonzero(hist)[-1] + 1 if hist.any() else 1]
-
-
-def _band_count(part: Tuple[np.ndarray, list], lo: int, hi: int) -> int:
-    """Runs of one (hist, long) part whose length lies in [lo, hi)."""
-    h, long = part
-    return int(h[lo:hi].sum()) + sum(lo <= x < hi for x in long)
 
 
 class _Term(NamedTuple):
@@ -602,13 +622,12 @@ def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
     The value range is cut into buckets of at most _BUCKET pairs (or the
     pairs of one value, if more) at edges chosen from exact pair counts
     (`_plan`), and into at least two buckets per thread. Each row adds one
-    or two runs of the sorted operand to a bucket (`_bucket_terms`). Each
-    worker gathers, sorts and reduces whole buckets, which hold disjoint
-    values, so no run crosses a bucket and no array is table-sized; a
-    bucket whose gathered size differs from its planned count raises.
-    "level" merges the buckets' histograms, asks band(hist) for [lo, hi),
-    and gathers again only the buckets that hold values hit between lo and
-    hi - 1 times, writing those values in bucket order.
+    or two runs of the sorted operand to a bucket (`_bucket_terms`). The
+    buckets hold disjoint values, so each is a piece of whole runs for
+    `_reduce`, and no array is table-sized: loading a bucket gathers it
+    into one of the workers' buffers and sorts it there, and a bucket whose
+    gathered size differs from its planned count raises. A level set
+    gathers again only the buckets that hold band values.
     """
     terms, lo, hi = _bucket_terms(a, b, op, mod, half, dtype)
     rows = terms[0].shift.size
@@ -619,14 +638,13 @@ def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
     busy = np.flatnonzero(counts)
     buckets = list(zip(edges[busy].tolist(), edges[busy + 1].tolist(),
                        counts[busy].tolist()))
-    mirror = (a.size, mod) if half else None
 
     block = _buffers(min(threads, len(buckets)), int(counts.max()), dtype)
     space = queue.SimpleQueue()
     for buf in block:
         space.put(buf)
 
-    def reduced(reduce_bucket, bucket, *args):
+    def load(bucket, f):
         lo, hi, count = bucket
         buf = space.get()
         try:
@@ -638,44 +656,13 @@ def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
                 raise RuntimeError(f"a value bucket holds {w} pairs, "
                                    f"planned {count}")
             out.sort()
-            return reduce_bucket(out, *args)
+            return f(out)
         finally:
             space.put(buf)
 
-    def level(v, offset, size):
-        w = offset
-        for c0, c1 in _run_chunks(v, 0, v.size):
-            x = _band_runs(v[c0:c1], blo, bhi)
-            vals[w:w + x.size] = x
-            w += x.size
-        if w != offset + size:
-            raise RuntimeError(f"a value bucket wrote {w - offset} band "
-                               f"values, planned {size}")
-
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        run = pool.map if pool else map
-        parts = list(run(reduced, [_spectrum_of] * len(buckets), buckets))
-        hist = _merge_spectra(parts, mirror)
-        if reduce == "spectrum":
-            return hist
-        hist = _trim(hist)
-        blo, bhi = band(hist)
-        owned = [_band_count(part, blo, bhi) for part in parts]
-        vals = np.empty(sum(owned), dtype=np.int64)
-        offsets = np.cumsum([0] + owned[:-1]).tolist()
-        todo = [k for k, c in enumerate(owned) if c]
-        list(run(reduced, [level] * len(todo), [buckets[k] for k in todo],
-                 [offsets[k] for k in todo], [owned[k] for k in todo]))
-    finally:
-        if pool:
-            pool.shutdown()
-    if mirror is None:
-        return hist, vals
-    zero = np.zeros(int(blo <= a.size < bhi), dtype=np.int64)
-    if mod is None:  # [-c..., 0, c...]
-        return hist, np.concatenate((-vals[::-1], zero, vals))
-    return hist, np.concatenate((zero, vals, mod - vals[::-1]))
+    with _pool(threads) as run:
+        return _reduce(buckets, load, reduce, (a.size, mod) if half else None,
+                       run, band)
 
 
 def _buffers(rows: int, width: int, dtype) -> np.ndarray:
@@ -687,11 +674,6 @@ def _buffers(rows: int, width: int, dtype) -> np.ndarray:
     size = rows * width * np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(rows,
                                                                     width)
-
-
-def _spectrum_of(v: np.ndarray) -> Tuple[np.ndarray, list]:
-    """`_region_spectrum` of the whole sorted array v."""
-    return _region_spectrum(v, 0, v.size)
 
 
 def _band_runs(part: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -734,10 +716,10 @@ def _count_runs(part: np.ndarray) -> int:
     return k
 
 
-def _run_chunks(flat: np.ndarray, lo: int,
-                hi: int) -> Iterator[Tuple[int, int]]:
-    """Split flat[lo:hi], whole runs of a sorted table, into pieces of whole
-    runs: at most _CHUNK values each, or a single run of any length."""
+def _run_chunks(piece: np.ndarray) -> Iterator[np.ndarray]:
+    """Split piece, whole runs of a sorted table, into views of whole runs:
+    at most _CHUNK values each, or a single run of any length."""
+    lo, hi = 0, piece.size
     while lo < hi:
         cut = lo + _CHUNK
         if cut >= hi:
@@ -745,27 +727,25 @@ def _run_chunks(flat: np.ndarray, lo: int,
         else:
             # back to the start of the run at cut, or on to the end of the
             # run at lo when that one is longer than a chunk
-            cut = lo + int(np.searchsorted(flat[lo:cut], flat[cut]))
+            cut = lo + int(np.searchsorted(piece[lo:cut], piece[cut]))
             if cut == lo:
-                cut += int(np.searchsorted(flat[lo:hi], flat[lo], "right"))
-        yield lo, cut
+                cut += int(np.searchsorted(piece[lo:], piece[lo], "right"))
+        yield piece[lo:cut]
         lo = cut
 
 
-def _region_spectrum(flat: np.ndarray, lo: int,
-                     hi: int) -> Tuple[np.ndarray, list]:
-    """Run-length histogram of flat[lo:hi], whole runs of a sorted table.
+def _region_spectrum(piece: np.ndarray) -> Tuple[np.ndarray, list]:
+    """Run-length histogram of piece, whole runs of a sorted table.
 
-    Returns (hist, long): hist counts the runs of the pieces that hold
-    several, `long` lists the lengths of the runs that fill a piece alone
-    (of any length, so that hist stays piece-sized). A piece whose equal
+    Returns (hist, long): hist counts the runs of the chunks that hold
+    several, `long` lists the lengths of the runs that fill a chunk alone
+    (of any length, so that hist stays chunk-sized). A chunk whose equal
     adjacent pairs are more than _DENSE of its values takes the run lengths
-    from the run ends, any other piece from those pairs.
+    from the run ends, any other chunk from those pairs.
     """
     hist = np.zeros(2, dtype=np.int64)
     long = []
-    for c0, c1 in _run_chunks(flat, lo, hi):
-        part = flat[c0:c1]
+    for part in _run_chunks(piece):
         if part[0] == part[-1]:
             long.append(part.size)
             continue
@@ -988,13 +968,9 @@ def _discrete_logs(x: np.ndarray, table: _LogTable) -> np.ndarray:
         raise ArithmeticError(f"0 has no discrete log mod {p}")
     # pieces of _LOG_PIECE values keep each worker's temporaries small
     pieces = [x[i:i + _LOG_PIECE] for i in range(0, x.size, _LOG_PIECE)]
-    threads = min(_threads(), len(pieces))
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            logs = list(pool.map(_logs_of, pieces, [table] * len(pieces)))
-    else:
-        logs = [_logs_of(piece, table) for piece in pieces]
-    logs = np.concatenate(logs)
+    with _pool(min(_threads(), len(pieces))) as run:
+        logs = np.concatenate(list(run(_logs_of, pieces,
+                                       [table] * len(pieces))))
     if not (_pow_g(logs, table) == x).all():
         raise ArithmeticError(f"a discrete log mod {p} fails g^L = x")
     return logs

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field, asdict
 from typing import List
 
 from . import __version__
-from .families import FamilySpec, gen_family, prime_with_subgroup
-from .field import ElemSet, GroundField
+from .families import probe_field, probe_set
+from .field import GroundField
 from .repfn import BudgetExceeded
 from .report import ConstraintViolation
 from .verify import DEFAULT_P, LEMMAS, LemmaParams, run_lemma
@@ -55,6 +55,16 @@ class ExperimentConfig:
     out_dir: str = "suite-out"
 
     def validate(self) -> None:
+        for name in ("sizes", "families", "lemmas"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list")
+        ints = [("seed", self.seed), ("sets_per_cell", self.sets_per_cell),
+                ("table_budget", self.table_budget)]
+        for name, value in ints + [("sizes", n) for n in self.sizes]:
+            # bool is an int subclass, but true is no count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must hold integers, got "
+                                  f"{value!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
         if self.sets_per_cell < 1:
@@ -79,6 +89,9 @@ class ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got "
+                              f"{type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -123,30 +136,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _cell_field(config: ExperimentConfig, family: str, n: int) -> GroundField:
-    fld = GroundField.from_string(config.field)
-    if family == "subgroup":
-        if not fld.is_prime_mode:
-            raise ConstraintViolation("subgroup family needs prime mode")
-        if (fld.p - 1) % n != 0:
-            fld = GroundField.prime(prime_with_subgroup(n, near=fld.p))
-    return fld
-
-
-def _gen(family, n, fld, seed) -> ElemSet:
-    return gen_family(FamilySpec(kind=family, n=n, field=fld, start=1,
-                                 base=3, ratio=7, seed=seed))
-
-
 def _run_cell(config: ExperimentConfig, lemma: str, family: str, n: int,
               idx: int) -> List[dict]:
     """One (lemma, family, n, idx) cell -> CSV row dicts + report payloads."""
     seed = cell_seed(config.seed, lemma, family, n, idx)
-    fld = _cell_field(config, family, n)
+    fld = GroundField.from_string(config.field)
+    if family == "subgroup" and not fld.is_prime_mode:
+        raise ConstraintViolation("subgroup family needs prime mode")
+    fld = probe_field(family, n, fld)
     spec = LEMMAS[lemma]
-    sets = spec.draw(_gen(family, n, fld, seed),
-                     lambda size, offset: _gen("random", size, fld,
-                                               seed + offset))
+    sets = spec.draw(probe_set(family, n, fld, seed),
+                     lambda size, offset: probe_set("random", size, fld,
+                                                    seed + offset))
     params = LemmaParams(ceiling=config.fitted_ceiling,
                          slack_c=config.slack_c, floor=config.ratio_floor,
                          budget=config.table_budget, family=family)

@@ -18,7 +18,7 @@ from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
 from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
-from .families import FamilySpec, gen_family, prime_with_subgroup
+from .families import probe_field, probe_set
 from .regularize import (PopularityParams, check_regular, default_slack,
                          popular_sums, regu_iterate, xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
@@ -401,17 +401,14 @@ def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
     cells = []
     for kind in families:
         for size in sizes:
-            cell_p = p
-            if kind == "subgroup" and (p - 1) % size != 0:
-                cell_p = prime_with_subgroup(size, near=p)
-            field = GroundField.prime(cell_p)
+            field = probe_field(kind, size, GroundField.prime(p))
+            cell_p = field.p
             if size > math.isqrt(cell_p) // 2:
                 cells.append({"family": kind, "n": size, "p": cell_p,
                               "status": "skipped: |A| > sqrt(p)/2"})
                 continue
-            spec = FamilySpec(kind=kind, n=size, field=field, start=1,
-                              base=3, ratio=7, seed=seed + size)
-            ratios = sum_product_ratios(gen_family(spec), budget)
+            ratios = sum_product_ratios(
+                probe_set(kind, size, field, seed + size), budget)
             cells.append({"family": kind, "n": size, "p": cell_p,
                           "ratios": ratios, "min": min(ratios.values()),
                           "status": "ok"})

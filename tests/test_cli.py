@@ -89,6 +89,30 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     assert main(["suite", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[]", '"cfg"', "3", "null", '{"sizes": "ab"}', '{"sizes": 16}',
+    '{"families": "ap"}', '{"lemmas": {"main": 1}}', '{"sizes": [16.0]}',
+    '{"sizes": [true]}', '{"seed": "0"}', '{"seed": false}',
+    '{"sets_per_cell": 1.5}', '{"table_budget": "big"}'])
+def test_suite_cli_refuses_malformed_config(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["suite", "--config", str(bad),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_valid_config_keeps_its_digest():
+    from sumprod.suite import ExperimentConfig
+    text = json.dumps({"lemmas": ["main"], "families": ["ap"],
+                       "sizes": [16, 32], "seed": 3, "table_budget": 10**6,
+                       "sets_per_cell": 2})
+    # the digest this config had before its fields were type-checked
+    assert ExperimentConfig.from_json(text).digest() == \
+        "9c987952c6fa4e090e7f7883aaf8108756c2f9f5862a430bb511b9536253232c"
+
+
 @pytest.mark.parametrize("op", ["add", "mul"])
 @pytest.mark.parametrize("k", [4 / 3, 2.0, 4.0])
 @pytest.mark.parametrize("pair", [False, True])

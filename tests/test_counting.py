@@ -187,6 +187,18 @@ def test_f_collision_diagonal_floor(xs, ys, zs):
     assert f_collision_count(X, Y, Z) >= len(X) * len(Y) * len(Z)
 
 
+@pytest.mark.parametrize("F", [GroundField.prime(101), GroundField.char0()])
+def test_tautological_budget_message(F):
+    # the pair-popularity grids are refused by the rule and message of
+    # every other table
+    from sumprod import BudgetExceeded
+    B = ElemSet(F, range(1, 11))
+    with pytest.raises(BudgetExceeded, match=r"^10x10 pairs exceed budget 99$"):
+        tautological_count(B, B, B, budget=99)
+    assert tautological_count(B, B, B, budget=100) == \
+        naive_tautological(B, B, B)
+
+
 def test_energy_equiv_budget(c0):
     from sumprod import BudgetExceeded
     with pytest.raises(BudgetExceeded):

@@ -65,6 +65,15 @@ def test_set_ops(c0):
     assert sorted(a.remove_zero()) == [1, 2]
 
 
+@pytest.mark.parametrize("F", [GroundField.prime(101), GroundField.char0()])
+def test_issubset_of_empty_set(F):
+    empty = ElemSet.empty(F)
+    assert not ElemSet(F, [1]).issubset(empty)
+    assert not ElemSet(F, [0, 5]).issubset(empty)
+    assert empty.issubset(empty)
+    assert empty.issubset(ElemSet(F, [1]))
+
+
 def test_field_mismatch_guard(c0):
     from sumprod import combine
     a = ElemSet(c0, [1])

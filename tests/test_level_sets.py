@@ -468,3 +468,50 @@ def test_level_peak_memory_is_table_plus_selection(threads):
             lambda: dyadic_extract(rep_function(A, B, "sub"), 2))
         assert old == sl
         assert peak > bound(hist, len(sl.support))
+
+
+@pytest.mark.parametrize("fault", ["drop", "extra"])
+@pytest.mark.parametrize("route,op", [("rows-1", "mul"), ("rows-1", "sub"),
+                                      ("rows-2", "mul"), ("buckets-1", "sub"),
+                                      ("buckets-2", "add")])
+def test_piece_writing_other_than_its_share_raises(route, op, fault):
+    # a level piece that writes fewer or more band values than its share of
+    # the histogram raises, on the row split (a half sub table with its
+    # mirror too) and on the value buckets alike
+    F = GroundField.prime(101)
+    A = random_set(F, 60, seed=3)
+    B = A if op == "sub" else random_set(F, 40, seed=4)
+    real = repfn._band_runs
+
+    def faulty(part, lo, hi):
+        x = real(part, lo, hi)
+        return x[1:] if fault == "drop" else np.concatenate((x, x[:1]))
+
+    kernel, threads = route.split("-")
+    # one thread splits no rows below _PARALLEL_MIN; above it, add/sub
+    # level sets take the buckets
+    sizes = {"_BUCKET": 50} if kernel == "buckets" else \
+        {"_PARALLEL_MIN": 0 if threads == "2" else 1 << 40}
+    with forced_threads(int(threads)), mock.patch.multiple(repfn, **sizes), \
+            mock.patch.object(repfn, "_band_runs", faulty), \
+            mock.patch.object(repfn, "_bucket_table",
+                              wraps=repfn._bucket_table) as buckets, \
+            mock.patch.object(repfn, "ThreadPoolExecutor",
+                              wraps=repfn.ThreadPoolExecutor) as pool:
+        with pytest.raises(RuntimeError, match="share"):
+            _table(A, B, op, "level", lambda h: (1, h.size))
+    assert buckets.called == (kernel == "buckets")
+    assert pool.called == (threads == "2")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("reduce", ["rep", "support"])
+def test_row_piece_writing_other_than_its_runs_raises(threads, reduce):
+    # a slice whose run count is off by one writes other than its share
+    F = GroundField.prime(101)
+    A = random_set(F, 60, seed=3)
+    real = repfn._count_runs
+    with forced_threads(threads), mock.patch.object(
+            repfn, "_count_runs", lambda part: real(part) + 1):
+        with pytest.raises(RuntimeError, match="share"):
+            _table(A, random_set(F, 40, seed=4), "mul", reduce)

@@ -25,7 +25,7 @@ FORCED = {"default": repfn._DENSE, "run ends": -1.0, "adjacencies": 2.0}
 def spectrum_of(flat, chunk):
     """The whole histogram of a sorted array, from `_region_spectrum`."""
     with mock.patch.object(repfn, "_CHUNK", chunk):
-        hist, long = _region_spectrum(flat, 0, flat.size)
+        hist, long = _region_spectrum(flat)
     for length in long:
         if length >= hist.size:
             hist = np.pad(hist, (0, length + 1 - hist.size))
