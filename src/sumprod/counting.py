@@ -11,18 +11,22 @@ from typing import Optional
 
 import numpy as np
 
+from .energy import _spectrum_moment
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, _check_budget, _exact_dot, _grid,
-                    _in_grid, _int_fast_ok, _packed_sort, _sorted_lookup,
-                    rep_function, table_budget)
+from .repfn import (BudgetExceeded, _check_budget, _check_mass, _exact_dot,
+                    _grid, _in_grid, _int_fast_ok, _sorted_lookup,
+                    _sorted_table, rep_function, table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
                       budget: Optional[int] = None) -> int:
     """|{(x1,x2,y1,y2,z1,z2): x1(y1+z1) = x2(y2+z2)}| over X^2 x Y^2 x Z^2.
 
-    Computed as sum of m(v)^2 where m is the multiplicity table of
-    f(x,y,z) = x(y+z) on X x Y x Z. Requires 0 not in X, Y, Z.
+    Computed as sum of m(v)^2 = sum m^2 hist[m] over the spectrum of the
+    pair table X x (Y+Z), Y+Z the multiset of the |Y||Z| sums, built by the
+    int kernel where `_int_fast_ok` takes add on (Y, Z) and mul on (X,
+    sums); else by one exact Counter over the triples. Requires 0 not in
+    X, Y, Z.
     """
     for name, S in (("X", X), ("Y", Y), ("Z", Z)):
         if 0 in S:
@@ -36,30 +40,17 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     if len(X) == 0 or len(Y) == 0 or len(Z) == 0:
         return 0
 
-    # m(v) = sum over s in Y+Z of r_{Y+Z}(s) * [x*s = v]; contract via the
-    # multiset X x multiset(Y+Z)
-    sums = rep_function(Y, Z, "add", budget=budget)
     field = X.field
-    packed = None
-    if _int_fast_ok(field, "mul", X.ints, sums.values):
-        # one sort of the products, each packed with its sum's index
-        packed = _packed_sort(_grid(X.ints, sums.values, "mul", field.p))
-    if packed is not None:
-        flat, bits, _ = packed
-        prods = flat >> bits
-        weights = sums.counts[flat & ((1 << bits) - 1)]
-        start = np.empty(prods.size, dtype=bool)  # a run of equal v starts
-        start[0] = True
-        np.not_equal(prods[1:], prods[:-1], out=start[1:])
-        # m(v) sums the int64 weights of one run: at most |X||Y||Z|
-        m = np.add.reduceat(weights, np.flatnonzero(start))
-    else:  # exact objects, or char0 products too far apart to pack
-        table = Counter()
-        for x in X:
-            for s, c in sums.items():
-                table[field.mul(x, s)] += c
-        m = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    return _exact_dot(m, m)
+    if _int_fast_ok(field, "add", Y.ints, Z.ints):
+        # the multiset Y+Z: one sum per pair (y, z)
+        sums = _grid(Y.ints, Z.ints, "add", field.p).ravel()
+        if _int_fast_ok(field, "mul", X.ints, sums):
+            hist = _sorted_table(X.ints, sums, "mul", field.p, False,
+                                 "spectrum")
+            _check_mass(hist, len(X), sums.size, "spectrum")
+            return _spectrum_moment(hist, 2).value
+    m = Counter(field.mul(x, field.add(y, z)) for x in X for y in Y for z in Z)
+    return sum(c * c for c in m.values())
 
 
 def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,

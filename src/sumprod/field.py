@@ -150,7 +150,7 @@ class GroundField:
         raise ParseError(f"cannot parse field spec {text!r}")
 
 
-_INT64_MAX = 2**62  # headroom so a+b / a*b never overflows in the kernels
+_INT64_MAX = 2**62  # so a+b fits int64; `_int_fast_ok` bounds a*b's operands
 
 
 class ElemSet:

@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -179,6 +179,7 @@ class RegularDecomposition:
     k: float
     a_size: int
     rounds: int
+    energy_value: Union[int, float]  # E_k(B), exact for integer k
     energy_ratio: float       # E_k(B) / (|S_tau| tau^k)
     r_ratio_min: float        # min over C of r_{S+B}(c)|A| / (|S|tau)
     r_ratio_max: float
@@ -259,7 +260,7 @@ def _finish_decomposition(A: ElemSet, B: ElemSet, C: ElemSet, S: ElemSet,
     ratios = rc.astype(np.float64) * scale
     return RegularDecomposition(
         B=B, C=C, S_tau=S, tau=tau, op=op, k=k, a_size=n, rounds=rounds,
-        energy_ratio=float(e_val) / denom,
+        energy_value=e_val, energy_ratio=float(e_val) / denom,
         r_ratio_min=float(ratios.min(initial=np.inf)),
         r_ratio_max=float(ratios.max(initial=0.0)),
         notes=notes)

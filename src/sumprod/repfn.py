@@ -793,22 +793,20 @@ def _sorted_lookup(arr: np.ndarray,
     return idx, arr[idx] == vals
 
 
-def _packed_sort(grid: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
-    """(P, bits, base): the keys of grid packed with their column j as
-    (grid[i, j] - base) << bits | j, base = grid.min(), in one sorted int64
+def _packed_sort(keys: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
+    """(P, bits, base): the flat keys packed with their index i as
+    (keys[i] - base) << bits | i, base = keys.min(), in one sorted int64
     array; None when the keys' range does not fit the 63 - bits bits left.
-    grid (nonempty) is overwritten."""
-    cols = grid.shape[1]
-    bits = max(1, (cols - 1).bit_length())
-    base = int(grid.min())
-    if (int(grid.max()) - base + 1) >> (63 - bits):
+    keys (nonempty) are overwritten."""
+    bits = max(1, (keys.size - 1).bit_length())
+    base = int(keys.min())
+    if (int(keys.max()) - base + 1) >> (63 - bits):
         return None
-    np.subtract(grid, base, out=grid)
-    grid <<= bits
-    grid |= np.arange(cols)
-    packed = grid.ravel()
-    packed.sort()
-    return packed, bits, base
+    np.subtract(keys, base, out=keys)
+    keys <<= bits
+    keys |= np.arange(keys.size)
+    keys.sort()
+    return keys, bits, base
 
 
 def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
@@ -817,12 +815,12 @@ def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
 
     Inputs `_int_fast_ok` accepts (S is only looked up, so it needs int
     values only) build the grid with `_grid`, without a 0 of Y for div.
-    Its keys are packed with their flat index (`_packed_sort` on the grid
-    as one row) and sorted once: the keys equal to a value of S form one
-    block, found by two ascending searches of S's values, and the indices
-    in the blocks, or outside them when those are fewer, are marked. Int
-    keys too far apart to pack take one plain `_sorted_lookup`; every other
-    input takes the field's exact ops.
+    Its keys are packed with their flat index (`_packed_sort`) and sorted
+    once: the keys equal to a value of S form one block, found by two
+    ascending searches of S's values, and the indices in the blocks, or
+    outside them when those are fewer, are marked. Int keys too far apart
+    to pack take one plain `_sorted_lookup`; every other input takes the
+    field's exact ops.
     """
     field = X.field
     x, y, s = X.ints, Y.ints, S.ints
@@ -837,7 +835,7 @@ def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
     zero = int(op == "div" and y.size > 0 and y[0] == 0)
     y = y[zero:]
     grid = _grid(x, y, op, field.p)
-    packed = _packed_sort(grid.reshape(1, -1)) if grid.size else None
+    packed = _packed_sort(grid.ravel()) if grid.size else None
     if packed is None:
         hits = _sorted_lookup(s, grid)[1]
     else:
@@ -1107,6 +1105,13 @@ def _check_budget(n: int, m: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(f"{n}x{m} pairs exceed budget {budget}")
 
 
+def _check_mass(hist: np.ndarray, n: int, m: int, reduce: str) -> None:
+    """Raise ArithmeticError unless the histogram holds the n*m pairs."""
+    mass = _exact_dot(np.arange(hist.size), hist)
+    if mass != n * m:
+        raise ArithmeticError(f"{reduce} mass {mass} != {n}x{m} pairs")
+
+
 def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
            budget: Optional[int] = None):
     """The table of a ∘ b over A x B, reduced: every pair table is built here.
@@ -1117,8 +1122,7 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     to the exact object table. Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
-      "spectrum"  hist[m] = #{x : r(x) = m}; the int path checks that it
-                  holds the |A||B∖{0}| pairs;
+      "spectrum"  hist[m] = #{x : r(x) = m};
       "level"     (hist, S): hist trimmed to the largest multiplicity (an
                   empty table's is [0]) and S = {x : lo <= r(x) < hi}, with
                   [lo, hi) = band(hist).
@@ -1161,9 +1165,7 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
             if reduce == "rep":
                 return RepFn(field, op, *out, excluded, n, rhs)
         hist = out if reduce == "spectrum" else out[0]
-        mass = _exact_dot(np.arange(hist.size), hist)
-        if mass != n * m:
-            raise ArithmeticError(f"{reduce} mass {mass} != {n}x{m} pairs")
+        _check_mass(hist, n, m, reduce)
         if reduce == "level":
             return hist, ElemSet._from_sorted_array(field, out[1])
         return hist

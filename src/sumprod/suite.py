@@ -65,6 +65,10 @@ class ExperimentConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must hold integers, got "
                                   f"{value!r}")
+        for name in ("slack_c", "fitted_ceiling", "ratio_floor"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
         if self.sets_per_cell < 1:
@@ -199,7 +203,7 @@ def run_suite(config: ExperimentConfig) -> RunManifest:
                         _unfinished(rows, statuses, lemma, family, n, key,
                                     "skip", exc)
                         continue
-                    except (ValueError, ArithmeticError) as exc:
+                    except (ValueError, ArithmeticError, RuntimeError) as exc:
                         _unfinished(rows, statuses, lemma, family, n, key,
                                     "error", exc)
                         continue

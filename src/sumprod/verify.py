@@ -125,7 +125,7 @@ def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
                        budget: Optional[int] = None) -> VerificationReport:
     """Mixed energy products E_4(B) E_k(C,U)^(4/k) against |A|^7 |U|^(1+4/k).
 
-    B and C come from the regularization of A under the op of E_4(B).
+    B, C and E_4(B) come from the regularization of A under E_4's op.
     """
     t0 = time.perf_counter()
     if variant not in MIXED_VARIANTS:
@@ -161,7 +161,7 @@ def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
     if len(C) == 0:
         raise ValueError("regularization degenerate: empty C")
 
-    lhs = int(energy(B, B, 4, bop, budget=budget).value) \
+    lhs = int(d.energy_value) \
         * int(energy(C, U, k, cop, budget=budget).value) ** power
     rhs = n ** 7 * len(U) ** (power + 1)
 

@@ -93,7 +93,9 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     "[]", '"cfg"', "3", "null", '{"sizes": "ab"}', '{"sizes": 16}',
     '{"families": "ap"}', '{"lemmas": {"main": 1}}', '{"sizes": [16.0]}',
     '{"sizes": [true]}', '{"seed": "0"}', '{"seed": false}',
-    '{"sets_per_cell": 1.5}', '{"table_budget": "big"}'])
+    '{"sets_per_cell": 1.5}', '{"table_budget": "big"}', '{"slack_c": "x"}',
+    '{"fitted_ceiling": "x", "lemmas": ["kmps"]}',
+    '{"ratio_floor": null, "lemmas": ["main"]}', '{"slack_c": true}'])
 def test_suite_cli_refuses_malformed_config(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

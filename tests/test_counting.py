@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,7 +13,8 @@ from sumprod import counting, repfn
 from sumprod.counting import _pair_popularity_square_sum
 from sumprod.families import subgroup_of_order
 
-from conftest import P31, edge_values, pair_popularity_case, pair_table_case
+from conftest import (P31, edge_values, forced_threads, pair_popularity_case,
+                      pair_table_case, random_set, traced_peak)
 from oracles import (naive_bilinear, naive_f_collision, naive_pair_popularity,
                      naive_tautological)
 
@@ -208,26 +210,93 @@ def test_energy_equiv_budget(c0):
 
 
 
-@pytest.mark.parametrize("M, fits", [((1 << 30) - 1, True), (1 << 30, False)])
-def test_f_collision_on_both_sides_of_the_packing_limit(M, fits):
-    # four sums y + z pack their index in 2 bits, so the products x(y+z)
-    # must span fewer than 2^61 - 1 values: +-M(M+1) spans 2^61 - 2^31 for
-    # M = 2^30 - 1, and 2^61 + 2^31 for M = 2^30, which takes the exact
-    # Counter route
-    C0 = GroundField.char0()
-    X, Y, Z = ElemSet(C0, [M, -M]), ElemSet(C0, [M, 1]), ElemSet(C0, [-1, 1])
-    routes = []
-    real = counting._packed_sort
-
-    def spy(grid):
-        out = real(grid)
-        routes.append(out is not None)
-        return out
-
-    with mock.patch.object(counting, "_packed_sort", spy), \
+def collision_route(X, Y, Z):
+    """(f_collision_count(X, Y, Z), whether it took the int kernel)."""
+    with mock.patch.object(counting, "_sorted_table",
+                           wraps=repfn._sorted_table) as kernel, \
             mock.patch.object(counting, "Counter",
                               wraps=counting.Counter) as counter:
         got = f_collision_count(X, Y, Z)
-    assert routes == [fits]
-    assert counter.call_count == (not fits)
+    assert kernel.call_count + counter.call_count == 1
+    return got, kernel.call_count == 1
+
+
+@pytest.mark.parametrize("M, fits", [((1 << 30) - 1, True), (1 << 30, False)])
+def test_f_collision_on_both_sides_of_the_packing_limit(M, fits):
+    # the limit is the int kernel's char0 mul bound |x|, |y+z| < 2^31. With
+    # E = M + 2^30, at 2^31 - 1 for the first M and at 2^31 for the second,
+    # a sum y + z = +-E and an x = +-E each sit on the kernel's side of it
+    # (fits) or on the exact Counter's. The triple with +-M(M+1) among its
+    # products stays on the kernel's side for both M.
+    C0 = GroundField.char0()
+    E = M + (1 << 30)
+    inside = (ElemSet(C0, [M, -M]), ElemSet(C0, [M, 1]), ElemSet(C0, [-1, 1]))
+    edge = [(ElemSet(C0, [1, 3, -2]), ElemSet(C0, [M, 1, -M]),
+             ElemSet(C0, [1 << 30, -(1 << 30), -1])),
+            (ElemSet(C0, [E, -E, 2]), ElemSet(C0, [M, 1, -1]),
+             ElemSet(C0, [-1, 1, 2])),
+            (ElemSet(C0, [E, 1]), ElemSet(C0, [M, 1]), ElemSet(C0, [1 << 30]))]
+    for sets, on_kernel in [(inside, True)] + [(e, fits) for e in edge]:
+        got, kernel = collision_route(*sets)
+        assert kernel == on_kernel
+        assert got == counted_f_collision(*sets)
+
+
+def collision_cases(F, order):
+    """Random X with 0 in Y+Z, AP Y and Z, and a subgroup with two cosets,
+    over the prime field F."""
+    p = F.p
+    H = subgroup_of_order(p, order)
+    ap = ElemSet(F, range(1, 31))
+    return [(random_set(F, 20, 1, lo=1),
+             ElemSet(F, [1, 2, 5, 7, 11, 13]),
+             ElemSet(F, [p - 1, p - 7, 3, 4, 9])),
+            (random_set(F, 9, 2, lo=1), ap, ap),
+            (H, ElemSet(F, [2 * h for h in H]), ElemSet(F, [3 * h for h in H]))]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("p, order", [(101, 20), (P31, 31)])
+def test_f_collision_kernel_on_forced_threads(p, order, threads):
+    # the row split of X x (Y+Z) on 1, 2 and 3 threads, in pieces of at
+    # most 64 values, counts what every triple gives
+    for X, Y, Z in collision_cases(GroundField.prime(p), order):
+        with forced_threads(threads):
+            got, kernel = collision_route(X, Y, Z)
+        assert kernel
+        assert got == counted_f_collision(X, Y, Z)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_f_collision_spectrum_fault_raises(threads):
+    # a spectrum that lost one run no longer holds |X||Y||Z| triples
+    real = repfn._region_spectrum
+
+    def drop_one(piece):
+        hist, long = real(piece)
+        if long:
+            return hist, long[1:]
+        hist = hist.copy()
+        hist[np.flatnonzero(hist)[-1]] -= 1
+        return hist, long
+
+    F = GroundField.prime(101)
+    X, Y, Z = collision_cases(F, 20)[0]
+    with forced_threads(threads), \
+            mock.patch.object(repfn, "_region_spectrum", drop_one), \
+            pytest.raises(ArithmeticError, match="spectrum mass"):
+        f_collision_count(X, Y, Z)
+
+
+def test_f_collision_peak_is_four_bytes_a_triple():
+    # random 128^3 over F_p fills the row split's int32 table on every core:
+    # 4 bytes a triple, the int64 sums, and per thread one row block of
+    # products and the reducer's chunk buffers
+    F = GroundField.prime(P31)
+    X, Y, Z = (random_set(F, 128, seed, lo=1) for seed in (31, 32, 33))
+    triples, sums = 128 ** 3, 128 ** 2
+    assert triples >= repfn._PARALLEL_MIN
+    got, peak = traced_peak(lambda: f_collision_count(X, Y, Z))
+    buffers = repfn._threads() * (16 * repfn._BLOCK + 64 * repfn._CHUNK)
+    assert peak <= 4 * triples + 8 * sums + buffers + (1 << 16)
     assert got == counted_f_collision(X, Y, Z)

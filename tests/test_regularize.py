@@ -200,6 +200,7 @@ def test_xue_outputs_match_recomputation(op, case, k, rounds):
     shift = "sub" if op == "add" else "div"
 
     e = energy(d.B, d.B, k, op)
+    assert d.energy_value == e.value
     assert d.energy_ratio == float(e.value) / (len(S) * tau ** k)
     scale = n / (len(S) * tau)
     ratios = [c * scale for c in naive_membership_counts(d.C, d.B, S, shift)]

@@ -1,9 +1,11 @@
 import csv
 import json
+from unittest import mock
 
 import pytest
 
-from sumprod import ExperimentConfig, run_suite
+from sumprod import ExperimentConfig, repfn, run_suite
+from sumprod.cli import main
 from sumprod.suite import CSV_COLUMNS, ConfigError, cell_seed
 
 
@@ -60,6 +62,26 @@ def test_budget_overrun_is_a_skip_row(tmp_path, overrides):
     rows = _read_csv(out / "suite.csv")
     assert len(rows) == len(cells)
     assert sum(r["pass"] == "skip" for r in rows) == len(skipped)
+
+
+def test_kernel_integrity_failure_is_an_error_row(tmp_path):
+    # a level piece that writes other than its share raises RuntimeError in
+    # the kernel: the cell is an error row, and the CSV and the manifest
+    # are still written
+    real = repfn._band_runs
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lemmas": ["regular"], "families": ["random"],
+                               "sizes": [64]}))
+    with mock.patch.object(repfn, "_band_runs",
+                           lambda part, lo, hi: real(part, lo, hi)[1:]):
+        code = main(["suite", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    cells = json.load(open(out / "manifest.json"))["cells"]
+    assert [c["status"] for c in cells] == ["error"]
+    assert "share" in cells[0]["note"]
+    rows = _read_csv(out / "suite.csv")
+    assert [r["pass"] for r in rows] == ["error"]
 
 
 def test_config_errors():

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import pytest
 
 from sumprod import (ConstraintViolation, ElemSet, GroundField,
                      VerificationReport, check_kmps, check_mixed_energy,
                      check_pluennecke, check_rss_proposition, check_sdz,
-                     main_theorem_probe, p_constraint_check)
+                     energy, main_theorem_probe, p_constraint_check, verify,
+                     xue_regularize)
 
 from conftest import random_set
 
@@ -270,3 +273,19 @@ def test_rss_degenerate_reports(c0, variant):
         rep = check_rss_proposition(A, variant).to_dict()
     rep.pop("elapsed_ms")
     assert rep == dict(want, notes="degenerate: empty dyadic support")
+
+
+@pytest.mark.parametrize("variant", ["E4+E2x", "E4xE2+", "E4xE4+", "E4+E4x"])
+def test_mixed_energy_takes_e4_from_the_decomposition(variant):
+    # E_4(B) is read off the table of the decomposition's winning round:
+    # the only energy the check builds itself is E_k(C, U)
+    F = GroundField.prime(2**31 - 1)
+    A, U = random_set(F, 48, seed=5), random_set(F, 16, seed=6)
+    with mock.patch.object(verify, "energy", wraps=verify.energy) as spy:
+        rep = check_mixed_energy(A, U, variant)
+    bop, cop, k = verify.MIXED_VARIANTS[variant]
+    assert [c.args[2:4] for c in spy.call_args_list] == [(k, cop)]
+    d = xue_regularize(A, 4, bop)
+    e4 = energy(d.B, d.B, 4, bop).value
+    assert d.energy_value == e4
+    assert rep.lhs == float(e4 * energy(d.C, U, k, cop).value ** (4 // k))
