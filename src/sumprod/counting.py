@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import _spectrum_moment
+from .energy import _TABLE_OP, _spectrum_moment
 from .field import ElemSet, FieldMismatch
 from .repfn import (BudgetExceeded, _check_budget, _check_mass, _exact_dot,
                     _grid, _in_grid, _int_fast_ok, _sorted_lookup,
@@ -108,7 +108,7 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
 
     popular = _in_grid(F, B, op, P).astype(np.float64)
     g = popular @ popular.T
-    gi = g[_in_grid(F, F, "sub" if op == "add" else "div", D)]
+    gi = g[_in_grid(F, F, _TABLE_OP[op], D)]
     gi = gi.astype(np.int64)
     return _exact_dot(gi, gi)
 

@@ -16,8 +16,9 @@ from .setalgebra import combine
 
 ENERGY_OPS = ("add", "mul")
 
-# table op realising the energy: additive energy sums r_{A-B}^k, multiplicative
-# sums r_{A/B}^k
+# the difference (ratio) table op of add (mul): additive energy sums
+# r_{A-B}^k, multiplicative r_{A/B}^k, and r_{S+B}(c) counts the b with c - b
+# in S (c/b in S for mul)
 _TABLE_OP = {"add": "sub", "mul": "div"}
 
 

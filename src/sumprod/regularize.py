@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .field import ElemSet
-from .energy import dyadic_slice, energy
+from .energy import _TABLE_OP, dyadic_slice, energy
 from .repfn import _in_grid, _int_fast_ok, _table
 from .report import VerificationReport
 
@@ -51,7 +51,8 @@ def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
+def popular_sums(A: ElemSet, eps, op: str = "add",
+                 budget: Optional[int] = None) -> ElemSet:
     """P_A = {x in A∘A : r_{A∘A}(x) >= eps * |A|^2 / |A∘A|}, exact threshold."""
     if len(A) == 0:
         raise ValueError("popular set of an empty set")
@@ -63,7 +64,7 @@ def popular_sums(A: ElemSet, eps, op: str = "add") -> ElemSet:
             if support else 1
         return max(1, cutoff), hist.size
 
-    return _table(A, A, op, "level", band)[1]
+    return _table(A, A, op, "level", band, budget)[1]
 
 
 def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
@@ -96,12 +97,13 @@ def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
 
 
 def popularity_rule(A: ElemSet, eps, theta=Fraction(2, 3),
-                    rule: str = "popular-sums") -> ElemSet:
+                    rule: str = "popular-sums",
+                    budget: Optional[int] = None) -> ElemSet:
     """R_eps(A) = {a in A : |{b in A : a∘b in P_A}| >= theta |A|}."""
     if len(A) == 0:
         raise ValueError("popularity rule on an empty set")
     op = _RULE_OPS[rule]
-    P = popular_sums(A, eps, op=op)
+    P = popular_sums(A, eps, op, budget)
     good = _membership_counts(A, A, P, op)
     need = _ceil_fraction(Fraction(theta) * len(A))
     keep = [a for a, c in zip(A, good.tolist()) if c >= need]
@@ -123,7 +125,9 @@ class ReguCertificate:
 
 def regu_iterate(A: ElemSet, s: float = 4 / 3,
                  params: Optional[PopularityParams] = None,
-                 rule: str = "popular-sums") -> Tuple[ElemSet, ReguCertificate]:
+                 rule: str = "popular-sums",
+                 budget: Optional[int] = None
+                 ) -> Tuple[ElemSet, ReguCertificate]:
     """Find B ⊆ A with |B| >= (1-c1)|A| whose energy survives one more refinement.
 
     Iterates X -> R_eps(X) while E_s drops by more than a factor 1/2, keeping
@@ -142,15 +146,15 @@ def regu_iterate(A: ElemSet, s: float = 4 / 3,
     min_size = (1 - params.c1) * len(A)
 
     X = A
-    ex = float(energy(X, X, s, energy_op).value)
+    ex = float(energy(X, X, s, energy_op, budget=budget).value)
     best = None  # (c2, B, refined, round)
     max_rounds = math.ceil(math.log2(len(A)))
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        Y = popularity_rule(X, eps, params.theta, rule)
+        Y = popularity_rule(X, eps, params.theta, rule, budget)
         if len(Y) == 0:
             break
-        ey = float(energy(Y, Y, s, energy_op).value)
+        ey = float(energy(Y, Y, s, energy_op, budget=budget).value)
         c2 = ey / ex
         if best is None or c2 > best[0]:
             best = (c2, X, Y, rounds)
@@ -186,12 +190,6 @@ class RegularDecomposition:
     notes: str = ""
 
 
-def _shift_op(op: str) -> str:
-    # r_{S+B}(c) = #{b : c - b in S} (resp. #{b : c/b in S} in mul mode); the
-    # same op builds r_{B-B} (resp. r_{B/B}), whose level set is S
-    return "sub" if op == "add" else "div"
-
-
 def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
                    budget: Optional[int] = None) -> RegularDecomposition:
     """Iteratively extract (B, C, S_tau, tau) with concentrated E_k(B).
@@ -213,7 +211,7 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
 
     if n < 4:
         sl = dyadic_slice(A, A, k, op, budget)
-        rc = _membership_counts(A, A, sl.support, _shift_op(op))
+        rc = _membership_counts(A, A, sl.support, _TABLE_OP[op])
         return _finish_decomposition(A, A, A, sl.support, sl.t, op, k, 0,
                                      sl.energy_value, rc,
                                      notes="degenerate |A| < 4")
@@ -226,7 +224,7 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
             break
         sl = dyadic_slice(cand, cand, k, op, budget)
         S, tau = sl.support, sl.t
-        rc = _membership_counts(cand, cand, S, _shift_op(op))
+        rc = _membership_counts(cand, cand, S, _TABLE_OP[op])
         # rc sums to sum_{s in S} r(s) >= |S| tau over <= n candidates, so
         # max(rc) >= |S| tau / n >= cutoff: C is never empty
         cutoff = max(1, _ceil_fraction(Fraction(len(S) * tau, 2 * n * L)))
@@ -301,7 +299,7 @@ def check_regular(d: RegularDecomposition, A: ElemSet, k: float,
     ok_a = len(d.C) * K >= n and len(d.B) * K >= n and len(d.C) > 0
     ok_b = lower_exact and ratio_b <= K
 
-    rc = _membership_counts(d.C, d.B, d.S_tau, _shift_op(d.op))
+    rc = _membership_counts(d.C, d.B, d.S_tau, _TABLE_OP[d.op])
     scale = n / (len(d.S_tau) * d.tau)
     ratios = rc.astype(np.float64) * scale
     ok_c = bool(len(ratios) and (ratios >= 1 / K).all() and (ratios <= K).all())

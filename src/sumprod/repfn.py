@@ -10,17 +10,19 @@ The hot path (prime mode / int-valued sets) has two producers of sorted
 pieces of whole runs, in value order, and one reducer, `_reduce`, that
 turns them into what the caller asks for: the support, the support with its
 counts, the run-length histogram ("spectrum") or one level set
-{x : lo <= r(x) < hi} with the histogram it was chosen from ("level"). The
-row split (`_sort_reduce`) streams A x B in row blocks into one flat array,
-sorted in slices on every usable core; runs that cross the slice seams are
-stitched, so the results are those of one thread. A large add/sub table
-that reduces to a spectrum or a level set is never held whole: its value
-range is cut into buckets of at most _BUCKET pairs, and each bucket is
-gathered from runs of the sorted operand and sorted on its own
-(`_bucket_table`). Div spectra and level sets of large tables take the same
-route over discrete logs. This is what makes fourth-moment energies of
-10^4-element sets take seconds in bounded memory. Rational or oversized
-values fall back to an exact Counter.
+{x : lo <= r(x) < hi} with the histogram it was chosen from ("level").
+`_reduce` works out each piece's share itself, and one run scan
+(`_run_starts`) writes supports, counts and level sets alike. The row split
+(`_sort_reduce`) streams A x B in row blocks into one flat array, sorted in
+slices on every usable core; runs that cross the slice seams are stitched,
+so the results are those of one thread. A large add/sub table that reduces
+to a spectrum or a level set is never held whole: its value range is cut
+into buckets of at most _BUCKET pairs, and each bucket is gathered from
+runs of the sorted operand and sorted on its own (`_bucket_table`). Div
+spectra and level sets of large tables take the same route over discrete
+logs. This is what makes fourth-moment energies of 10^4-element sets take
+seconds in bounded memory. Rational or oversized values fall back to an
+exact Counter.
 
 Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
 `_in_grid`: the membership counts of `regularize` and the pair-popularity
@@ -327,61 +329,56 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     """Sort flat's slices edges[i]:edges[i+1] in place and `_reduce` them.
 
     Every value of a slice is <= every value of the next, and `run` maps a
-    function over the slices (the builtin map, or a pool's). The worker
-    that sorts a slice also counts its runs for "support" and "rep". The
-    seams are stitched here: a slice whose first value equals the last
-    value of the previous non-empty slice continues that run, so each run
-    belongs to the slice it starts in, even a run that spans several
-    slices. The owners' ranges, from each first own run start up to the
-    next owner's, are the pieces `_reduce` gets, as views of flat.
+    function over the slices (the builtin map, or a pool's). The seams are
+    stitched here: a slice whose first value equals the last value of the
+    previous non-empty slice continues that run, so each run belongs to
+    the slice it starts in, even a run that spans several slices. The
+    owners' ranges, from each first own run start up to the next owner's,
+    are the pieces `_reduce` gets, as views of flat.
     """
-    count = reduce in ("support", "rep")
+    def sort(lo: int, hi: int) -> None:
+        flat[lo:hi].sort()  # SIMD introsort; much faster than radix here
 
-    def sort(lo: int, hi: int) -> int:
-        part = flat[lo:hi]
-        part.sort()  # SIMD introsort; much faster than radix here
-        return _count_runs(part) if count else 0
-
-    runs = list(run(sort, edges[:-1], edges[1:]))
-    starts, owned = [], []  # first own run start and own runs per owner
+    list(run(sort, edges[:-1], edges[1:]))
+    starts = []  # first own run start per owner
     prev = None  # last value of the previous non-empty slice
-    for lo, hi, k in zip(edges[:-1], edges[1:], runs):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         if lo == hi:
             continue
         if prev is not None and flat[lo] == prev:
             lo += int(np.searchsorted(flat[lo:hi], prev, "right"))
-            k -= 1
         prev = flat[hi - 1]
         if lo < hi:
             starts.append(lo)
-            owned.append(k)
     pieces = [flat[lo:hi] for lo, hi in zip(starts, starts[1:] + [flat.size])]
     return _reduce(pieces, lambda piece, f: f(piece), reduce, mirror, run,
-                   band, owned if count else None)
+                   band)
 
 
 def _reduce(pieces: list, load, reduce: str,
-            mirror: Optional[Tuple[int, Optional[int]]], run, band,
-            owned: Optional[list] = None):
+            mirror: Optional[Tuple[int, Optional[int]]], run, band):
     """Reduce a table held as sorted pieces of whole runs, in value order.
 
     load(piece, f) returns f(values) for the piece's sorted values, and
     `run` maps a function over the pieces (the builtin map, or a pool's).
-    "support" and "rep" take owned, the runs of each piece, and write the
-    support, or the support and its counts, into the int64 outputs, each
-    piece at the offset the runs before it give. "spectrum" merges the
-    pieces' shares of the run-length histogram. "level" merges them too,
-    asks band(hist) for [lo, hi) and has each piece that holds such runs
-    write the values whose run length lies in [lo, hi) at the offset its
-    own share gives. A piece that writes a count other than its share
+    Each piece's share is worked out first: for "support" and "rep" its
+    runs (`_count_runs`), every run being in the band; for "spectrum" and
+    "level" its part of the run-length histogram (`_region_spectrum`).
+    "spectrum" returns the merged histogram. "level" asks band(hist) for
+    [lo, hi) and keeps the runs whose length lies in it. Then each piece
+    that holds band runs writes their values (and for "rep" their counts)
+    into the int64 outputs at the offset the shares before it give, in one
+    scan (`_run_starts`). A piece that writes a count other than its share
     raises RuntimeError. mirror = (n, p) marks a half sub table of n
     values: its classes c and their negatives -c (p - c in F_p) are both
     written, and 0, hit n times; its histogram (a class count g is the
     multiplicity of two values) is folded into that of r_{A-A}.
     """
     zero = mirror is not None  # a half table writes 0 with count n
-    blo = bhi = 0
-    if owned is None:
+    if reduce in ("support", "rep"):
+        blo, bhi = 1, math.inf  # every run
+        owned = list(run(load, pieces, [_count_runs] * len(pieces)))
+    else:
         parts = list(run(load, pieces, [_region_spectrum] * len(pieces)))
         hist = _merge_spectra(parts, mirror)
         if reduce == "spectrum":
@@ -414,22 +411,16 @@ def _reduce(pieces: list, load, reduce: str,
         w = w0 = first + offset
         stop = w0 + share
         for part in _run_chunks(v):
-            if reduce == "level":
-                x = _band_runs(part, blo, bhi)
-            elif part[0] == part[-1]:  # one run
-                x, at = part[:1], np.zeros(1, dtype=np.intp)
-            else:
-                new = np.empty(part.size, dtype=bool)  # a run starts here
-                new[0] = True
-                np.not_equal(part[1:], part[:-1], out=new[1:])
-                x = part[new]
-                if counts is not None:
-                    at = np.flatnonzero(new)
+            new = _run_starts(part, blo, bhi)
+            x = part[new]
             w += x.size
-            if w > stop:
-                continue  # past its share a piece only counts
+            # past its share a piece only counts; an empty pick writes nothing
+            if w > stop or not x.size:
+                continue
             vals[w - x.size:w] = x
             if counts is not None:
+                # every run is kept, so a count runs to the next start
+                at = np.flatnonzero(new)
                 dst = counts[w - x.size:w]
                 np.subtract(at[1:], at[:-1], out=dst[:-1])
                 dst[-1] = part.size - at[-1]
@@ -676,35 +667,23 @@ def _buffers(rows: int, width: int, dtype) -> np.ndarray:
                                                                     width)
 
 
-def _band_runs(part: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Values of the runs of the sorted piece part whose length lies in
-    [lo, hi)."""
-    if part[0] == part[-1]:  # one run
-        return part[:1] if lo <= part.size < hi else part[:0]
-    if hi <= 1:
-        return part[:0]
-    # part[i] == part[i + span] holds at the first L - span positions of a
-    # run of L > span values, and nowhere else: each group of consecutive
-    # positions is one run, and the group's size gives its length. Only
-    # runs of more than span values leave positions, so the higher the
-    # band, the fewer there are.
-    span = max(1, lo - 1)
-    at = np.flatnonzero(part[span:] == part[:-span])
-    group = np.empty(at.size, dtype=bool)  # a group (a run) starts here
-    group[:1] = True
-    np.not_equal(np.diff(at), 1, out=group[1:])
-    first = np.flatnonzero(group)
-    length = np.diff(first, append=at.size) + span
-    at = at[first]
+def _run_starts(part: np.ndarray, lo: int, hi: float) -> np.ndarray:
+    """Bool mask of the starts of the runs of the sorted chunk part whose
+    length lies in [lo, hi)."""
+    n = part.size
+    new = np.empty(n, dtype=bool)  # a run starts here
+    new[0] = True
+    np.not_equal(part[1:], part[:-1], out=new[1:])
+    # the run that starts at i is at least L long iff part[i + L - 1] ==
+    # part[i]; part holds whole runs, so none reaches past its end
     if lo > 1:
-        return part[at[length < hi]]
-    # every value that starts a run, less the runs of two or more that
-    # reach hi
-    keep = np.empty(part.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(part[1:], part[:-1], out=keep[1:])
-    keep[at[length >= hi]] = False
-    return part[keep]
+        s = min(lo - 1, n)
+        new[n - s:] = False
+        new[:n - s] &= part[s:] == part[:n - s]
+    if hi <= n:
+        s = hi - 1
+        new[:n - s] &= part[s:] != part[:n - s]
+    return new
 
 
 def _count_runs(part: np.ndarray) -> int:

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -67,8 +68,11 @@ class ExperimentConfig:
                                   f"{value!r}")
         for name in ("slack_c", "fitted_ceiling", "ratio_floor"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+            # json reads NaN and Infinity as floats; neither is a bound
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got "
+                                  f"{value!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
         if self.sets_per_cell < 1:

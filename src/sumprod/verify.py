@@ -203,9 +203,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
         raise ValueError(f"|A| = {len(A)} below the pipeline minimum 16")
 
     rule = "popular-sums" if add else "popular-products"
-    cop = "add" if add else "mul"      # combining operator
-    dop = "sub" if add else "div"      # difference/ratio tables
-    eop = "add" if add else "mul"      # energy flavour
+    cop = "add" if add else "mul"      # combining operator, energy flavour
     n = len(A)
     K = default_slack(n, slack_c)
 
@@ -217,14 +215,14 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
             passed=False, notes=f"degenerate: {why}",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
-    B, cert = regu_iterate(A, 4 / 3, params, rule)
+    B, cert = regu_iterate(A, 4 / 3, params, rule, budget)
     C = cert.refined
     if len(C) == 0:
         return degenerate("popularity rule emptied B")
 
-    P = popular_sums(C, cert.eps, op=cop)
-    slice_d = dyadic_slice(C, C, 4 / 3, eop, budget)
-    slice_f = dyadic_slice(B, B, 4 / 3, eop, budget)
+    P = popular_sums(C, cert.eps, cop, budget)
+    slice_d = dyadic_slice(C, C, 4 / 3, cop, budget)
+    slice_f = dyadic_slice(B, B, 4 / 3, cop, budget)
     D, t = slice_d.support, slice_d.t
     F, nu = slice_f.support, slice_f.t
     if min(len(D), len(F)) == 0:
@@ -242,7 +240,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     lhs = float(slice_f.energy_value) ** 3  # E_{4/3}(B), from F's table
     span = len(combine(A, A, cop, budget=budget))
     span8 = span ** 8
-    m4a = energy(A, A, 4, eop, budget=budget)
+    m4a = energy(A, A, 4, cop, budget=budget)
     e4a = int(m4a.value)
     # set sizes the p-constraints need, as these tables give them: |A+A|
     # (|AA|), and the supports of r_{A-A} (r_{A/A}) and r_{A-E} (r_{A/E})
@@ -263,8 +261,8 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
         _check_budget(n, size, budget)
 
     try:
-        E = _dyadic_slice(A, F, 2, eop, budget, energy_fits).support
-        m4ae = energy(A, E, 4, eop, budget=budget)
+        E = _dyadic_slice(A, F, 2, cop, budget, energy_fits).support
+        m4ae = energy(A, E, 4, cop, budget=budget)
         known[names[2]] = m4ae.support_size
         e4ae = int(m4ae.value)
         rhs_num = span8 * e4a ** 2 * e4ae * mu ** 4 * nu ** 4

@@ -95,7 +95,12 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     '{"sizes": [true]}', '{"seed": "0"}', '{"seed": false}',
     '{"sets_per_cell": 1.5}', '{"table_budget": "big"}', '{"slack_c": "x"}',
     '{"fitted_ceiling": "x", "lemmas": ["kmps"]}',
-    '{"ratio_floor": null, "lemmas": ["main"]}', '{"slack_c": true}'])
+    '{"ratio_floor": null, "lemmas": ["main"]}', '{"slack_c": true}',
+    '{"slack_c": NaN, "lemmas": ["cauchy-schwarz", "mixed"]}',
+    '{"slack_c": Infinity}', '{"fitted_ceiling": NaN, "lemmas": ["kmps"]}',
+    '{"fitted_ceiling": Infinity, "lemmas": ["kmps"]}',
+    '{"ratio_floor": -Infinity, "lemmas": ["main"]}',
+    '{"ratio_floor": NaN, "lemmas": ["main"]}'])
 def test_suite_cli_refuses_malformed_config(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -242,7 +242,7 @@ def run_rss(A, variant, budget, reference, trace=False):
     """
     rec = RssRecord()
     real_energy, real_combine = verify.energy, verify.combine
-    real_slice, real_scan = verify._dyadic_slice, repfn._band_runs
+    real_slice, real_scan = verify._dyadic_slice, repfn._run_starts
 
     def keep_slices(*args, **kwargs):
         return reference_slice(*args, **kwargs) if reference \
@@ -269,7 +269,7 @@ def run_rss(A, variant, budget, reference, trace=False):
             except BudgetExceeded:
                 pass
         else:
-            with mock.patch.object(repfn, "_band_runs", scan_spy):
+            with mock.patch.object(repfn, "_run_starts", scan_spy):
                 sl = real_slice(X, F, k, op, budget, chosen)
         rec.E = sl.support
         return sl
@@ -431,6 +431,29 @@ def test_skipped_e_stage_allocates_nothing_of_e_size(variant):
     assert ref.e_peak > bound + 8 * len(ref.E)
 
 
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_rss_regularization_stage_keeps_the_budget(variant, monkeypatch):
+    # the budget argument reaches regu_iterate and popular_sums: it lets
+    # their tables through whatever SUMPROD_BUDGET says, and one below
+    # |A|^2 pairs refuses the first table before any is built
+    A = random_set(GroundField.prime(P31), 64, seed=0)
+    monkeypatch.setenv("SUMPROD_BUDGET", "100")
+    rep = check_rss_proposition(A, variant, budget=10**8)
+    assert rep.inputs["|B|"] > 0
+    monkeypatch.delenv("SUMPROD_BUDGET")
+    builds = []
+    patches = table_builds(builds)
+    for p in patches:
+        p.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="exceed budget 1000"):
+            check_rss_proposition(A, variant, budget=1000)
+    finally:
+        for p in reversed(patches):
+            p.stop()
+    assert builds == []
+
+
 def test_rss_reports_name_violated_constraints():
     A = random_set(GroundField.prime(1009), 48, seed=48)
     notes = {v: check_rss_proposition(A, v).notes
@@ -471,35 +494,46 @@ def test_level_peak_memory_is_table_plus_selection(threads):
 
 
 @pytest.mark.parametrize("fault", ["drop", "extra"])
-@pytest.mark.parametrize("route,op", [("rows-1", "mul"), ("rows-1", "sub"),
-                                      ("rows-2", "mul"), ("buckets-1", "sub"),
-                                      ("buckets-2", "add")])
-def test_piece_writing_other_than_its_share_raises(route, op, fault):
-    # a level piece that writes fewer or more band values than its share of
-    # the histogram raises, on the row split (a half sub table with its
-    # mirror too) and on the value buckets alike
+@pytest.mark.parametrize("route,op,reduce", [
+    pytest.param("rows-1", "mul", "level", id="rows-1-mul"),
+    pytest.param("rows-1", "sub", "level", id="rows-1-sub"),
+    pytest.param("rows-2", "mul", "level", id="rows-2-mul"),
+    pytest.param("buckets-1", "sub", "level", id="buckets-1-sub"),
+    pytest.param("buckets-2", "add", "level", id="buckets-2-add"),
+    pytest.param("rows-1", "sub", "support", id="rows-1-sub-support"),
+    pytest.param("rows-2", "mul", "support", id="rows-2-mul-support"),
+    pytest.param("rows-1", "mul", "rep", id="rows-1-mul-rep"),
+    pytest.param("rows-2", "sub", "rep", id="rows-2-sub-rep")])
+def test_piece_writing_other_than_its_share_raises(route, op, reduce, fault):
+    # a piece whose run scan keeps one run less or one value more than its
+    # share raises, for every reduction the scan writes, on the row split
+    # (a half sub table with its mirror too) and on the value buckets alike
     F = GroundField.prime(101)
     A = random_set(F, 60, seed=3)
     B = A if op == "sub" else random_set(F, 40, seed=4)
-    real = repfn._band_runs
+    real = repfn._run_starts
 
     def faulty(part, lo, hi):
-        x = real(part, lo, hi)
-        return x[1:] if fault == "drop" else np.concatenate((x, x[:1]))
+        new = real(part, lo, hi)
+        # clear the first run start kept, or set the first position not kept
+        new[np.flatnonzero(new if fault == "drop" else ~new)[:1]] = \
+            fault == "extra"
+        return new
 
     kernel, threads = route.split("-")
     # one thread splits no rows below _PARALLEL_MIN; above it, add/sub
     # level sets take the buckets
     sizes = {"_BUCKET": 50} if kernel == "buckets" else \
         {"_PARALLEL_MIN": 0 if threads == "2" else 1 << 40}
+    band = (lambda h: (1, h.size)) if reduce == "level" else None
     with forced_threads(int(threads)), mock.patch.multiple(repfn, **sizes), \
-            mock.patch.object(repfn, "_band_runs", faulty), \
+            mock.patch.object(repfn, "_run_starts", faulty), \
             mock.patch.object(repfn, "_bucket_table",
                               wraps=repfn._bucket_table) as buckets, \
             mock.patch.object(repfn, "ThreadPoolExecutor",
                               wraps=repfn.ThreadPoolExecutor) as pool:
         with pytest.raises(RuntimeError, match="share"):
-            _table(A, B, op, "level", lambda h: (1, h.size))
+            _table(A, B, op, reduce, band)
     assert buckets.called == (kernel == "buckets")
     assert pool.called == (threads == "2")
 

@@ -2,6 +2,7 @@ import csv
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from sumprod import ExperimentConfig, repfn, run_suite
@@ -68,13 +69,18 @@ def test_kernel_integrity_failure_is_an_error_row(tmp_path):
     # a level piece that writes other than its share raises RuntimeError in
     # the kernel: the cell is an error row, and the CSV and the manifest
     # are still written
-    real = repfn._band_runs
+    real = repfn._run_starts
+
+    def drop_first(part, lo, hi):
+        new = real(part, lo, hi)
+        new[np.flatnonzero(new)[:1]] = False
+        return new
+
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lemmas": ["regular"], "families": ["random"],
                                "sizes": [64]}))
-    with mock.patch.object(repfn, "_band_runs",
-                           lambda part, lo, hi: real(part, lo, hi)[1:]):
+    with mock.patch.object(repfn, "_run_starts", drop_first):
         code = main(["suite", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 1
     cells = json.load(open(out / "manifest.json"))["cells"]
