@@ -15,14 +15,17 @@ counts, the run-length histogram ("spectrum") or one level set
 (`_run_starts`) writes supports, counts and level sets alike. The row split
 (`_sort_reduce`) streams A x B in row blocks into one flat array, sorted in
 slices on every usable core; runs that cross the slice seams are stitched,
-so the results are those of one thread. A large add/sub table that reduces
-to a spectrum or a level set is never held whole: its value range is cut
-into buckets of at most _BUCKET pairs, and each bucket is gathered from
-runs of the sorted operand and sorted on its own (`_bucket_table`). Div
-spectra and level sets of large tables take the same route over discrete
-logs. This is what makes fourth-moment energies of 10^4-element sets take
-seconds in bounded memory. Rational or oversized values fall back to an
-exact Counter.
+so the results are those of one thread. A support or rep table is held in
+the top bytes of its own int64 output, the values are written over it in
+value order, and the buffer is then shrunk to them, so that the table and
+the values never take memory side by side. A large add/sub table that
+reduces to a spectrum or a level set is never held whole: its value range
+is cut into buckets of at most _BUCKET pairs, and each bucket is gathered
+from runs of the sorted operand and sorted on its own (`_bucket_table`).
+Div spectra and level sets of large tables take the same route over
+discrete logs. This is what makes fourth-moment energies of 10^4-element
+sets take seconds in bounded memory. Rational or oversized values fall
+back to an exact Counter.
 
 Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
 `_in_grid`: the membership counts of `regularize` and the pair-popularity
@@ -251,6 +254,14 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     r(0) = |A| and r(c) = r(-c) = g(c), the class count, so each of its
     reductions, the "spectrum" too, is that of r_{A-A}.
 
+    A "support" or "rep" table lives inside its own output: one int64 slot
+    per pair (2N + 1 for a mirrored half table of N pairs) is allocated
+    first, and the table fills its top bytes, so that `_reduce` writes the
+    values over it in value order and the table and the values never take
+    memory side by side. The buffer is then shrunk to the values in place
+    (`ndarray.resize`, a realloc), so that no result holds the table's
+    memory.
+
     An add/sub "spectrum" or "level" table of at least _PARALLEL_MIN pairs
     is built one value bucket at a time (see `_bucket_table`). Any other
     table of that size is filled, sorted and reduced on every usable core:
@@ -273,9 +284,17 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     large = bool(size) and size >= _PARALLEL_MIN
     if large and op in ("add", "sub") and reduce in ("spectrum", "level"):
         return _bucket_table(a, b, op, p, half, reduce, band, dtype)
-    out = np.empty(size, dtype=dtype)
     rows = max(1, _BLOCK // max(m, 1))
     mirror = (n, p) if half and strict else None
+    buf = None
+    if reduce in ("support", "rep"):
+        # one int64 output slot per pair (2N+1 for a mirrored half table),
+        # the table in its top bytes: `_reduce` writes the values over it
+        buf = np.empty(2 * size + 1 if mirror else size, dtype=np.int64)
+        out = buf.view(dtype)
+        out = out[out.size - size:]
+    else:
+        out = np.empty(size, dtype=dtype)
 
     shifted = small and op in ("add", "sub")
     if shifted:
@@ -320,12 +339,22 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
             # every value left of a cut is <= every value right of it, so
             # sorting the slices sorts flat
             out.partition(cuts)
-        return _sort_reduce(out, [0, *cuts, size], reduce, mirror, run, band)
+        got = _sort_reduce(out, [0, *cuts, size], reduce, mirror, run, band,
+                           buf)
+    if buf is None:
+        return got
+    vals, counts = got if reduce == "rep" else (got, None)
+    k = vals.size
+    # the values are buf's first k slots; the shrink (a realloc, which
+    # hands the tail back) raises ValueError while any view of buf is held
+    del out, got, vals
+    buf.resize(k)
+    return buf if counts is None else (buf, counts)
 
 
 def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
                  mirror: Optional[Tuple[int, Optional[int]]], run,
-                 band=None):
+                 band=None, out: Optional[np.ndarray] = None):
     """Sort flat's slices edges[i]:edges[i+1] in place and `_reduce` them.
 
     Every value of a slice is <= every value of the next, and `run` maps a
@@ -334,7 +363,9 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
     previous non-empty slice continues that run, so each run belongs to
     the slice it starts in, even a run that spans several slices. The
     owners' ranges, from each first own run start up to the next owner's,
-    are the pieces `_reduce` gets, as views of flat.
+    are the pieces `_reduce` gets, as views of flat. `out`, if given, is
+    the int64 buffer whose top bytes flat fills, and the values are
+    written into it (see `_reduce`).
     """
     def sort(lo: int, hi: int) -> None:
         flat[lo:hi].sort()  # SIMD introsort; much faster than radix here
@@ -352,11 +383,12 @@ def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
             starts.append(lo)
     pieces = [flat[lo:hi] for lo, hi in zip(starts, starts[1:] + [flat.size])]
     return _reduce(pieces, lambda piece, f: f(piece), reduce, mirror, run,
-                   band)
+                   band, out)
 
 
 def _reduce(pieces: list, load, reduce: str,
-            mirror: Optional[Tuple[int, Optional[int]]], run, band):
+            mirror: Optional[Tuple[int, Optional[int]]], run, band,
+            out: Optional[np.ndarray] = None):
     """Reduce a table held as sorted pieces of whole runs, in value order.
 
     load(piece, f) returns f(values) for the piece's sorted values, and
@@ -370,9 +402,20 @@ def _reduce(pieces: list, load, reduce: str,
     into the int64 outputs at the offset the shares before it give, in one
     scan (`_run_starts`). A piece that writes a count other than its share
     raises RuntimeError. mirror = (n, p) marks a half sub table of n
-    values: its classes c and their negatives -c (p - c in F_p) are both
-    written, and 0, hit n times; its histogram (a class count g is the
-    multiplicity of two values) is folded into that of r_{A-A}.
+    values: its classes c are written forward, their negatives -c (p - c
+    in F_p) after the forward scan, and 0, hit n times; its histogram (a
+    class count g is the multiplicity of two values) is folded into that
+    of r_{A-A}.
+
+    `out`, if given, is the int64 buffer whose top bytes hold the pieces
+    (the row split's table, in its own dtype), and the values go into its
+    first slots; the values returned are a view of it. Each piece's scan
+    gathers its values at its own start, which it has already read, and a
+    second pass moves them down into place, piece after piece in value
+    order. A piece of t values at index r of the table writes at most t
+    slots from slot r on, and the table fills the top bytes of at least as
+    many slots as it has values, so a value's slot never reaches past the
+    first gathered value not yet moved.
     """
     zero = mirror is not None  # a half table writes 0 with count n
     if reduce in ("support", "rep"):
@@ -393,53 +436,70 @@ def _reduce(pieces: list, load, reduce: str,
     k = sum(owned)
     offsets = np.cumsum([0] + owned[:-1]).tolist()
     if mirror is None:
-        total, first, neg, top = k, 0, None, None
+        total, first = k, 0
     else:
         # F_p: 0 < c < p-c, so [0, c..., p-c...]; char0: [-c..., 0, c...]
         n, p = mirror
         total, at_zero = 2 * k + zero, 0 if p is not None else k
-        first, neg = at_zero + zero, p if p is not None else 0
-        top = total if p is not None else at_zero
-    vals = np.empty(total, dtype=np.int64)
+        first = at_zero + zero
+    vals = np.empty(total, dtype=np.int64) if out is None else out
     counts = np.empty(total, dtype=np.int64) if reduce == "rep" else None
-    if zero:
-        vals[at_zero] = 0
-        if counts is not None:
-            counts[at_zero] = n
 
     def write(v: np.ndarray, offset: int, share: int) -> None:
-        w = w0 = first + offset
-        stop = w0 + share
+        at = slice(first + offset, first + offset + share)
+        # a piece of `out`'s table gathers its values at its own start, for
+        # `settle`
+        dst = vals[at] if out is None else v
+        w = 0
         for part in _run_chunks(v):
             new = _run_starts(part, blo, bhi)
             x = part[new]
             w += x.size
             # past its share a piece only counts; an empty pick writes nothing
-            if w > stop or not x.size:
+            if w > share or not x.size:
                 continue
-            vals[w - x.size:w] = x
+            dst[w - x.size:w] = x
             if counts is not None:
                 # every run is kept, so a count runs to the next start
-                at = np.flatnonzero(new)
-                dst = counts[w - x.size:w]
-                np.subtract(at[1:], at[:-1], out=dst[:-1])
-                dst[-1] = part.size - at[-1]
-        if w != stop:
-            raise RuntimeError(f"a table piece wrote {w - w0} values, its "
+                starts = np.flatnonzero(new)
+                c = counts[at][w - x.size:w]
+                np.subtract(starts[1:], starts[:-1], out=c[:-1])
+                c[-1] = part.size - starts[-1]
+        if w != share:
+            raise RuntimeError(f"a table piece wrote {w} values, its "
                                f"share is {share}")
-        if neg is not None:
-            # the negatives of a forward segment, reversed, end at top - offset
-            end = top - offset
-            fwd, rev = slice(w0, w), slice(end - share, end)
-            np.subtract(neg, vals[fwd][::-1], out=vals[rev])
-            if counts is not None:
-                counts[rev] = counts[fwd][::-1]
+
+    def settle(v: np.ndarray, offset: int, share: int) -> None:
+        # a chunk never ends past the first value not yet moved; where it
+        # overlaps its source, numpy copies through a chunk-sized buffer
+        for c in range(0, share, _CHUNK):
+            e = min(c + _CHUNK, share)
+            vals[first + offset + c:first + offset + e] = v[c:e]
+
+    def each(mapper, f, group: list) -> None:
+        list(mapper(load, [pieces[i] for i in group],
+                    [functools.partial(f, offset=offsets[i], share=owned[i])
+                     for i in group]))
 
     # a piece with nothing in the band has nothing to scan
     busy = [i for i, c in enumerate(owned) if c]
-    list(run(load, [pieces[i] for i in busy],
-             [functools.partial(write, offset=offsets[i], share=owned[i])
-              for i in busy]))
+    each(run, write, busy)
+    if out is not None:
+        # the gathered values move down after every scan, in value order
+        each(map, settle, busy)
+    if mirror is not None:
+        # the forward values' negatives, reversed, fill the other side
+        fwd = slice(first, first + k)
+        rev = slice(first + k, total) if p is not None else slice(0, k)
+        np.subtract(p if p is not None else 0, vals[fwd][::-1],
+                    out=vals[rev])
+        if counts is not None:
+            counts[rev] = counts[fwd][::-1]
+        if zero:
+            vals[at_zero] = 0
+            if counts is not None:
+                counts[at_zero] = n
+    vals = vals[:total]
     if reduce == "level":
         return hist, vals
     return vals if counts is None else (vals, counts)

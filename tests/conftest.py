@@ -61,6 +61,23 @@ def mapped_buffers():
         yield sizes
 
 
+@contextlib.contextmanager
+def sorted_tables():
+    """Record the size of each table the row split sorts and reduces
+    (`repfn._sort_reduce`); yields the list of sizes. No view of a table is
+    kept: a support's buffer is shrunk after the call, which a held view
+    would block."""
+    sizes = []
+    real = repfn._sort_reduce
+
+    def spy(flat, *args):
+        sizes.append(flat.size)
+        return real(flat, *args)
+
+    with mock.patch.object(repfn, "_sort_reduce", spy):
+        yield sizes
+
+
 def traced_peak(fn):
     """(fn(), peak bytes traced above the bytes held before the call, plus
     the largest block of bucket buffers mapped during it)."""

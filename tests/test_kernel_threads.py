@@ -8,6 +8,7 @@ repfn._CHUNK, so that each worker reduces its slice in several pieces.
 """
 
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -213,3 +214,49 @@ def test_peak_memory_is_table_plus_outputs(threads):
             hist, peak = traced_peak(lambda: count_spectrum(A, B, "sub"))
         assert peak <= threads * (4 * bucket + 64 * piece) \
             + 32 * (2000 + 1000) + 8 * hist.size + slack
+
+
+# name -> (A, its table's int64 slots, what the result holds per value):
+# a half add table of n(n+1)/2 pairs, a mirrored half sub table of
+# N = n(n-1)/2 pairs (2N + 1 slots), and the full n^2 add rep table of an
+# AP, whose 2n - 1 values, with their counts, are a small share of the
+# slots
+MEMORY_CASES = {
+    "add": lambda F: (random_set(F, 2000, seed=21), 2000 * 2001 // 2, 8),
+    "sub": lambda F: (random_set(F, 2000, seed=22), 2000 * 1999 + 1, 8),
+    "ap-rep": lambda F: (ElemSet(F, range(0, 6000, 3)), 2000 * 2000, 16),
+}
+
+
+@pytest.mark.parametrize("case", MEMORY_CASES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_support_is_written_over_its_table(threads, case):
+    # about 2*10^6 pairs: the int32 half table is sorted in the top bytes of
+    # its int64 output, one slot per pair (2N + 1 for a mirrored half sub
+    # table), and the support is written over it, so the peak is that
+    # buffer, not the table plus the support; what the result holds after
+    # the shrink is its values (and counts) alone
+    F = GroundField.prime(P31)
+    A, slots, per_value = MEMORY_CASES[case](F)
+    op = "sub" if case == "sub" else "add"
+    piece = 1 << 12
+    slack = (1 << 16) + threads * 32 * piece
+    tracemalloc.start()
+    try:
+        with forced_threads(threads, block=piece, chunk=piece):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            if case == "ap-rep":
+                S = rep_function(A, A, op)
+            else:
+                S = combine(A, A, op)
+            now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = S.values if case == "ap-rep" else S.ints
+    # the values are in the slots; a rep table's counts come on top
+    assert peak - held <= 8 * slots + (per_value - 8) * values.size + slack
+    assert now - held <= per_value * values.size + slack
+    a = A.ints[:, None]
+    want = np.unique((a - A.ints if op == "sub" else a + A.ints) % P31)
+    assert values.tolist() == want.tolist()
