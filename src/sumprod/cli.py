@@ -87,10 +87,9 @@ def _cmd_energy(args) -> int:
 
 def _cmd_regularize(args) -> int:
     A = _load(args.set, args)
+    K = default_slack(len(A), args.slack_c)
     d = xue_regularize(A, args.k, args.op, budget=args.budget)
-    rep = check_regular(d, A, args.k,
-                        default_slack(len(A), args.slack_c),
-                        budget=args.budget)
+    rep = check_regular(d, A, args.k, K, budget=args.budget)
     _emit(args, rep,
           f"|B|={len(d.B)} |C|={len(d.C)} |S|={len(d.S_tau)} tau={d.tau} "
           f"rounds={d.rounds} check={'pass' if rep.passed else 'fail'}")

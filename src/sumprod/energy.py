@@ -56,8 +56,9 @@ def _energy_args(A: ElemSet, B: Optional[ElemSet], k: float,
     """Refuse what E_k(A, B) is not defined for; returns B (A if None)."""
     if op not in ENERGY_OPS:
         raise ValueError(f"energy op must be add or mul, got {op!r}")
-    if k <= 0:
-        raise ValueError(f"energy exponent must be positive, got {k}")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"energy exponent must be a positive finite "
+                         f"number, got {k}")
     if B is None:
         B = A
     if len(A) == 0 or len(B) == 0:

@@ -265,7 +265,14 @@ def _finish_decomposition(A: ElemSet, B: ElemSet, C: ElemSet, S: ElemSet,
 
 
 def default_slack(n: int, c: float = 64.0) -> float:
-    """K = c * log2(n)^3, the polylog allowance used by the checkers."""
+    """K = c * log2(n)^3, the polylog allowance used by the checkers.
+
+    Raises ValueError unless c is a positive finite number: a NaN K fails
+    every check and an infinite one passes every check.
+    """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"slack constant must be a positive finite "
+                         f"number, got {c}")
     return c * max(1.0, math.log2(max(n, 2))) ** 3
 
 

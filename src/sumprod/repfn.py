@@ -27,6 +27,14 @@ discrete logs. This is what makes fourth-moment energies of 10^4-element
 sets take seconds in bounded memory. Rational or oversized values fall
 back to an exact Counter.
 
+Every array comes from the malloc heap. Each table or grid of at least
+_PARALLEL_MIN pairs first hands the heap's free pages back to the system
+(`_release_heap`, glibc's `malloc_trim(0)`), because glibc keeps freed
+heap below its raised thresholds resident and a later table would peak
+on top of it. One trim per large table keeps that bound without slowing
+small ones: a trim per table, or a lower fixed mmap threshold, cost 10%
+to 50% of the wall time for the same peak.
+
 Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
 `_in_grid`: the membership counts of `regularize` and the pair-popularity
 count of `counting` are sums and products of its exact masks.
@@ -35,9 +43,9 @@ count of `counting` are sums and products of its exact masks.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
-import mmap
 import os
 import queue
 from collections import Counter
@@ -235,6 +243,34 @@ def _pool(threads: int):
         yield pool.map
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, looked up once; None where the C library has
+    no such symbol (musl, macOS, Windows)."""
+    if os.name != "posix":
+        return None
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_heap() -> None:
+    """Hand the malloc heap's free pages back to the system, where the C
+    library can (`malloc_trim(0)`); else do nothing.
+
+    Freeing a large array raises glibc's mmap threshold to its size (up to
+    32 MiB) and its trim threshold to twice that, so later arrays below
+    the threshold come from the heap and stay resident after they are
+    freed. Each table or grid of at least _PARALLEL_MIN pairs calls this
+    before it allocates, so that its peak adds to what live arrays hold,
+    not to what freed ones left behind.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                   half: bool, reduce: str, band=None):
     """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
@@ -282,6 +318,8 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     size = int(offsets[-1])
     # an empty table has no range to split
     large = bool(size) and size >= _PARALLEL_MIN
+    if large:
+        _release_heap()
     if large and op in ("add", "sub") and reduce in ("spectrum", "level"):
         return _bucket_table(a, b, op, p, half, reduce, band, dtype)
     rows = max(1, _BLOCK // max(m, 1))
@@ -346,9 +384,14 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     vals, counts = got if reduce == "rep" else (got, None)
     k = vals.size
     # the values are buf's first k slots; the shrink (a realloc, which
-    # hands the tail back) raises ValueError while any view of buf is held
+    # hands the tail back) raises ValueError while any reference to buf
+    # but this one is held, as a trace or profile hook's snapshot of these
+    # locals is; then the values are copied out instead
     del out, got, vals
-    buf.resize(k)
+    try:
+        buf.resize(k)
+    except ValueError:
+        buf = buf[:k].copy()
     return buf if counts is None else (buf, counts)
 
 
@@ -690,7 +733,9 @@ def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
     buckets = list(zip(edges[busy].tolist(), edges[busy + 1].tolist(),
                        counts[busy].tolist()))
 
-    block = _buffers(min(threads, len(buckets)), int(counts.max()), dtype)
+    # one bucket buffer per worker, from the heap `_sorted_table` has
+    # just trimmed (`_release_heap`)
+    block = np.empty((min(threads, len(buckets)), int(counts.max())), dtype)
     space = queue.SimpleQueue()
     for buf in block:
         space.put(buf)
@@ -714,17 +759,6 @@ def _bucket_table(a: np.ndarray, b: np.ndarray, op: str, mod: Optional[int],
     with _pool(threads) as run:
         return _reduce(buckets, load, reduce, (a.size, mod) if half else None,
                        run, band)
-
-
-def _buffers(rows: int, width: int, dtype) -> np.ndarray:
-    """An uninitialised rows x width array, one bucket buffer per row,
-    mapped apart from the malloc heap so that the system gets its pages
-    back as soon as it is dropped. A freed heap block below the allocator's
-    trim threshold (which glibc raises to 64 MiB) stays resident, and two
-    16 MiB buckets left that way raised the next table's peak RSS."""
-    size = rows * width * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(rows,
-                                                                    width)
 
 
 def _run_starts(part: np.ndarray, lo: int, hi: float) -> np.ndarray:
@@ -873,6 +907,8 @@ def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
     # a 0 of Y (y[0] in F_p) is left out and comes back as a False column
     zero = int(op == "div" and y.size > 0 and y[0] == 0)
     y = y[zero:]
+    if x.size * y.size >= _PARALLEL_MIN:
+        _release_heap()
     grid = _grid(x, y, op, field.p)
     packed = _packed_sort(grid.ravel()) if grid.size else None
     if packed is None:

@@ -75,6 +75,8 @@ class ExperimentConfig:
                                   f"{value!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
+        if self.slack_c <= 0:
+            raise ConfigError("slack_c must be positive")
         if self.sets_per_cell < 1:
             raise ConfigError("sets_per_cell must be >= 1")
         for lem in self.lemmas:

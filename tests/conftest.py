@@ -45,23 +45,6 @@ def table_and_half(A, B, op, reduce, band=None):
 
 
 @contextlib.contextmanager
-def mapped_buffers():
-    """Record the size of each block of bucket buffers the pair kernel maps
-    outside the malloc heap, which tracemalloc does not see; yields the
-    list of sizes in bytes."""
-    sizes = []
-    real = repfn._buffers
-
-    def spy(*args):
-        block = real(*args)
-        sizes.append(block.nbytes)
-        return block
-
-    with mock.patch.object(repfn, "_buffers", spy):
-        yield sizes
-
-
-@contextlib.contextmanager
 def sorted_tables():
     """Record the size of each table the row split sorts and reduces
     (`repfn._sort_reduce`); yields the list of sizes. No view of a table is
@@ -79,15 +62,12 @@ def sorted_tables():
 
 
 def traced_peak(fn):
-    """(fn(), peak bytes traced above the bytes held before the call, plus
-    the largest block of bucket buffers mapped during it)."""
+    """(fn(), peak bytes traced above the bytes held before the call)."""
     tracemalloc.start()
     try:
-        with mapped_buffers() as mapped:
-            held = tracemalloc.get_traced_memory()[0]
-            result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - held
-        return result, peak + max(mapped, default=0)
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
 

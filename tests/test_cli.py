@@ -102,7 +102,8 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     '{"slack_c": Infinity}', '{"fitted_ceiling": NaN, "lemmas": ["kmps"]}',
     '{"fitted_ceiling": Infinity, "lemmas": ["kmps"]}',
     '{"ratio_floor": -Infinity, "lemmas": ["main"]}',
-    '{"ratio_floor": NaN, "lemmas": ["main"]}'])
+    '{"ratio_floor": NaN, "lemmas": ["main"]}', '{"slack_c": 0}',
+    '{"slack_c": -1.5, "lemmas": ["cauchy-schwarz", "mixed"]}'])
 def test_suite_cli_refuses_malformed_config(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -253,11 +254,23 @@ def test_budget_overrun_is_a_message_not_a_traceback(tmp_path, capsys, argv):
      "|A| = 7 below the pipeline minimum 16"),
     (["energy", "bare"],
      "{bare}: no '# field ...' header and no field given"),
-], ids=["kmps-zero", "rss-seven", "energy-no-header"])
+    (["energy", "ap", "--k", "nan"],
+     "energy exponent must be a positive finite number, got nan"),
+    (["energy", "ap", "--k", "inf", "--dyadic"],
+     "energy exponent must be a positive finite number, got inf"),
+    (["regularize", "ap", "--slack-c", "nan"],
+     "slack constant must be a positive finite number, got nan"),
+    (["regularize", "ap", "--slack-c", "inf"],
+     "slack constant must be a positive finite number, got inf"),
+    (["regularize", "ap", "--slack-c", "0"],
+     "slack constant must be a positive finite number, got 0.0"),
+], ids=["kmps-zero", "rss-seven", "energy-no-header", "energy-k-nan",
+        "dyadic-k-inf", "slack-nan", "slack-inf", "slack-zero"])
 def test_bad_input_is_a_message_not_a_traceback(tmp_path, capsys, argv, err):
     # ValueErrors (ParseError among them) exit 1 with the reason on stderr
     files = {"z": _fp_set(tmp_path, "z", range(0, 8)),
              "seven": _fp_set(tmp_path, "seven", range(1, 8)),
+             "ap": _fp_set(tmp_path, "ap", range(1, 41)),
              "bare": str(tmp_path / "bare.txt")}
     (tmp_path / "bare.txt").write_text("1\n2\n3\n")
     code = main([files.get(x, x) for x in argv])

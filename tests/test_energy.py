@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, RepFn, cauchy_schwarz_check,
                      combine, count_energy_equiv, dyadic_extract, energy,
                      energy_rep, rep_function)
+from sumprod.energy import dyadic_slice
 
 small_sets = st.lists(st.integers(-40, 40), min_size=1, max_size=14)
 
@@ -34,6 +35,16 @@ def test_energy_validation(c0):
         energy(A, A, 2, "sub")
     with pytest.raises(ValueError):
         energy(ElemSet.empty(c0), None, 2, "add")
+
+
+@pytest.mark.parametrize("k", [0, -1, float("nan"), float("inf"),
+                               float("-inf")])
+def test_energy_refuses_exponent_not_positive_finite(c0, k):
+    A = ElemSet(c0, [0, 1, 5])
+    with pytest.raises(ValueError, match="positive finite"):
+        energy(A, A, k, "add")
+    with pytest.raises(ValueError, match="positive finite"):
+        dyadic_slice(A, A, k, "mul")
 
 
 def test_energy_accepts_small_k(c0):

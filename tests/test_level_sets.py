@@ -27,9 +27,8 @@ from sumprod import repfn
 from sumprod.energy import _dyadic_level, dyadic_slice
 from sumprod.repfn import BudgetExceeded, _table
 
-from conftest import (P31, forced_threads, mapped_buffers, pair_table_case,
-                      random_set, self_table_case, table_and_half,
-                      traced_peak)
+from conftest import (P31, forced_threads, pair_table_case, random_set,
+                      self_table_case, table_and_half, traced_peak)
 
 # the package binds the name `energy` to the function
 energy_mod = importlib.import_module("sumprod.energy")
@@ -278,11 +277,9 @@ def run_rss(A, variant, budget, reference, trace=False):
         tracemalloc.start()
         held = tracemalloc.get_traced_memory()[0]
         try:
-            with mapped_buffers() as mapped:
-                return e_stage(*args)
+            return e_stage(*args)
         finally:
-            rec.e_peak = tracemalloc.get_traced_memory()[1] - held \
-                + max(mapped, default=0)
+            rec.e_peak = tracemalloc.get_traced_memory()[1] - held
             tracemalloc.stop()
 
     patches = [*table_builds(rec.builds),

@@ -109,6 +109,13 @@ def test_check_regular_passes_structured(fp, c0):
     assert check_regular(dg, G, 4, default_slack(64)).passed
 
 
+@pytest.mark.parametrize("c", [0, -64.0, float("nan"), float("inf")])
+def test_default_slack_refuses_constant_not_positive_finite(c):
+    # a NaN K fails every check and an infinite one passes every check
+    with pytest.raises(ValueError, match="positive finite"):
+        default_slack(64, c)
+
+
 def test_check_regular_detects_corruption(c0):
     A = ElemSet(c0, range(64))
     d = xue_regularize(A, 4, "add")

@@ -8,9 +8,11 @@ threads (each piece gathers its values over its own part of the table,
 and the pieces are moved into place in turn), with reducing pieces of 1,
 4 and 2^16 values and on both sides of repfn._PARALLEL_MIN, and check
 that every result is a strictly increasing int64 array that owns its
-memory, so that none pins the table-sized buffer.
+memory, so that none pins the table-sized buffer. Under a trace or profile
+hook the shrink refuses, and the values copied out must be the same.
 """
 
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -122,3 +124,46 @@ def test_support_and_rep_match_the_outer_table(case, threads, chunk, side):
     fop = getattr(A.field, op)
     assert dict(Counter(fop(a, b) for a, b in pairs)) == r.to_dict()
 
+
+
+def _profile(frame, event, arg):
+    pass
+
+
+def _trace(frame, event, arg):
+    return _trace
+
+
+HOOKS = {"setprofile": (sys.setprofile, sys.getprofile, _profile),
+         "settrace": (sys.settrace, sys.gettrace, _trace)}
+
+
+@pytest.mark.parametrize("side", ["parallel", "one-thread"])
+@pytest.mark.parametrize("hook", HOOKS)
+@pytest.mark.parametrize("case", ["ap-add-fp", "ap-sub-char0",
+                                  "ap-cross-sub-fp", "half-sub-fp"])
+def test_support_and_rep_are_the_same_under_a_hook(case, hook, side):
+    # a trace or profile hook snapshots the kernel frame's locals, whose
+    # reference to the buffer makes the in-place shrink refuse; the values
+    # are then copied out
+    A, B, op = CASES[case]()
+    set_hook, get_hook, fn = HOOKS[hook]
+    with mock.patch.multiple(
+            repfn, _threads=lambda: 2,
+            _PARALLEL_MIN=0 if side == "parallel" else 1 << 40):
+        want = combine(A, B, op).ints, rep_function(A, B, op)
+        # a hook already set (cProfile's, coverage's) acts the same and
+        # cannot be set back from Python, so it stays
+        own = get_hook() is None
+        if own:
+            set_hook(fn)
+        try:
+            S, r = combine(A, B, op).ints, rep_function(A, B, op)
+        finally:
+            if own:
+                set_hook(None)
+    owned_int64(S)
+    owned_int64(r.values)
+    assert S.tolist() == want[0].tolist()
+    assert r.values.tolist() == want[1].values.tolist()
+    assert r.counts.tolist() == want[1].counts.tolist()
