@@ -11,11 +11,12 @@ from typing import Optional
 
 from .counting import (bilinear_count, count_energy_equiv, f_collision_count,
                        tautological_count)
-from .energy import dyadic_slice, energy
-from .families import FamilySpec, gen_family, local_search_min_ratio
+from .energy import ENERGY_OPS, dyadic_slice, energy
+from .families import (FAMILY_KINDS, FamilySpec, gen_family,
+                       local_search_min_ratio)
 from .field import ElemSet, GroundField, read_set_file, render_set
 from .regularize import check_regular, default_slack, xue_regularize
-from .repfn import BudgetExceeded
+from .repfn import OPS, BudgetExceeded
 from .report import ConstraintViolation
 from .setalgebra import SpanSpec, combine, iterated_span
 from .suite import ConfigError, ExperimentConfig, run_suite
@@ -217,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("gen", help="generate a probe family")
-    p.add_argument("family", choices=("ap", "gp", "random", "subgroup",
-                                      "interval"))
+    p.add_argument("family", choices=FAMILY_KINDS)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--step", type=int, default=1)
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = add_parser("op", help="pointwise set operation A op B")
-    p.add_argument("op", choices=("add", "sub", "mul", "div"))
+    p.add_argument("op", choices=OPS)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_op)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("other", nargs="?")
     p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--op", choices=("add", "mul"), default="add")
+    p.add_argument("--op", choices=ENERGY_OPS, default="add")
     p.add_argument("--dyadic", action="store_true",
                    help="report the dominant dyadic slice instead")
     p.set_defaults(func=_cmd_energy)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("regularize", help="regular decomposition + check")
     p.add_argument("set")
     p.add_argument("--k", type=float, default=4.0)
-    p.add_argument("--op", choices=("add", "mul"), default="add")
+    p.add_argument("--op", choices=ENERGY_OPS, default="add")
     p.add_argument("--slack-c", type=float, default=64.0)
     p.set_defaults(func=_cmd_regularize)
 
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation", choices=("kmps", "sdz", "tautological",
                                         "energy-equiv"))
     p.add_argument("sets", nargs="+")
-    p.add_argument("--op", choices=("add", "mul"),
+    p.add_argument("--op", choices=ENERGY_OPS,
                    help="energy-equiv only (default: add)")
     p.add_argument("--k", type=int, help="energy-equiv only (default: 2)")
     p.set_defaults(func=_cmd_count)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the lemma's set files; none for main runs the sweep")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--op", choices=("add", "mul"), default="add")
+    p.add_argument("--op", choices=ENERGY_OPS, default="add")
     p.add_argument("--variant", help="default: the lemma's first variant")
     p.add_argument("--slack-c", type=float, default=64.0)
     p.add_argument("--out", help="write the report JSON here")

@@ -11,12 +11,14 @@ from typing import Optional
 from .field import ElemSet, GroundField, is_prime, primitive_root
 from .setalgebra import combine
 
+FAMILY_KINDS = ("ap", "gp", "random", "subgroup", "interval")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Deterministic description of one probe set."""
 
-    kind: str                       # ap | gp | random | subgroup | interval
+    kind: str                       # one of FAMILY_KINDS
     n: int
     field: GroundField
     start: int = 0
@@ -32,7 +34,7 @@ class FamilySpec:
             raise ValueError("family size must be >= 1")
         if self.kind == "gp" and self.ratio in (0, 1):
             raise ValueError("gp ratio must not be 0 or 1")
-        if self.kind not in ("ap", "gp", "random", "subgroup", "interval"):
+        if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
 

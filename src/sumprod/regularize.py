@@ -238,8 +238,7 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
             best = (n_thr, cand, C, S, tau, rnd, sl.energy_value, rc[mask])
         if n_thr >= len(cand) / 2:
             break
-        # (rc, i) packed as rc * |cand| + i: a stable sort of rc
-        order = np.sort(rc * rc.size + np.arange(rc.size)) % rc.size
+        order = np.argsort(rc, kind="stable")
         cand = ElemSet(A.field, [lst[i] for i in order[len(order) // 2:]])
 
     _, B, C, S, tau, rnd, e_val, rc_C = best

@@ -217,11 +217,11 @@ def _grid(x: np.ndarray, y: np.ndarray, op: str,
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
     """Exact sum of x[i] * y[i] over two nonnegative int arrays.
 
-    The float64 dot is exact when sum(x) * max(y) < 2^53, because no
+    The int64 dot is exact when sum(x) * max(y) < 2^63, because no
     product or partial sum can exceed that; otherwise it runs on Python ints.
     """
-    if int(x.sum()) * int(y.max(initial=0)) < 1 << 53:
-        return int(np.dot(x.astype(np.float64), y.astype(np.float64)))
+    if int(x.sum()) * int(y.max(initial=0)) < 1 << 63:
+        return int(np.dot(np.asarray(x, np.int64), np.asarray(y, np.int64)))
     return int(np.dot(x.astype(object), y.astype(object)))
 
 

@@ -8,11 +8,12 @@ fitted constant against a configurable ceiling or polylog slack.
 from __future__ import annotations
 
 import math
+import re
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
@@ -118,6 +119,9 @@ MIXED_VARIANTS = {
     "E4xE4+": ("mul", "add", 4),
     "E4+E4x": ("add", "mul", 4),
 }
+# variant -> the p-constraint its hypothesis gate checks, U as its set X
+MIXED_CONSTRAINTS = {"E4+E2x": "iii", "E4xE2+": "iv", "E4xE4+": "i",
+                     "E4+E4x": "ii"}
 
 
 def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
@@ -137,24 +141,9 @@ def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
     K = default_slack(n, slack_c)
 
     if field.is_prime_mode:
-        # |A-A| for an additive B, |A/A| for a multiplicative one; the cross
-        # term |A/U| or |A-U| takes the other operation
-        if bop == "add":
-            own, own_text = len(combine(A, A, "sub", budget=budget)), "A-A"
-        else:
-            Az = A.remove_zero()
-            own, own_text = len(combine(Az, Az, "div", budget=budget)), "A/A"
-        if k == 2:
-            _require_p_budget(len(U) * n * own, field.p ** 2,
-                              f"|U||A||{own_text}| << p^2")
-        else:
-            if bop == "add":
-                cross = len(combine(A, U.remove_zero(), "div", budget=budget))
-            else:
-                cross = len(combine(A, U, "sub", budget=budget))
-            cross_text = "A/U" if bop == "add" else "A-U"
-            _require_p_budget(own * n * cross * len(U) ** 2, field.p ** 4,
-                              f"|{own_text}||A||{cross_text}||U|^2 << p^4")
+        _require_p_budget(*_p_constraint(
+            MIXED_CONSTRAINTS[variant], "U",
+            _set_product(A, {"U": U}, {}, budget), field.p))
 
     d = xue_regularize(A, 4, bop, budget=budget)
     B, C = d.B, d.C
@@ -309,53 +298,60 @@ def p_constraint_check(A: ElemSet, aux: Dict[str, ElemSet],
     return _p_constraints(A, aux, {}, budget)
 
 
+# The size-vs-p constraints (i)-(iv) that |A| << p^(1/2) stands for: id ->
+# (its auxiliary set X, the product of set sizes, the power of p it is under)
+P_CONSTRAINTS = {
+    "i": ("E1", "|A/A||A||A-X||X|^2", 4),
+    "ii": ("E2", "|A-A||A||A/X||X|^2", 4),
+    "iii": ("F1", "|X||A||A-A|", 2),
+    "iv": ("F2", "|X||A||A/A|", 2),
+}
+
+
+def _set_product(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
+                 budget: Optional[int]) -> Callable[[str], int]:
+    """product(text): the product of the sizes that text names as |S| or
+    |S|^e, S being A, a set in aux, or A∘Y written "A+A", "AA", "A-Y" or
+    "A/Y" (Y is A or in aux). A set whose size known does not give is built
+    with `combine` when first read, AA and A/A over A∖{0}, A/Y over Y∖{0}."""
+    sizes = {"A": len(A), **{y: len(Y) for y, Y in aux.items()}, **known}
+
+    def size(name: str) -> int:
+        if name not in sizes:
+            op = {"+": "add", "-": "sub", "/": "div"}.get(name[1], "mul")
+            y = name[1:] if op == "mul" else name[2:]
+            X = A.remove_zero() if y == "A" and op in ("mul", "div") else A
+            Y = X if y == "A" else aux[y]
+            Y = Y.remove_zero() if op == "div" else Y
+            sizes[name] = len(combine(X, Y, op, budget=budget))
+        return sizes[name]
+    return lambda text: math.prod(size(name) ** int(e or 1) for name, e in
+                                  re.findall(r"\|([^|]+)\|(?:\^(\d+))?", text))
+
+
+def _p_constraint(cid: str, x: str, product: Callable[[str], int], p: int):
+    """(product, p^power, text) of constraint cid, with X the set named x."""
+    _, text, power = P_CONSTRAINTS[cid]
+    text = text.replace("X", x)
+    return product(text), p ** power, f"{text} << p^{power}"
+
+
 def _p_constraints(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
                    budget: Optional[int]) -> List[ConstraintCheck]:
-    """`p_constraint_check` with some set sizes already known.
-
-    known maps any of "A-A", "A/A", "A+A", "AA", "A-E1" and "A/E2" to the
-    size of that set (A/A and AA over A∖{0}, A/E2 over E2∖{0}). Every other
-    size is built with `combine`, in the order of the checks, so a budget
-    that a known table fit in raises where `p_constraint_check` does.
-    """
+    """`p_constraint_check` with the sizes in known given (named as in
+    `_set_product`): each other set is built when a check first reads it,
+    so a budget a known table fit in raises where `p_constraint_check` does."""
     field = A.field
     if not field.is_prime_mode:
-        return [ConstraintCheck(cid, 0, 1) for cid in ("i", "ii", "iii", "iv")]
-    p2 = field.p ** 2
-    p4 = field.p ** 4
-    n = len(A)
-    Az = A.remove_zero()
-
-    def size(name: str, X: ElemSet, Y: ElemSet, op: str) -> int:
-        if name in known:
-            return known[name]
-        return len(combine(X, Y, op, budget=budget))
-
-    checks = []
-    ratio_size = size("A/A", Az, Az, "div")
-    diff_size = size("A-A", A, A, "sub")
-
-    if "E1" in aux:
-        E1 = aux["E1"]
-        prod = len(E1) ** 2 * n * ratio_size * size("A-E1", A, E1, "sub")
-        checks.append(ConstraintCheck("i", prod, p4))
-    if "E2" in aux:
-        E2 = aux["E2"]
-        prod = len(E2) ** 2 * n * diff_size \
-            * size("A/E2", A, E2.remove_zero(), "div")
-        checks.append(ConstraintCheck("ii", prod, p4))
-    if "F1" in aux:
-        checks.append(ConstraintCheck("iii", len(aux["F1"]) * n * diff_size, p2))
-    if "F2" in aux:
-        checks.append(ConstraintCheck("iv", len(aux["F2"]) * n * ratio_size, p2))
-
-    sum_size = size("A+A", A, A, "add")
-    prod_size = size("AA", Az, Az, "mul")
-    checks.append(ConstraintCheck(
-        "surrogate-i", sum_size ** 10 * prod_size ** 2, p4 * n ** 7))
-    checks.append(ConstraintCheck(
-        "surrogate-iii", sum_size ** 2 * prod_size ** 2, n * p2))
-    return checks
+        return [ConstraintCheck(cid, 0, 1) for cid in P_CONSTRAINTS]
+    p, n = field.p, len(A)
+    product = _set_product(A, aux, known, budget)
+    return [ConstraintCheck(cid, *_p_constraint(cid, x, product, p)[:2])
+            for cid, (x, _, _) in P_CONSTRAINTS.items() if x in aux] + [
+        ConstraintCheck("surrogate-i", product("|A+A|^10|AA|^2"),
+                        p ** 4 * n ** 7),
+        ConstraintCheck("surrogate-iii", product("|A+A|^2|AA|^2"),
+                        n * p ** 2)]
 
 
 OPERATOR_COMBOS = (("add", "mul"), ("add", "div"), ("sub", "mul"),

@@ -220,3 +220,20 @@ def test_exact_dot_on_both_sides_of_2_53(pairs):
     x = np.asarray([a for a, _ in pairs], dtype=np.int64)
     y = np.asarray([b for _, b in pairs], dtype=np.int64)
     assert _exact_dot(x, y) == sum(a * b for a, b in pairs)
+
+
+_WIDE_DOT_ENTRY = st.integers(0, 40) | st.integers((1 << 31) - 40,
+                                                   (1 << 32) + 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_WIDE_DOT_ENTRY, _WIDE_DOT_ENTRY), max_size=6))
+@example([((1 << 31) + 1, (1 << 31) + 1)])
+@example([((1 << 31) + 1, 1 << 32), (1 << 31, 3)])
+@example([(1 << 32, 1 << 32)])
+def test_exact_dot_on_both_sides_of_2_63(pairs):
+    # entries near 2^31..2^32 put sum(x) * max(y) on either side of 2^63;
+    # an int64 dot above it wraps, e.g. 2^32 * 2^32
+    x = np.asarray([a for a, _ in pairs], dtype=np.int64)
+    y = np.asarray([b for _, b in pairs], dtype=np.int64)
+    assert _exact_dot(x, y) == sum(a * b for a, b in pairs)

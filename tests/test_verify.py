@@ -1,6 +1,8 @@
+import contextlib
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumprod import (ConstraintViolation, ElemSet, GroundField,
                      VerificationReport, check_kmps, check_mixed_energy,
@@ -289,3 +291,129 @@ def test_mixed_energy_takes_e4_from_the_decomposition(variant):
     e4 = energy(d.B, d.B, 4, bop).value
     assert d.energy_value == e4
     assert rep.lhs == float(e4 * energy(d.C, U, k, cop).value ** (4 // k))
+
+
+# variant -> (auxiliary role U takes, constraint id): the size-vs-p gate of
+# each mixed variant is that p-constraint with U as its auxiliary set
+@contextlib.contextmanager
+def combine_calls():
+    """Record (X, Y, op) of each `combine` that verify calls."""
+    calls = []
+    real = verify.combine
+
+    def spy(X, Y, op, budget=None):
+        calls.append((X, Y, op))
+        return real(X, Y, op, budget=budget)
+
+    with mock.patch.object(verify, "combine", spy):
+        yield calls
+
+
+MIXED_GATES = {"E4+E2x": ("F1", "iii"), "E4xE2+": ("F2", "iv"),
+               "E4+E4x": ("E2", "ii"), "E4xE4+": ("E1", "i")}
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("variant,message", [
+    ("E4+E2x", "|U||A||A-A| << p^2: 28320 exceeds 10201/4"),
+    ("E4xE2+", "|U||A||A/A| << p^2: 46560 exceeds 10201/4"),
+    ("E4xE4+", "|A/A||A||A-U||U|^2 << p^4: 75240960 exceeds 104060401/4"),
+    ("E4+E4x", "|A-A||A||A/U||U|^2 << p^4: 43046400 exceeds 104060401/4"),
+])
+def test_mixed_gate_refuses_at_small_p(variant, message, zero):
+    # |A| = 30 and |U| = 16 in F_101 break each variant's constraint; with
+    # 0 in U, A/U drops it and A-U and |U| keep it, which here gives the
+    # same sizes
+    F = GroundField.prime(101)
+    A = ElemSet(F, range(1, 31))
+    U = ElemSet(F, range(0, 96, 6) if zero else range(2, 98, 6))
+    assert len(U) == 16 and (0 in U.elements()) is zero
+    with pytest.raises(ConstraintViolation) as exc:
+        check_mixed_energy(A, U, variant)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("variant", list(MIXED_GATES))
+def test_mixed_gate_passes_at_large_p(variant):
+    F = GroundField.prime(2**31 - 1)
+    A, U = random_set(F, 30, seed=3), random_set(F, 8, seed=4)
+    rep = check_mixed_energy(A, U, variant)
+    assert rep.lemma == f"mixed-energy-{variant}"
+    assert rep.inputs["n"] == 30 and rep.inputs["|U|"] == 8
+
+
+class _PastTheGate(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([31, 101, 211, 1009]), st.data())
+def test_mixed_gate_is_its_p_constraint(p, data):
+    # the gate refuses iff 4 * product > bound for the product that
+    # p_constraint_check reports under the variant's id with U in its role
+    F = GroundField.prime(p)
+    elems = st.lists(st.integers(0, p - 1), min_size=2, max_size=40,
+                     unique=True)
+    A = ElemSet(F, data.draw(elems))
+    U = ElemSet(F, data.draw(elems))
+    U = data.draw(st.sampled_from([U, U.remove_zero(),
+                                   ElemSet(F, [0, *U.elements()])]))
+    variant = data.draw(st.sampled_from(list(MIXED_GATES)))
+    role, cid = MIXED_GATES[variant]
+    (c,) = [c for c in p_constraint_check(A, {role: U})
+            if c.constraint_id == cid]
+    with mock.patch.object(verify, "xue_regularize",
+                           side_effect=_PastTheGate):
+        if 4 * c.product > c.budget:
+            with pytest.raises(ConstraintViolation,
+                               match=f": {c.product} exceeds {c.budget}/4$"):
+                check_mixed_energy(A, U, variant)
+        else:
+            with pytest.raises(_PastTheGate):
+                check_mixed_energy(A, U, variant)
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+@pytest.mark.parametrize("variant", list(MIXED_GATES))
+def test_mixed_gate_builds_its_supports_in_order(variant, p):
+    # one support for k = 2, two for k = 4: the variant's own A-A (A/A over
+    # A∖{0}), then the cross A/U (over U∖{0}) or A-U
+    F = GroundField.prime(p)
+    A = ElemSet(F, [0, *range(1, 60, 2)])
+    U = ElemSet(F, [0, *range(3, 40, 5)])
+    Az = A.remove_zero()
+    want = {"E4+E2x": [(A, A, "sub")], "E4xE2+": [(Az, Az, "div")],
+            "E4+E4x": [(A, A, "sub"), (A, U.remove_zero(), "div")],
+            "E4xE4+": [(Az, Az, "div"), (A, U, "sub")]}[variant]
+    with combine_calls() as calls:
+        try:
+            check_mixed_energy(A, U, variant)
+        except ConstraintViolation:
+            assert p == 101
+    assert calls == want
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_rss_p_constraints_build_their_supports_in_order(variant, p):
+    # the notes reuse |A+A| (|AA|), |A-A| (|A/A|) and |A-E1| (|A/E2|) from
+    # the pipeline's tables and build the other two, A/A then AA over
+    # A∖{0} (A-A then A+A), after the pipeline's own A+A (AA)
+    A = random_set(GroundField.prime(p), 40, seed=1)
+    with combine_calls() as calls:
+        rep = check_rss_proposition(A, variant)
+    assert "final=skipped" not in rep.notes
+    Az = A.remove_zero()
+    assert calls == ([(A, A, "add"), (Az, Az, "div"), (Az, Az, "mul")]
+                     if variant == "additive" else
+                     [(Az, Az, "mul"), (Az, Az, "sub"), (Az, Az, "add")])
+
+
+def test_p_constraint_check_builds_only_the_sets_it_reads():
+    # (iii) reads A-A alone; the surrogates read A+A and AA over A∖{0}
+    F = GroundField.prime(2**31 - 1)
+    A = ElemSet(F, [0, *random_set(F, 20, seed=2).elements()])
+    with combine_calls() as calls:
+        p_constraint_check(A, {"F1": random_set(F, 8, seed=3)})
+    Az = A.remove_zero()
+    assert calls == [(A, A, "sub"), (A, A, "add"), (Az, Az, "mul")]
