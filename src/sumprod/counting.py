@@ -47,7 +47,7 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
         if _int_fast_ok(field, "mul", X.ints, sums):
             hist = _sorted_table(X.ints, sums, "mul", field.p, False,
                                  "spectrum")
-            _check_mass(hist, len(X), sums.size, "spectrum")
+            _check_mass(hist, len(X) * sums.size, "spectrum")
             return _spectrum_moment(hist, 2).value
     m = Counter(field.mul(x, field.add(y, z)) for x in X for y in Y for z in Z)
     return sum(c * c for c in m.values())

@@ -121,17 +121,32 @@ def gen_family(spec: FamilySpec) -> ElemSet:
     return S
 
 
-def sum_product_ratio(A: ElemSet, addop: str = "add", mulop: str = "mul",
-                      budget: Optional[int] = None) -> float:
-    """max{|A ∘1 A|, |A ∘2 A|} / |A|^(5/4); 0 is dropped for the product side."""
-    if addop not in ("add", "sub") or mulop not in ("mul", "div"):
-        raise ValueError(f"bad operator pair ({addop}, {mulop})")
+OPERATOR_COMBOS = (("add", "mul"), ("add", "div"), ("sub", "mul"),
+                   ("sub", "div"))
+
+
+def sum_product_ratios(A: ElemSet, budget: Optional[int] = None,
+                       combos=OPERATOR_COMBOS) -> dict:
+    """{"∘1/∘2": max{|A ∘1 A|, |A ∘2 A|} / |A|^(5/4)} for each pair of
+    combos, 0 dropped for the product side; each set is built once, in the
+    order A+A, A-A, AA, A/A (A+A first: none has more pairs)."""
     if len(A) < 2:
         raise ValueError("sum-product ratio needs |A| >= 2")
-    additive = combine(A, A, addop, budget=budget)
     Az = A.remove_zero()
-    multiplicative = combine(Az, Az, mulop, budget=budget)
-    return max(len(additive), len(multiplicative)) / len(A) ** 1.25
+    need = {op for pair in combos for op in pair}
+    sizes = {op: len(combine(X, X, op, budget=budget))
+             for X, op in ((A, "add"), (A, "sub"), (Az, "mul"), (Az, "div"))
+             if op in need}
+    return {f"{a}/{m}": max(sizes[a], sizes[m]) / len(A) ** 1.25
+            for a, m in combos}
+
+
+def sum_product_ratio(A: ElemSet, addop: str = "add", mulop: str = "mul",
+                      budget: Optional[int] = None) -> float:
+    """`sum_product_ratios` for the one pair (addop, mulop)."""
+    if addop not in ("add", "sub") or mulop not in ("mul", "div"):
+        raise ValueError(f"bad operator pair ({addop}, {mulop})")
+    return sum_product_ratios(A, budget, [(addop, mulop)])[f"{addop}/{mulop}"]
 
 
 @dataclass

@@ -4,15 +4,17 @@ Every pair table goes through one entry point, `_table`: `rep_function`,
 `count_spectrum`, `setalgebra.combine` and the level sets of `energy` and
 `regularize` each ask it for one reduction. It owns the op, field and
 budget checks, the empty table, and the choice between the int kernel and
-the exact object table.
+the exact object table. Every route returns its table's run-length
+histogram, so `_table` checks the mass of every table in one place.
 
 The hot path (prime mode / int-valued sets) has two producers of sorted
 pieces of whole runs, in value order, and one reducer, `_reduce`, that
 turns them into what the caller asks for: the support, the support with its
 counts, the run-length histogram ("spectrum") or one level set
 {x : lo <= r(x) < hi} with the histogram it was chosen from ("level").
-`_reduce` works out each piece's share itself, and one run scan
-(`_run_starts`) writes supports, counts and level sets alike. The row split
+`_reduce` takes each piece's share from one histogram scan
+(`_region_spectrum`), and one run scan (`_run_starts`) writes supports,
+counts and level sets alike. The row split
 (`_sort_reduce`) streams A x B in row blocks into one flat array, sorted in
 slices on every usable core; runs that cross the slice seams are stitched,
 so the results are those of one thread. A support or rep table is held in
@@ -122,10 +124,7 @@ class RepFn:
             yield from zip(self.values, self.counts)
 
     def support(self) -> ElemSet:
-        if isinstance(self.values, np.ndarray):
-            return ElemSet._from_sorted_array(
-                self.field, self.values.astype(np.int64, copy=False))
-        return ElemSet(self.field, self.values, _canonical=True)
+        return _elemset(self.field, self.values)
 
     def to_dict(self) -> dict:
         return dict(self.items())
@@ -140,6 +139,14 @@ class RepFn:
             hist.flags.writeable = False
             self._hist = hist
         return self._hist
+
+
+def _elemset(field: GroundField, values) -> ElemSet:
+    """The ElemSet of sorted distinct values (an int array or elements)."""
+    if isinstance(values, np.ndarray):
+        return ElemSet._from_sorted_array(
+            field, values.astype(np.int64, copy=False))
+    return ElemSet(field, values, _canonical=True)
 
 
 def _int_fast_ok(field: GroundField, op: str, *arrays) -> bool:
@@ -271,6 +278,17 @@ def _release_heap() -> None:
         trim(0)
 
 
+class _Reduced(NamedTuple):
+    """A "support", "rep" or "level" reduction from a route of `_table`: the
+    run-length histogram of its table (trimmed), the sorted values kept,
+    their counts ("rep" only) and the band [lo, hi) they were kept from."""
+
+    hist: np.ndarray
+    values: object
+    counts: object
+    band: tuple
+
+
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                   half: bool, reduce: str, band=None):
     """The sorted flat table of a_i op b_j for op in add, sub, mul, reduced.
@@ -282,13 +300,13 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     add/mul. A modulus up to 2^31 - 1 keeps the values in int32: add/sub use
     a shifted subtraction plus one conditional correction instead of a
     modulo. The table itself is never returned; `_reduce` turns it into
-    `reduce`: "support" (sorted distinct int64 values), "rep" (those
-    values and their int64 counts), "spectrum" (the run-length histogram)
-    or "level" ((hist, values): the histogram of r, trimmed to its largest
-    multiplicity, and the sorted int64 values x with lo <= r(x) < hi, where
-    [lo, hi) = band(hist)). A half sub table is mirrored into r_{A-A}:
-    r(0) = |A| and r(c) = r(-c) = g(c), the class count, so each of its
-    reductions, the "spectrum" too, is that of r_{A-A}.
+    `reduce`: "spectrum" (the run-length histogram) or a `_Reduced` of that
+    histogram and "support" (the sorted distinct int64 values), "rep"
+    (those values and their int64 counts) or "level" (the sorted int64
+    values x with lo <= r(x) < hi, where [lo, hi) = band(hist)). A half
+    sub table is mirrored into r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c),
+    the class count, so each of its reductions, the histogram too, is that
+    of r_{A-A}; a half add/mul histogram is that of the i <= j pairs.
 
     A "support" or "rep" table lives inside its own output: one int64 slot
     per pair (2N + 1 for a mirrored half table of N pairs) is allocated
@@ -381,18 +399,18 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                            buf)
     if buf is None:
         return got
-    vals, counts = got if reduce == "rep" else (got, None)
-    k = vals.size
+    k = got.values.size
     # the values are buf's first k slots; the shrink (a realloc, which
     # hands the tail back) raises ValueError while any reference to buf
     # but this one is held, as a trace or profile hook's snapshot of these
     # locals is; then the values are copied out instead
-    del out, got, vals
+    got = got._replace(values=None)
+    del out
     try:
         buf.resize(k)
     except ValueError:
         buf = buf[:k].copy()
-    return buf if counts is None else (buf, counts)
+    return got._replace(values=buf)
 
 
 def _sort_reduce(flat: np.ndarray, edges: list, reduce: str,
@@ -436,19 +454,20 @@ def _reduce(pieces: list, load, reduce: str,
 
     load(piece, f) returns f(values) for the piece's sorted values, and
     `run` maps a function over the pieces (the builtin map, or a pool's).
-    Each piece's share is worked out first: for "support" and "rep" its
-    runs (`_count_runs`), every run being in the band; for "spectrum" and
-    "level" its part of the run-length histogram (`_region_spectrum`).
-    "spectrum" returns the merged histogram. "level" asks band(hist) for
-    [lo, hi) and keeps the runs whose length lies in it. Then each piece
-    that holds band runs writes their values (and for "rep" their counts)
-    into the int64 outputs at the offset the shares before it give, in one
-    scan (`_run_starts`). A piece that writes a count other than its share
-    raises RuntimeError. mirror = (n, p) marks a half sub table of n
-    values: its classes c are written forward, their negatives -c (p - c
-    in F_p) after the forward scan, and 0, hit n times; its histogram (a
-    class count g is the multiplicity of two values) is folded into that
-    of r_{A-A}.
+    Each piece's part of the run-length histogram is taken first, in one
+    scan (`_region_spectrum`), and the parts are merged. "spectrum" returns
+    that histogram. The others keep the runs whose length lies in a band
+    [lo, hi): band(hist) for "level", [1, ∞) for "support" and "rep", so
+    that a piece's share is its runs in the band. Then each piece that
+    holds band runs writes their values (and for "rep" their counts) into
+    the int64 outputs at the offset the shares before it give, in one scan
+    (`_run_starts`). A piece that writes a count other than its share
+    raises RuntimeError. These return a `_Reduced` of the histogram
+    (trimmed to its largest multiplicity), the values, the counts and the
+    band. mirror = (n, p) marks a half sub table of n values: its classes c
+    are written forward, their negatives -c (p - c in F_p) after the
+    forward scan, and 0, hit n times; its histogram (a class count g is the
+    multiplicity of two values) is folded into that of r_{A-A}.
 
     `out`, if given, is the int64 buffer whose top bytes hold the pieces
     (the row split's table, in its own dtype), and the values go into its
@@ -460,21 +479,19 @@ def _reduce(pieces: list, load, reduce: str,
     many slots as it has values, so a value's slot never reaches past the
     first gathered value not yet moved.
     """
-    zero = mirror is not None  # a half table writes 0 with count n
-    if reduce in ("support", "rep"):
-        blo, bhi = 1, math.inf  # every run
-        owned = list(run(load, pieces, [_count_runs] * len(pieces)))
-    else:
-        parts = list(run(load, pieces, [_region_spectrum] * len(pieces)))
-        hist = _merge_spectra(parts, mirror)
-        if reduce == "spectrum":
-            return hist
-        hist = _trim(hist)
-        blo, bhi = band(hist)
-        # the runs of each piece whose length lies in [lo, hi)
-        owned = [int(h[blo:bhi].sum()) + sum(blo <= x < bhi for x in long)
-                 for h, long in parts]
-        zero = zero and blo <= mirror[0] < bhi
+    parts = list(run(load, pieces, [_region_spectrum] * len(pieces)))
+    hist = _merge_spectra(parts, mirror)
+    if reduce == "spectrum":
+        return hist
+    hist = _trim(hist)
+    blo, bhi = band(hist) if reduce == "level" else (1, math.inf)
+    # the runs of each piece whose length lies in [lo, hi), all shorter
+    # than the trimmed histogram
+    top = min(bhi, hist.size)
+    owned = [int(h[blo:top].sum()) + sum(blo <= x < bhi for x in long)
+             for h, long in parts]
+    # a half table writes 0 with count n
+    zero = mirror is not None and blo <= mirror[0] < bhi
 
     k = sum(owned)
     offsets = np.cumsum([0] + owned[:-1]).tolist()
@@ -542,10 +559,7 @@ def _reduce(pieces: list, load, reduce: str,
             vals[at_zero] = 0
             if counts is not None:
                 counts[at_zero] = n
-    vals = vals[:total]
-    if reduce == "level":
-        return hist, vals
-    return vals if counts is None else (vals, counts)
+    return _Reduced(hist, vals[:total], counts, (blo, bhi))
 
 
 def _merge_spectra(parts: list, mirror) -> np.ndarray:
@@ -778,15 +792,6 @@ def _run_starts(part: np.ndarray, lo: int, hi: float) -> np.ndarray:
         s = hi - 1
         new[:n - s] &= part[s:] != part[:n - s]
     return new
-
-
-def _count_runs(part: np.ndarray) -> int:
-    """Number of runs of equal values in the sorted array part."""
-    k = int(part.size > 0)
-    for c in range(1, part.size, _CHUNK):
-        e = min(c + _CHUNK, part.size)
-        k += int(np.count_nonzero(part[c:e] != part[c - 1:e - 1]))
-    return k
 
 
 def _run_chunks(piece: np.ndarray) -> Iterator[np.ndarray]:
@@ -1109,8 +1114,8 @@ def _div_logs(A: ElemSet,
 
 def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
                band=None):
-    """The "spectrum" or "level" of r_{A/B} from the logs la of A∖{0} and
-    lb of B (see `_div_logs`).
+    """The "spectrum" (a histogram) or "level" (a `_Reduced`) of r_{A/B}
+    from the logs la of A∖{0} and lb of B (see `_div_logs`).
 
     r_{A/B}(g^s) = r_{la-lb}(s) over Z/(p-1), a half sub table when la is
     lb. M = p-1 is even, so there the class M/2 (the pairs a, -a with
@@ -1140,15 +1145,9 @@ def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
 
     if reduce == "spectrum":
         return fixed(_sorted_table(la, lb, "sub", M, half, "spectrum"))
-    chosen = []
-
-    def log_band(hist):
-        hist = _trim(fixed(hist))
-        chosen.extend([hist, *band(hist)])
-        return chosen[1:]
-
-    s = _sorted_table(la, lb, "sub", M, half, "level", log_band)[1]
-    hist, lo, hi = chosen
+    got = _sorted_table(la, lb, "sub", M, half, "level",
+                        lambda hist: band(_trim(fixed(hist))))
+    hist, s, (lo, hi) = _trim(fixed(got.hist)), got.values, got.band
     if h:
         s = s[s != M // 2]
         if lo <= 2 * h < hi:
@@ -1157,11 +1156,12 @@ def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
     if zero and lo <= m < hi:
         x = np.append(x, 0)
     x.sort()
-    if x.size != int(hist[lo:hi].sum()) or _count_runs(x) != x.size:
+    runs, long = _region_spectrum(x)  # distinct: as many runs as values
+    if x.size != int(hist[lo:hi].sum()) or runs.sum() + len(long) != x.size:
         raise ArithmeticError(f"a level set over logs mod {table.p} maps "
                               f"back to {x.size} values, not the "
                               f"{int(hist[lo:hi].sum())} of its band")
-    return hist, x
+    return _Reduced(hist, x, None, (lo, hi))
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -1180,11 +1180,11 @@ def _check_budget(n: int, m: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(f"{n}x{m} pairs exceed budget {budget}")
 
 
-def _check_mass(hist: np.ndarray, n: int, m: int, reduce: str) -> None:
-    """Raise ArithmeticError unless the histogram holds the n*m pairs."""
+def _check_mass(hist: np.ndarray, pairs: int, reduce: str) -> None:
+    """Raise ArithmeticError unless the histogram holds the table's pairs."""
     mass = _exact_dot(np.arange(hist.size), hist)
-    if mass != n * m:
-        raise ArithmeticError(f"{reduce} mass {mass} != {n}x{m} pairs")
+    if mass != pairs:
+        raise ArithmeticError(f"{reduce} mass {mass} != {pairs} pairs")
 
 
 def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
@@ -1194,18 +1194,20 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     Checks the op and the fields, drops a 0 from B for div (its |A| pairs
     are recorded as excluded) and refuses a table above the budget. Inputs
     `_int_fast_ok` accepts go to the int kernel `_sorted_table`, all others
-    to the exact object table. Returns, by `reduce`:
+    to the exact object table. When B has A's contents, sub tables and
+    add/mul supports take the unordered pairs only. A large div spectrum or
+    level set is taken over discrete logs (see `_div_logs`): r_{A/B} is
+    r_{L_A - L_B} over Z/(p-1), half for a self table. Every route returns
+    the run-length histogram of the table it built, with the values (and
+    counts) asked for in a `_Reduced`, and that histogram must hold the
+    table's pairs: |A||B∖{0}|, or n(n+1)/2 for the i <= j half of a self
+    add/mul support (else ArithmeticError). Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
       "spectrum"  hist[m] = #{x : r(x) = m};
       "level"     (hist, S): hist trimmed to the largest multiplicity (an
                   empty table's is [0]) and S = {x : lo <= r(x) < hi}, with
                   [lo, hi) = band(hist).
-    The int path checks that the histogram of a "spectrum" or "level"
-    holds the |A||B∖{0}| pairs. When B has A's contents, sub tables and
-    add/mul supports take the unordered pairs only. A large div spectrum or
-    level set is taken over discrete logs (see `_div_logs`): r_{A/B} is
-    r_{L_A - L_B} over Z/(p-1), half for a self table.
     """
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}")
@@ -1222,41 +1224,38 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     if not (n and m) and reduce == "rep":
         empty = np.zeros(0, dtype=np.int64)
         return RepFn(field, op, empty, empty, excluded, n, rhs)
+    pairs = n * m
     if n and m and _int_fast_ok(field, op, A.ints, B.ints):
         logs = _div_logs(A, B) if op == "div" and reduce in (
             "spectrum", "level") else None
         if logs is not None:
-            out = _over_logs(A, *logs, reduce, band)
+            got = _over_logs(A, *logs, reduce, band)
         else:
             a, b, kop, mod = A.ints, B.ints, op, field.p
             half = (op == "sub" or reduce == "support"
                     and op in ("add", "mul")) \
                 and (A is B or np.array_equal(a, b))
+            if half and op != "sub":
+                pairs = n * (n + 1) // 2
             if op == "div":
                 b, kop = _inverses(b, mod), "mul"
-            out = _sorted_table(a, b, kop, mod, half, reduce, band)
-            if reduce == "support":
-                return ElemSet._from_sorted_array(field, out)
-            if reduce == "rep":
-                return RepFn(field, op, *out, excluded, n, rhs)
-        hist = out if reduce == "spectrum" else out[0]
-        _check_mass(hist, n, m, reduce)
-        if reduce == "level":
-            return hist, ElemSet._from_sorted_array(field, out[1])
-        return hist
-    table = _object_table(A, B, op)
-    if reduce == "support":
-        return ElemSet(field, table.keys())
-    if reduce == "rep":
-        vals = sorted(table)
-        return RepFn(field, op, tuple(vals), [table[v] for v in vals],
-                     excluded, n, rhs)
-    hist = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
-                       minlength=1)
+            got = _sorted_table(a, b, kop, mod, half, reduce, band)
+    else:
+        table = _object_table(A, B, op)
+        got = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
+                          minlength=1)
+        if reduce != "spectrum":
+            lo, hi = band(got) if reduce == "level" else (1, math.inf)
+            vals = tuple(sorted(x for x, c in table.items() if lo <= c < hi))
+            got = _Reduced(got, vals, [table[x] for x in vals], (lo, hi))
+    hist = got if reduce == "spectrum" else got.hist
+    _check_mass(hist, pairs, reduce)
     if reduce == "spectrum":
         return hist
-    lo, hi = band(hist)
-    return hist, ElemSet(field, [x for x, c in table.items() if lo <= c < hi])
+    if reduce == "rep":
+        return RepFn(field, op, got.values, got.counts, excluded, n, rhs)
+    S = _elemset(field, got.values)
+    return S if reduce == "support" else (hist, S)
 
 
 def rep_function(A: ElemSet, B: ElemSet, op: str,

@@ -209,7 +209,8 @@ def run_suite(config: ExperimentConfig) -> RunManifest:
                         _unfinished(rows, statuses, lemma, family, n, key,
                                     "skip", exc)
                         continue
-                    except (ValueError, ArithmeticError, RuntimeError) as exc:
+                    except (ValueError, ArithmeticError, RuntimeError,
+                            MemoryError) as exc:
                         _unfinished(rows, statuses, lemma, family, n, key,
                                     "error", exc)
                         continue

@@ -19,7 +19,8 @@ from .counting import (_pair_popularity_square_sum, bilinear_count,
                        f_collision_count)
 from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
-from .families import probe_field, probe_set
+from .families import (OPERATOR_COMBOS, probe_field, probe_set,
+                       sum_product_ratios)
 from .regularize import (PopularityParams, check_regular, default_slack,
                          popular_sums, regu_iterate, xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
@@ -352,23 +353,6 @@ def _p_constraints(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
                         p ** 4 * n ** 7),
         ConstraintCheck("surrogate-iii", product("|A+A|^2|AA|^2"),
                         n * p ** 2)]
-
-
-OPERATOR_COMBOS = (("add", "mul"), ("add", "div"), ("sub", "mul"),
-                   ("sub", "div"))
-
-
-def sum_product_ratios(A: ElemSet, budget: Optional[int] = None) -> dict:
-    """A's sum-product ratio under each of the OPERATOR_COMBOS, as
-    `sum_product_ratio` gives it, from one build of each of A+A, A-A, AA
-    and A/A (A+A first: no other of them has more pairs)."""
-    if len(A) < 2:
-        raise ValueError("sum-product ratio needs |A| >= 2")
-    Az = A.remove_zero()
-    sizes = {op: len(combine(X, X, op, budget=budget))
-             for X, op in ((A, "add"), (A, "sub"), (Az, "mul"), (Az, "div"))}
-    return {f"{a}/{m}": max(sizes[a], sizes[m]) / len(A) ** 1.25
-            for a, m in OPERATOR_COMBOS}
 
 
 def check_main_theorem(A: ElemSet, floor: float = 0.25,

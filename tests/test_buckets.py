@@ -146,12 +146,13 @@ def test_moduli_match_row_split(threads, bucket, mod):
         with bucketed(threads, bucket), spy_buckets() as kernel:
             got = repfn._sorted_table(x, y, op, mod, half, "spectrum")
             assert np.array_equal(got, want)
-            for (lo, hi), (hist, vals) in zip(bands(want), levels):
-                got_hist, got_vals = repfn._sorted_table(
-                    x, y, op, mod, half, "level", lambda h: (lo, hi))
-                assert np.array_equal(got_hist, hist)
-                assert got_vals.dtype == np.int64
-                assert np.array_equal(got_vals, vals)
+            for (lo, hi), level in zip(bands(want), levels):
+                got = repfn._sorted_table(x, y, op, mod, half, "level",
+                                          lambda h: (lo, hi))
+                assert np.array_equal(got.hist, level.hist)
+                assert got.values.dtype == np.int64
+                assert np.array_equal(got.values, level.values)
+                assert got.band == level.band == (lo, hi)
         assert kernel.call_count == 1 + len(levels)
 
 
@@ -173,8 +174,8 @@ def test_plan_cuts_at_exact_counts(half, limit):
     assert (counts <= max(limit, rows)).all()
     # each count is the number of pairs in its bucket: of a half table,
     # the pairs of the classes 1..50 in it
-    vals = repfn._sorted_table(a, b, "sub", 101, half, "rep")
-    mult = dict(zip(*[v.tolist() for v in vals]))
+    rep = repfn._sorted_table(a, b, "sub", 101, half, "rep")
+    mult = dict(zip(rep.values.tolist(), rep.counts.tolist()))
     for e0, e1, c in zip(edges[:-1], edges[1:], counts):
         assert c == sum(m for v, m in mult.items()
                         if e0 <= v < e1 and (v <= 50 or not half))

@@ -7,6 +7,7 @@ unevenly), so that tiny tables take the threaded path too. They also shrink
 repfn._CHUNK, so that each worker reduces its slice in several pieces.
 """
 
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -138,23 +139,29 @@ def test_rle(dtype, flat):
         for lo, hi in zip(edges[:-1], edges[1:]):
             table[lo:hi] = table[lo:hi][::-1].copy()
         with mock.patch.object(repfn, "_CHUNK", 2):
-            vals, counts = _sort_reduce(table.copy(), edges, "rep", None, map)
+            rep = _sort_reduce(table.copy(), edges, "rep", None, map)
             support = _sort_reduce(table.copy(), edges, "support", None, map)
             hist = _sort_reduce(table.copy(), edges, "spectrum", None, map)
             levels = {band: _sort_reduce(table.copy(), edges, "level", None,
                                          map, lambda h, band=band: band)
                       for band in [(1, 2), (2, 4), (3, 9), (1, 9), (6, 9)]}
-        assert vals.dtype == counts.dtype == support.dtype == np.int64
-        assert vals.tolist() == support.tolist() == sorted(want)
+        vals, counts = rep.values, rep.counts
+        assert vals.dtype == counts.dtype == support.values.dtype == np.int64
+        assert vals.tolist() == support.values.tolist() == sorted(want)
         assert counts.tolist() == [want[v] for v in sorted(want)]
+        assert support.counts is None
         assert hist.tolist() == np.bincount(list(want.values()),
                                             minlength=2).tolist()
-        for (lo, hi), (level_hist, level) in levels.items():
-            assert level.dtype == np.int64
-            assert level.tolist() == [v for v in sorted(want)
-                                      if lo <= want[v] < hi]
-            assert level_hist.tolist() == np.bincount(
-                list(want.values()), minlength=1).tolist()
+        # every reduction carries the trimmed histogram and its band
+        trimmed = np.bincount(list(want.values()), minlength=1).tolist()
+        assert rep.hist.tolist() == support.hist.tolist() == trimmed
+        assert rep.band == support.band == (1, math.inf)
+        for (lo, hi), level in levels.items():
+            assert level.values.dtype == np.int64
+            assert level.values.tolist() == [v for v in sorted(want)
+                                             if lo <= want[v] < hi]
+            assert level.hist.tolist() == trimmed
+            assert level.band == (lo, hi)
 
 
 # p = 101, n = 90: nearly every value repeats, so runs cross every cut

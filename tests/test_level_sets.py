@@ -538,11 +538,18 @@ def test_piece_writing_other_than_its_share_raises(route, op, reduce, fault):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("reduce", ["rep", "support"])
 def test_row_piece_writing_other_than_its_runs_raises(threads, reduce):
-    # a slice whose run count is off by one writes other than its share
+    # a slice whose histogram scan counts one run too many writes other
+    # than its share
     F = GroundField.prime(101)
     A = random_set(F, 60, seed=3)
-    real = repfn._count_runs
+    real = repfn._region_spectrum
+
+    def one_more(piece):
+        hist, long = real(piece)
+        hist[1] += 1
+        return hist, long
+
     with forced_threads(threads), mock.patch.object(
-            repfn, "_count_runs", lambda part: real(part) + 1):
+            repfn, "_region_spectrum", one_more):
         with pytest.raises(RuntimeError, match="share"):
             _table(A, random_set(F, 40, seed=4), "mul", reduce)

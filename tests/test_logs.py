@@ -363,10 +363,10 @@ def test_failed_map_back_raises(fault):
         out = real(*args)
         if args[5] != "level":
             return out
-        hist, s = out
+        s = out.values
         s = {"drop": s[1:], "repeat": np.append(s, s[-1]),
              "shift": np.append(s[1:], s[-1])}[fault]
-        return hist, s
+        return out._replace(values=s)
 
     with log_gate(0), mock.patch.object(repfn, "_sorted_table", faulty):
         with pytest.raises(ArithmeticError, match="maps back"):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sumprod import ExperimentConfig, repfn, run_suite
+from sumprod import ExperimentConfig, repfn, run_suite, verify
 from sumprod.cli import main
 from sumprod.suite import CSV_COLUMNS, ConfigError, cell_seed
 
@@ -88,6 +88,32 @@ def test_kernel_integrity_failure_is_an_error_row(tmp_path):
     assert "share" in cells[0]["note"]
     rows = _read_csv(out / "suite.csv")
     assert [r["pass"] for r in rows] == ["error"]
+
+
+def test_memory_error_is_an_error_row(tmp_path):
+    # a cell that runs out of memory is an error row; the other cells, the
+    # CSV and the manifest are still written, and the run exits 1
+    main_lemma = verify.LEMMAS["main"]
+
+    def run(sets, variant, params):
+        if params.family == "gp":
+            raise MemoryError("unable to allocate the pair table")
+        return main_lemma.run(sets, variant, params)
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lemmas": ["main"], "families": ["ap", "gp"],
+                               "sizes": [16]}))
+    with mock.patch.dict(verify.LEMMAS,
+                         {"main": main_lemma._replace(run=run)}):
+        code = main(["suite", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    cells = json.load(open(out / "manifest.json"))["cells"]
+    assert [c["status"] for c in cells] == ["pass", "error"]
+    assert cells[1]["note"] == "unable to allocate the pair table"
+    rows = _read_csv(out / "suite.csv")
+    assert [(r["family"], r["pass"]) for r in rows] == [("ap", "pass"),
+                                                      ("gp", "error")]
 
 
 def test_config_errors():

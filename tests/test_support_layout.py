@@ -9,7 +9,9 @@ and the pieces are moved into place in turn), with reducing pieces of 1,
 4 and 2^16 values and on both sides of repfn._PARALLEL_MIN, and check
 that every result is a strictly increasing int64 array that owns its
 memory, so that none pins the table-sized buffer. Under a trace or profile
-hook the shrink refuses, and the values copied out must be the same.
+hook the shrink refuses, and the values copied out must be the same. A
+support or rep table whose pieces miss or repeat a pair fails the mass
+check of its histogram.
 """
 
 import sys
@@ -23,7 +25,7 @@ from sumprod import ElemSet, GroundField, combine, rep_function
 from sumprod import repfn
 from sumprod.families import prime_with_subgroup, subgroup_of_order
 
-from conftest import P31, random_set
+from conftest import P31, forced_threads, random_set
 
 FP, C0 = GroundField.prime(P31), GroundField.char0()
 
@@ -167,3 +169,30 @@ def test_support_and_rep_are_the_same_under_a_hook(case, hook, side):
     assert S.tolist() == want[0].tolist()
     assert r.values.tolist() == want[1].values.tolist()
     assert r.counts.tolist() == want[1].counts.tolist()
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case,reduce", [
+    ("half-sub-fp", "support"), ("half-add-fp", "support"),
+    ("half-mul-fp", "support"), ("half-sub-char0", "rep"),
+    ("cross-div-fp", "rep"), ("cross-add-fp", "support")])
+def test_pieces_that_miss_or_repeat_a_pair_fail_the_mass_check(
+        case, reduce, threads, fault):
+    # the row split hands `_reduce` pieces that miss or repeat the first
+    # pair of the table, as a fault in the fill or in the seam stitch would
+    # leave them; each piece still writes its own runs, so the histogram's
+    # mass against the table's pairs (n^2 for a mirrored self sub table,
+    # n(n+1)/2 for the i <= j half of a self add/mul support) catches it
+    A, B, op = CASES[case]()
+    real = repfn._reduce
+
+    def faulty(pieces, *args):
+        first = pieces[0]
+        first = first[1:] if fault == "drop" else np.append(first[:1], first)
+        return real([first, *pieces[1:]], *args)
+
+    with forced_threads(threads), mock.patch.object(repfn, "_reduce",
+                                                    faulty):
+        with pytest.raises(ArithmeticError, match=f"{reduce} mass"):
+            repfn._table(A, B, op, reduce)

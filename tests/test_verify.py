@@ -231,6 +231,27 @@ def test_main_theorem_builds_each_table_once(values):
     assert rep.lhs == min(want.values())
 
 
+@pytest.mark.parametrize("addop,mulop", [("add", "mul"), ("sub", "div")])
+def test_sum_product_ratio_builds_only_its_pair(addop, mulop):
+    # one pair's ratio builds its two sets only, additive first
+    from unittest import mock
+    from sumprod import families, sum_product_ratio
+    from sumprod.setalgebra import combine
+    A = ElemSet(GroundField.prime(2**31 - 1), range(0, 40, 3))
+    calls = []
+
+    def spy(X, Y, op, budget=None):
+        calls.append((X, op))
+        return combine(X, Y, op, budget=budget)
+
+    with mock.patch.object(families, "combine", spy):
+        got = sum_product_ratio(A, addop, mulop)
+    assert calls == [(A, addop), (A.remove_zero(), mulop)]
+    assert got == max(len(combine(A, A, addop)),
+                      len(combine(*(A.remove_zero(),) * 2, mulop))) \
+        / len(A) ** 1.25
+
+
 def test_main_theorem_refusals_match_sum_product_ratio():
     from sumprod import BudgetExceeded, sum_product_ratio
     from sumprod.verify import sum_product_ratios
