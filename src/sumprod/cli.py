@@ -23,6 +23,18 @@ from .suite import ConfigError, ExperimentConfig, run_suite
 from .verify import LEMMAS, LemmaParams, main_theorem_probe, run_lemma
 
 
+def _budget(text: str) -> int:
+    """--budget: a positive integer, as SUMPROD_BUDGET must be."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return budget
+
+
 def _field_from_args(args) -> Optional[GroundField]:
     return GroundField.from_string(args.field) if args.field else None
 
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="machine-readable output")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--budget", type=_budget, default=argparse.SUPPRESS,
                         help="table-insertion budget (or env SUMPROD_BUDGET)")
 
     top = argparse.ArgumentParser(
@@ -304,9 +316,10 @@ def main(argv=None) -> int:
         print(f"constraint violated: {exc}", file=sys.stderr)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-    except ValueError as exc:
-        # a bad input (ParseError and FieldMismatch are ValueErrors too); an
-        # ArithmeticError is a failed exactness check and keeps its traceback
+    except (ValueError, OSError) as exc:
+        # a bad input (ParseError and FieldMismatch are ValueErrors too) or
+        # a set file that cannot be read; an ArithmeticError is a failed
+        # exactness check and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

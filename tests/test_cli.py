@@ -247,6 +247,41 @@ def test_budget_overrun_is_a_message_not_a_traceback(tmp_path, capsys, argv):
     assert "exceed budget 10" in captured.err
 
 
+@pytest.mark.parametrize("name", ["nope.txt", "folder"])
+def test_unreadable_set_file_is_a_message_not_a_traceback(tmp_path, capsys,
+                                                          name):
+    a = _fp_set(tmp_path, "a", range(1, 41))
+    (tmp_path / "folder").mkdir()
+    bad = str(tmp_path / name)
+    code = main(["op", "add", bad, a])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert captured.err.endswith(f"{bad!r}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1e8", "x", ""])
+def test_budget_flag_must_be_a_positive_integer(tmp_path, capsys, value):
+    a = _fp_set(tmp_path, "a", range(1, 4))
+    with pytest.raises(SystemExit) as exc:
+        main(["op", "add", a, a, f"--budget={value}"])
+    assert exc.value.code == 2
+    assert (f"argument --budget: must be a positive integer, got {value!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "1e8", "x"])
+def test_budget_variable_must_be_a_positive_integer(tmp_path, capsys,
+                                                    monkeypatch, value):
+    a = _fp_set(tmp_path, "a", range(1, 4))
+    monkeypatch.setenv("SUMPROD_BUDGET", value)
+    code = main(["op", "add", a, a])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: SUMPROD_BUDGET must be a positive "
+                            f"integer, got {value!r}\n")
+
+
 @pytest.mark.parametrize("argv,err", [
     (["verify", "--lemma", "kmps", "z", "z", "z"],
      "0 in X: the collision lemma needs subsets of F*"),

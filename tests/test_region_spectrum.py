@@ -1,11 +1,12 @@
 """Run-length spectra of sorted pieces, `repfn._region_spectrum`.
 
-A piece whose equal adjacent pairs are more than `_DENSE` of its values
-takes its run lengths from the run ends; any other piece from the positions
-of its equal adjacent pairs. Each test runs dense, sparse and mixed pieces
-through the default rule and through each path forced (`_DENSE` = -1 takes
-the run ends everywhere, 2 nowhere), and compares the spectrum with the
-"rep" reduction's bincount(counts).
+A chunk whose equal adjacent pairs are more than `_DENSE` of its values
+takes its run lengths from the run ends; any other chunk locates only its
+runs of three or more copies (where two equal pairs touch) and counts the
+runs of two from what is left. Each test runs dense, sparse and mixed
+pieces through the default rule and through each path forced (`_DENSE` =
+-1 takes the run ends everywhere, 2 nowhere), and compares the spectrum
+with the "rep" reduction's bincount(counts) or with np.unique's counts.
 """
 
 from unittest import mock
@@ -15,7 +16,7 @@ import pytest
 
 from sumprod import ElemSet, GroundField, count_spectrum, rep_function
 from sumprod import repfn
-from sumprod.repfn import _region_spectrum
+from sumprod.repfn import _region_spectrum, _run_chunks, _sort_reduce
 
 from conftest import P31, forced_threads, random_set, table_and_half
 
@@ -116,3 +117,63 @@ def test_table_spectra_match_rep_counts(path, threads, chunk, case):
             # a rectangular table is built whole, and its spectrum is r's
             raw, half = table_and_half(A, B, op, "spectrum")
             assert not half and trimmed(raw) == trimmed(want)
+
+
+def runs(*lengths, start=0):
+    """A sorted int64 array of consecutive values, one run per length."""
+    return np.repeat(np.arange(start, start + len(lengths)),
+                     lengths).astype(np.int64)
+
+
+# (sorted values, chunk sizes with _CHUNK = 16, where the case places runs
+# on chunk edges and the cut must give exactly these chunks)
+RUN_CASES = {
+    # x x y y: two runs of two side by side
+    "adjacent twos": (runs(2, 2, 1, 2, 2, 1, 1, 2, 2, 1), None),
+    # runs of 3 and 4 on a chunk's first and last slots, in both orders
+    "3 and 4 at the edges": (
+        np.concatenate([runs(3, *[1] * 9, 4), runs(4, *[1] * 9, 3, start=20),
+                        runs(4, *[1] * 8, 4, start=40)]), [16, 16, 16]),
+    # a chunk of runs of two only: eq = _DENSE * 16, the sparse side
+    "only twos": (np.concatenate([runs(*[2] * 8), runs(*[2] * 8, start=8)]),
+                  [16, 16]),
+    # runs longer than a chunk, between and beside short ones
+    "longer than a chunk": (runs(40, 1, 2, 3, 17, 1, 33), None),
+    # eq = 8 (sparse) and eq = 9 (dense) in chunks of 16
+    "both sides of _DENSE": (
+        np.concatenate([runs(3, *[2] * 6, 1), runs(3, 3, *[2] * 5, start=8)]),
+        [16, 16]),
+}
+
+
+def reduce_in(flat, threads, reduce):
+    """`_sort_reduce` of the sorted flat, split into `threads` slices."""
+    flat = flat.copy()
+    edges = [flat.size * k // threads for k in range(threads + 1)]
+    with repfn._pool(threads) as run:
+        return _sort_reduce(flat, edges, reduce, None, run)
+
+
+@pytest.mark.parametrize("path", FORCED)
+@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_run_shapes_match_unique_counts(case, threads, path):
+    flat, blocks = RUN_CASES[case]
+    values, counts = np.unique(flat, return_counts=True)
+    want = np.bincount(counts)
+    with mock.patch.multiple(repfn, _CHUNK=16, _DENSE=FORCED[path]):
+        if blocks is not None:
+            assert [c.size for c in _run_chunks(flat)] == blocks
+        assert trimmed(spectrum_of(flat, 16)) == trimmed(want)
+        assert trimmed(reduce_in(flat, threads, "spectrum")) == trimmed(want)
+        got = reduce_in(flat, threads, "rep")
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.counts, counts)
+
+
+def test_dense_boundary_case_takes_both_paths():
+    # the two chunks of "both sides of _DENSE" fall on either side of it
+    flat, _ = RUN_CASES["both sides of _DENSE"]
+    eqs = [int(np.count_nonzero(part[1:] == part[:-1]))
+           for part in (flat[:16], flat[16:])]
+    assert eqs == [8, 9] and 8 <= repfn._DENSE * 16 < 9

@@ -8,8 +8,8 @@ from sumprod import repfn
 from sumprod.repfn import (_exact_dot, _grid, _int_fast_ok, _inverses,
                            _object_table, _table)
 
-from conftest import (P31, pair_table_case, random_set, self_table_case,
-                      sorted_tables, table_and_half)
+from conftest import (P31, forced_threads, pair_table_case, random_set,
+                      self_table_case, sorted_tables, table_and_half)
 
 small_sets = st.lists(st.integers(-50, 50), min_size=1, max_size=12)
 
@@ -45,6 +45,25 @@ def test_budget_error(c0):
     A = ElemSet(c0, range(100))
     with pytest.raises(BudgetExceeded):
         rep_function(A, A, "add", budget=10)
+
+
+@pytest.mark.parametrize("env,budget", [(None, repfn.DEFAULT_BUDGET),
+                                        ("", repfn.DEFAULT_BUDGET),
+                                        ("5000", 5000), (" 12 ", 12)])
+def test_table_budget_reads_the_variable(monkeypatch, env, budget):
+    if env is None:
+        monkeypatch.delenv("SUMPROD_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SUMPROD_BUDGET", env)
+    assert repfn.table_budget() == budget
+
+
+@pytest.mark.parametrize("env", ["0", "-5", "1e8", "x", "10.0"])
+def test_table_budget_refuses_what_is_no_positive_integer(monkeypatch, env):
+    monkeypatch.setenv("SUMPROD_BUDGET", env)
+    with pytest.raises(ValueError, match=f"^SUMPROD_BUDGET must be a "
+                                         f"positive integer, got '{env}'$"):
+        repfn.table_budget()
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +147,40 @@ def test_self_tables_build_half_square(fp, op, table, support):
         with sorted_tables() as sizes:
             _table(A, copy, op, reduce)
         assert sizes[-1] == (support if reduce == "support" else table)
+
+
+def half_fill_sets(p):
+    """Sets whose self tables test the row split's half fill mod p: n = 1
+    and 2, sums that hit p (0 after the wrap), p - 1 and p + 1, and nine
+    values, one row more than a block of 72 pairs holds."""
+    return {
+        "n=1": [5],
+        "n=2": [3, p - 3],
+        "wrap": [0, 1, 7, (p - 1) // 2, (p + 1) // 2, 12, p - 13, p - 12,
+                 p - 7, p - 2, p - 1],
+        "block+1": [1, 2, 4, 9, 16, 33, p - 33, p - 9, p - 1],
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("op,reduce", [("add", "support"), ("mul", "support"),
+                                       ("sub", "support"), ("sub", "rep")])
+@pytest.mark.parametrize("kind", ["n=1", "n=2", "wrap", "block+1"])
+@pytest.mark.parametrize("p", [101, P31])
+def test_half_fill_matches_object_path(p, kind, op, reduce, threads):
+    F = GroundField.prime(p)
+    values = half_fill_sets(p)[kind]
+    A, copy = ElemSet(F, values), ElemSet(F, values)
+    assert len(A) == len(values)
+    # 72 pairs a block: 8 rows of 9, so "block+1" ends with a one-row block
+    with forced_threads(threads, block=72):
+        got, half = table_and_half(A, copy, op, reduce)
+    assert half
+    pairs = _object_table(A, A, op)
+    if reduce == "support":
+        assert list(got) == sorted(pairs)
+    else:
+        assert got.to_dict() == dict(pairs)
 
 
 @pytest.mark.parametrize("op", ["add", "sub"])
