@@ -16,7 +16,7 @@ from .families import (FAMILY_KINDS, FamilySpec, gen_family,
                        local_search_min_ratio)
 from .field import ElemSet, GroundField, read_set_file, render_set
 from .regularize import check_regular, default_slack, xue_regularize
-from .repfn import OPS, BudgetExceeded
+from .repfn import OPS, BudgetExceeded, _parse_budget
 from .report import ConstraintViolation
 from .setalgebra import SpanSpec, combine, iterated_span
 from .suite import ConfigError, ExperimentConfig, run_suite
@@ -26,13 +26,9 @@ from .verify import LEMMAS, LemmaParams, main_theorem_probe, run_lemma
 def _budget(text: str) -> int:
     """--budget: a positive integer, as SUMPROD_BUDGET must be."""
     try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return budget
+        return _parse_budget(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _field_from_args(args) -> Optional[GroundField]:

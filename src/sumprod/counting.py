@@ -6,16 +6,15 @@ products) rather than enumerating tuples; counts are exact Python ints.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 import numpy as np
 
 from .energy import _TABLE_OP, _spectrum_moment
 from .field import ElemSet, FieldMismatch
-from .repfn import (BudgetExceeded, _check_budget, _check_mass, _exact_dot,
-                    _grid, _in_grid, _int_fast_ok, _sorted_lookup,
-                    _sorted_table, rep_function, table_budget)
+from .repfn import (BudgetExceeded, _check_budget, _collision_spectrum,
+                    _exact_dot, _in_grid, _sorted_lookup, rep_function,
+                    table_budget)
 
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
@@ -23,10 +22,8 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
     """|{(x1,x2,y1,y2,z1,z2): x1(y1+z1) = x2(y2+z2)}| over X^2 x Y^2 x Z^2.
 
     Computed as sum of m(v)^2 = sum m^2 hist[m] over the spectrum of the
-    pair table X x (Y+Z), Y+Z the multiset of the |Y||Z| sums, built by the
-    int kernel where `_int_fast_ok` takes add on (Y, Z) and mul on (X,
-    sums); else by one exact Counter over the triples. Requires 0 not in
-    X, Y, Z.
+    pair table X x (Y+Z), Y+Z the multiset of the |Y||Z| sums
+    (`repfn._collision_spectrum`). Requires 0 not in X, Y, Z.
     """
     for name, S in (("X", X), ("Y", Y), ("Z", Z)):
         if 0 in S:
@@ -39,18 +36,7 @@ def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
             f"{len(X)}x{len(Y)}x{len(Z)} triples exceed budget {budget}")
     if len(X) == 0 or len(Y) == 0 or len(Z) == 0:
         return 0
-
-    field = X.field
-    if _int_fast_ok(field, "add", Y.ints, Z.ints):
-        # the multiset Y+Z: one sum per pair (y, z)
-        sums = _grid(Y.ints, Z.ints, "add", field.p).ravel()
-        if _int_fast_ok(field, "mul", X.ints, sums):
-            hist = _sorted_table(X.ints, sums, "mul", field.p, False,
-                                 "spectrum")
-            _check_mass(hist, len(X) * sums.size, "spectrum")
-            return _spectrum_moment(hist, 2).value
-    m = Counter(field.mul(x, field.add(y, z)) for x in X for y in Y for z in Z)
-    return sum(c * c for c in m.values())
+    return _spectrum_moment(_collision_spectrum(X, Y, Z), 2).value
 
 
 def bilinear_count(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,

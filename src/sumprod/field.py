@@ -253,18 +253,10 @@ class ElemSet:
     def remove_zero(self) -> "ElemSet":
         if 0 not in self:
             return self
+        if self._arr is not None:
+            keep = self._arr[self._arr != 0]
+            return ElemSet._from_sorted_array(self.field, keep)
         return ElemSet(self.field, [v for v in self if v != 0])
-
-    def union(self, other: "ElemSet") -> "ElemSet":
-        if self.field != other.field:
-            raise FieldMismatch("sets over different fields")
-        return ElemSet(self.field, list(self) + list(other))
-
-    def difference(self, other: "ElemSet") -> "ElemSet":
-        if self.field != other.field:
-            raise FieldMismatch("sets over different fields")
-        drop = set(other.elements())
-        return ElemSet(self.field, [v for v in self if v not in drop])
 
 
 def _format_element(v: Element) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import ElemSet
 from .energy import _TABLE_OP, dyadic_slice, energy
-from .repfn import _in_grid, _int_fast_ok, _table
+from .repfn import _membership_counts, _table
 from .report import VerificationReport
 
 # rule name -> (pair op for the popular set, table of popular values)
@@ -65,35 +65,6 @@ def popular_sums(A: ElemSet, eps, op: str = "add",
         return max(1, cutoff), hist.size
 
     return _table(A, A, op, "level", band, budget)[1]
-
-
-def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
-                       op: str) -> np.ndarray:
-    """count[i] = |{b in B : targets[i] ∘ b in P}| for op add/sub/mul/div.
-
-    The count sums one row of the `_in_grid` mask of targets ∘ B in P. For
-    fixed t, b -> t∘b is a bijection onto its image, so the count is also
-    the number of s in P whose preimage lies in B: t+b = s iff s-t = b,
-    t-b = s iff t-s = b, tb = s iff s/t = b (t != 0), t/b = s iff t/s = b
-    (t, s != 0). When P is the smaller set and the preimage grid is int
-    (char0 has no int inverses), the mask of preimages in B is summed
-    instead, and t = 0 (for mul/div every b maps to 0) is counted apart.
-    """
-    field = targets.field
-    t, s = targets.ints, P.ints
-    # the preimage of s is s-t, t-s, s/t or t/s
-    pre_op = "sub" if op in ("add", "sub") else "div"
-    if not (len(P) < len(B) and _int_fast_ok(field, pre_op, t, s)):
-        return _in_grid(targets, B, op, P).sum(axis=1)
-    if op in ("add", "mul"):
-        out = _in_grid(P, targets, pre_op, B).sum(axis=0)
-    else:
-        out = _in_grid(targets, P, pre_op, B).sum(axis=1)
-    if op in ("mul", "div"):
-        # t = 0 maps every b to 0: count all of B (nonzero b for div)
-        full = len(B) - int(op == "div" and 0 in B)
-        out[t == 0] = full if 0 in P else 0
-    return out
 
 
 def popularity_rule(A: ElemSet, eps, theta=Fraction(2, 3),

@@ -1,11 +1,13 @@
 """Representation functions r_{A∘B} with exact multiplicities.
 
-Every pair table goes through one entry point, `_table`: `rep_function`,
-`count_spectrum`, `setalgebra.combine` and the level sets of `energy` and
-`regularize` each ask it for one reduction. It owns the op, field and
-budget checks, the empty table, and the choice between the int kernel and
-the exact object table. Every route returns its table's run-length
-histogram, so `_table` checks the mass of every table in one place.
+The one kernel layer: only this module decides, by `_int_fast_ok`,
+which inputs take the int64 paths. Every pair table goes through one entry
+point, `_table`: `rep_function`, `count_spectrum`, `setalgebra.combine`
+and the level sets of `energy` and `regularize` each ask it for one
+reduction. It owns the budget check and the choice between the int
+kernel and the exact object table, which also takes every empty table.
+Every route returns its table's run-length histogram, so `_table` checks
+the mass of every table in one place.
 
 The hot path (prime mode / int-valued sets) has two producers of sorted
 pieces of whole runs, in value order, and one reducer, `_reduce`, that
@@ -44,8 +46,10 @@ small ones: a trim per table, or a lower fixed mmap threshold, cost 10%
 to 50% of the wall time for the same peak.
 
 Which entries of a grid x ∘ y lie in a set is asked of one kernel too,
-`_in_grid`: the membership counts of `regularize` and the pair-popularity
-count of `counting` are sums and products of its exact masks.
+`_in_grid`: the membership counts (`_membership_counts`) and the
+pair-popularity count of `counting` are sums and products of its exact
+masks. `_table` and `_in_grid` take their operands through one front,
+`_operands`. `_collision_spectrum` gives `counting` the spectrum of x(y+z).
 """
 
 from __future__ import annotations
@@ -86,6 +90,17 @@ class BudgetExceeded(RuntimeError):
     """A counting table would exceed the configured insertion budget."""
 
 
+def _parse_budget(text: str) -> int:
+    """SUMPROD_BUDGET or --budget as a positive integer, else ValueError."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(f"must be a positive integer, got {text!r}")
+    return budget
+
+
 def table_budget() -> int:
     """The pair budget SUMPROD_BUDGET sets, DEFAULT_BUDGET where it is unset
     or empty. Raises ValueError unless it is a positive integer."""
@@ -93,13 +108,9 @@ def table_budget() -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget <= 0:
-        raise ValueError(f"SUMPROD_BUDGET must be a positive integer, "
-                         f"got {env!r}")
-    return budget
+        return _parse_budget(env)
+    except ValueError as exc:
+        raise ValueError(f"SUMPROD_BUDGET {exc}") from None
 
 
 class RepFn:
@@ -107,31 +118,24 @@ class RepFn:
 
     `values` is either a sorted int64 numpy array or a sorted tuple of exact
     elements; `counts` aligns with it. `excluded_pairs` records zero-denominator
-    pairs dropped in div mode. The arrays are never mutated, so the count
-    histogram is computed once.
+    pairs dropped in div mode. `hist` is the count histogram that `_table`
+    mass-checked, trimmed to the largest count; the arrays are never mutated.
     """
 
-    __slots__ = ("field", "op", "values", "counts", "excluded_pairs",
-                 "lhs_size", "rhs_size", "_hist")
+    __slots__ = ("field", "op", "values", "counts", "excluded_pairs", "_hist")
 
     def __init__(self, field: GroundField, op: str, values, counts,
-                 excluded_pairs: int, lhs_size: int, rhs_size: int):
+                 excluded_pairs: int, hist: np.ndarray):
         self.field = field
         self.op = op
         self.values = values
         self.counts = counts
         self.excluded_pairs = excluded_pairs
-        self.lhs_size = lhs_size
-        self.rhs_size = rhs_size
-        self._hist = None
+        hist.flags.writeable = False
+        self._hist = hist
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def total_mass(self) -> int:
-        if isinstance(self.counts, np.ndarray):
-            return int(self.counts.sum())
-        return sum(self.counts)
 
     def items(self) -> Iterator[Tuple[object, int]]:
         if isinstance(self.values, np.ndarray):
@@ -148,13 +152,6 @@ class RepFn:
 
     def count_histogram(self) -> np.ndarray:
         """hist[m] = #values with multiplicity exactly m; read-only."""
-        if self._hist is None:
-            if len(self.values) == 0:
-                hist = np.zeros(1, dtype=np.int64)
-            else:
-                hist = np.bincount(np.asarray(self.counts, dtype=np.int64))
-            hist.flags.writeable = False
-            self._hist = hist
         return self._hist
 
 
@@ -935,31 +932,44 @@ def _packed_sort(keys: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
     return keys, bits, base
 
 
+def _operands(op: str, A: ElemSet, B: ElemSet,
+              *looked_up: ElemSet) -> Tuple[ElemSet, Optional[int]]:
+    """(B, zero) for a table or grid A ∘ B: refuses an op not in OPS
+    (ValueError) and B or a looked-up set over another field than A
+    (FieldMismatch). For div a 0 is dropped from B, and zero is the index
+    it had there; else zero is None."""
+    if op not in OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    for S in (B, *looked_up):
+        if S.field != A.field:
+            raise FieldMismatch(f"field mismatch: {A.field} vs {S.field}")
+    if op != "div" or 0 not in B:
+        return B, None
+    zero = B.elements().index(0) if B.ints is None \
+        else int(np.searchsorted(B.ints, 0))
+    return B.remove_zero(), zero
+
+
 def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
     """mask[i, j] = X[i] ∘ Y[j] in S, exact; False where op is div and
-    Y[j] = 0.
+    Y[j] = 0 (a 0 `_operands` drops, given back as a False column).
 
     Inputs `_int_fast_ok` accepts (S is only looked up, so it needs int
-    values only) build the grid with `_grid`, without a 0 of Y for div.
-    Its keys are packed with their flat index (`_packed_sort`) and sorted
-    once: the keys equal to a value of S form one block, found by two
-    ascending searches of S's values, and the indices in the blocks, or
-    outside them when those are fewer, are marked. Int keys too far apart
-    to pack take one plain `_sorted_lookup`; every other input takes the
-    field's exact ops.
+    values only) build the grid with `_grid`. Its keys are packed with
+    their flat index (`_packed_sort`) and sorted once: the keys equal to a
+    value of S form one block, found by two ascending searches of S's
+    values, and the indices in the blocks, or outside them when those are
+    fewer, are marked. Int keys too far apart to pack take one plain
+    `_sorted_lookup`; every other input takes the field's exact ops.
     """
+    Y, zero = _operands(op, X, Y, S)
     field = X.field
     x, y, s = X.ints, Y.ints, S.ints
     if s is None or not _int_fast_ok(field, op, x, y):
         fop, members = getattr(field, op), frozenset(S)
-        mask = np.zeros((len(X), len(Y)), dtype=bool)
-        for i, a in enumerate(X):
-            mask[i] = [not (op == "div" and b == 0) and fop(a, b) in members
-                       for b in Y]
-        return mask
-    # a 0 of Y (y[0] in F_p) is left out and comes back as a False column
-    zero = int(op == "div" and y.size > 0 and y[0] == 0)
-    y = y[zero:]
+        hits = np.array([[fop(a, b) in members for b in Y] for a in X],
+                        dtype=bool).reshape(len(X), len(Y))
+        return hits if zero is None else np.insert(hits, zero, False, axis=1)
     if x.size * y.size >= _PARALLEL_MIN:
         _release_heap()
     grid = _grid(x, y, op, field.p)
@@ -986,7 +996,31 @@ def _in_grid(X: ElemSet, Y: ElemSet, op: str, S: ElemSet) -> np.ndarray:
         hits = np.full(flat.size, dense)
         hits[flat[inside != dense] & ((1 << bits) - 1)] = not dense
         hits = hits.reshape(x.size, y.size)
-    return np.pad(hits, ((0, 0), (1, 0))) if zero else hits
+    return hits if zero is None else np.insert(hits, zero, False, axis=1)
+
+
+def _membership_counts(targets: ElemSet, B: ElemSet, P: ElemSet,
+                       op: str) -> np.ndarray:
+    """count[i] = |{b in B : targets[i] ∘ b in P}|: a row sum of the
+    `_in_grid` mask of targets ∘ B in P.
+
+    b -> t∘b is a bijection, so it also counts the s in P whose preimage
+    s-t, t-s, s/t or t/s (t, s != 0) lies in B: where P is the smaller set
+    and the rule takes that grid, its mask is summed, t = 0 counted apart.
+    """
+    t, s = targets.ints, P.ints
+    pre_op = "sub" if op in ("add", "sub") else "div"
+    if not (len(P) < len(B) and _int_fast_ok(targets.field, pre_op, t, s)):
+        return _in_grid(targets, B, op, P).sum(axis=1)
+    if op in ("add", "mul"):
+        out = _in_grid(P, targets, pre_op, B).sum(axis=0)
+    else:
+        out = _in_grid(targets, P, pre_op, B).sum(axis=1)
+    if op in ("mul", "div"):
+        # t = 0 maps every b to 0: count all of B (nonzero b for div)
+        full = len(B) - int(op == "div" and 0 in B)
+        out[t == 0] = full if 0 in P else 0
+    return out
 
 
 class _LogTable(NamedTuple):
@@ -1222,6 +1256,12 @@ def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
     return table
 
 
+def _counter_spectrum(table: Counter) -> np.ndarray:
+    """hist[m] = #{x : table[x] = m} of an exact object table."""
+    return np.bincount(np.fromiter(table.values(), np.int64, len(table)),
+                       minlength=1)
+
+
 def _check_budget(n: int, m: int, budget: Optional[int]) -> None:
     """Refuse an n x m pair table above budget (None: `table_budget()`)."""
     budget = budget if budget is not None else table_budget()
@@ -1240,17 +1280,17 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
            budget: Optional[int] = None):
     """The table of a ∘ b over A x B, reduced: every pair table is built here.
 
-    Checks the op and the fields, drops a 0 from B for div (its |A| pairs
-    are recorded as excluded) and refuses a table above the budget. Inputs
-    `_int_fast_ok` accepts go to the int kernel `_sorted_table`, all others
-    to the exact object table. When B has A's contents, sub tables and
-    add/mul supports take the unordered pairs only. A large div spectrum or
-    level set is taken over discrete logs (see `_div_logs`): r_{A/B} is
-    r_{L_A - L_B} over Z/(p-1), half for a self table. Every route returns
-    the run-length histogram of the table it built, with the values (and
-    counts) asked for in a `_Reduced`, and that histogram must hold the
-    table's pairs: |A||B∖{0}|, or n(n+1)/2 for the i <= j half of a self
-    add/mul support (else ArithmeticError). Returns, by `reduce`:
+    Takes A and B through `_operands` (a 0 it drops from B for div has its
+    |A| pairs recorded as excluded) and refuses a table above the budget.
+    Inputs `_int_fast_ok` accepts go to the int kernel `_sorted_table`, all
+    others to the exact object table. When B has A's contents, sub tables
+    and add/mul supports take the unordered pairs only. A large div
+    spectrum or level set is taken over discrete logs (see `_div_logs`):
+    r_{A/B} is r_{L_A - L_B} over Z/(p-1), half for a self table. Every
+    route returns the run-length histogram of the table it built, with the
+    values (and counts) asked for in a `_Reduced`, and that histogram must
+    hold the table's pairs: |A||B∖{0}|, or n(n+1)/2 for the i <= j half of
+    a self add/mul support (else ArithmeticError). Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
       "spectrum"  hist[m] = #{x : r(x) = m};
@@ -1258,21 +1298,10 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
                   empty table's is [0]) and S = {x : lo <= r(x) < hi}, with
                   [lo, hi) = band(hist).
     """
-    if op not in OPS:
-        raise ValueError(f"unknown operator {op!r}")
-    if A.field != B.field:
-        raise FieldMismatch(f"field mismatch: {A.field} vs {B.field}")
-    field = A.field
-    excluded = 0
-    if op == "div" and 0 in B:
-        excluded = len(A)
-        B = B.remove_zero()
-    n, m = len(A), len(B)
+    B, zero = _operands(op, A, B)
+    field, n, m = A.field, len(A), len(B)
+    excluded = 0 if zero is None else n
     _check_budget(n, m, budget)
-    rhs = m + (1 if excluded else 0)
-    if not (n and m) and reduce == "rep":
-        empty = np.zeros(0, dtype=np.int64)
-        return RepFn(field, op, empty, empty, excluded, n, rhs)
     pairs = n * m
     if n and m and _int_fast_ok(field, op, A.ints, B.ints):
         logs = _div_logs(A, B) if op == "div" and reduce in (
@@ -1291,8 +1320,7 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
             got = _sorted_table(a, b, kop, mod, half, reduce, band)
     else:
         table = _object_table(A, B, op)
-        got = np.bincount(np.fromiter(table.values(), np.int64, len(table)),
-                          minlength=1)
+        got = _counter_spectrum(table)
         if reduce != "spectrum":
             lo, hi = band(got) if reduce == "level" else (1, math.inf)
             vals = tuple(sorted(x for x, c in table.items() if lo <= c < hi))
@@ -1302,9 +1330,27 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     if reduce == "spectrum":
         return hist
     if reduce == "rep":
-        return RepFn(field, op, got.values, got.counts, excluded, n, rhs)
+        return RepFn(field, op, got.values, got.counts, excluded, hist)
     S = _elemset(field, got.values)
     return S if reduce == "support" else (hist, S)
+
+
+def _collision_spectrum(X: ElemSet, Y: ElemSet, Z: ElemSet) -> np.ndarray:
+    """The mass-checked spectrum of x(y + z) over X x Y x Z (nonempty, one
+    field): by the int kernel on X x (Y+Z), Y+Z the multiset of the |Y||Z|
+    sums, where `_int_fast_ok` takes add on (Y, Z) and mul on (X, sums);
+    else by one exact Counter over the triples."""
+    field, hist = X.field, None
+    if _int_fast_ok(field, "add", Y.ints, Z.ints):
+        sums = _grid(Y.ints, Z.ints, "add", field.p).ravel()
+        if _int_fast_ok(field, "mul", X.ints, sums):
+            hist = _sorted_table(X.ints, sums, "mul", field.p, False,
+                                 "spectrum")
+    if hist is None:
+        hist = _counter_spectrum(Counter(
+            field.mul(x, field.add(y, z)) for x in X for y in Y for z in Z))
+    _check_mass(hist, len(X) * len(Y) * len(Z), "spectrum")
+    return hist
 
 
 def rep_function(A: ElemSet, B: ElemSet, op: str,

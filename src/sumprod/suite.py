@@ -17,13 +17,13 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import List
 
 from . import __version__
 from .families import probe_field, probe_set
 from .field import GroundField
-from .repfn import BudgetExceeded
+from .repfn import DEFAULT_BUDGET, BudgetExceeded
 from .report import ConstraintViolation
 from .verify import DEFAULT_P, LEMMAS, LemmaParams, run_lemma
 
@@ -49,7 +49,7 @@ class ExperimentConfig:
         default_factory=lambda: ["pluennecke", "cauchy-schwarz"])
     sets_per_cell: int = 1
     slack_c: float = 64.0
-    table_budget: int = 100_000_000
+    table_budget: int = DEFAULT_BUDGET
     seed: int = 0
     fitted_ceiling: float = 16.0
     ratio_floor: float = 0.25
@@ -73,6 +73,9 @@ class ExperimentConfig:
                     or isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got "
                                   f"{value!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a nonempty path, got "
+                              f"{self.out_dir!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
         if self.slack_c <= 0:
@@ -113,8 +116,10 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def digest(self) -> str:
+        # where a run is written does not change what it computes
+        pinned = asdict(replace(self, out_dir=ExperimentConfig.out_dir))
         return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
+            json.dumps(pinned, sort_keys=True).encode()).hexdigest()
 
 
 def cell_seed(master_seed: int, *key) -> int:

@@ -103,7 +103,9 @@ def test_suite_cli_exit_codes(tmp_path, capsys):
     '{"fitted_ceiling": Infinity, "lemmas": ["kmps"]}',
     '{"ratio_floor": -Infinity, "lemmas": ["main"]}',
     '{"ratio_floor": NaN, "lemmas": ["main"]}', '{"slack_c": 0}',
-    '{"slack_c": -1.5, "lemmas": ["cauchy-schwarz", "mixed"]}'])
+    '{"slack_c": -1.5, "lemmas": ["cauchy-schwarz", "mixed"]}',
+    '{"out_dir": 5}', '{"out_dir": null}', '{"out_dir": ""}',
+    '{"out_dir": ["a"], "lemmas": ["main"]}'])
 def test_suite_cli_refuses_malformed_config(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sumprod import (ElemSet, GroundField, bilinear_count, count_energy_equiv,
                      f_collision_count, tautological_count)
 
-from sumprod import counting, repfn
+from sumprod import repfn
 from sumprod.counting import _pair_popularity_square_sum
 from sumprod.families import subgroup_of_order
 
@@ -212,10 +212,10 @@ def test_energy_equiv_budget(c0):
 
 def collision_route(X, Y, Z):
     """(f_collision_count(X, Y, Z), whether it took the int kernel)."""
-    with mock.patch.object(counting, "_sorted_table",
+    with mock.patch.object(repfn, "_sorted_table",
                            wraps=repfn._sorted_table) as kernel, \
-            mock.patch.object(counting, "Counter",
-                              wraps=counting.Counter) as counter:
+            mock.patch.object(repfn, "Counter",
+                              wraps=repfn.Counter) as counter:
         got = f_collision_count(X, Y, Z)
     assert kernel.call_count + counter.call_count == 1
     return got, kernel.call_count == 1

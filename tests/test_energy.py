@@ -74,7 +74,8 @@ def test_dyadic_singleton(c0):
 
 def test_dyadic_refuses_table_without_positive_count(c0):
     # raises under python -O too, where an assert would let it through
-    r = RepFn(c0, "add", np.asarray([1]), np.asarray([0]), 0, 1, 1)
+    r = RepFn(c0, "add", np.asarray([1]), np.asarray([0]), 0,
+              np.bincount([0]))
     with pytest.raises(ValueError):
         dyadic_extract(r, 2)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import ElemSet, GroundField, repfn
+from sumprod import ElemSet, FieldMismatch, GroundField, repfn
 from sumprod.families import prime_with_subgroup, subgroup_of_order
 from sumprod.repfn import OPS, _in_grid, _sorted_lookup
 
@@ -166,6 +166,29 @@ def test_in_grid_zero_in_both_sides(op):
         assert 0 not in inverses.call_args.args[0]
         only = _in_grid(X, ElemSet(F, [0]), op, S)
         assert only.shape == (4, 1) and not only.any()
+
+
+@pytest.mark.parametrize("sets", [
+    [1, 2, 3], [0, 1, Fraction(1, 2)]], ids=["int", "rational"])
+@pytest.mark.parametrize("op", ["pow", "", "ADD"])
+def test_in_grid_refuses_an_unknown_op(sets, op):
+    # the operand front checks the op before any route is chosen
+    F = C0 if Fraction(1, 2) in sets else GroundField.prime(101)
+    X = ElemSet(F, sets)
+    with pytest.raises(ValueError, match=f"^unknown operator {op!r}$"):
+        _in_grid(X, X, op, X)
+
+
+@pytest.mark.parametrize("other", [GroundField.prime(103), C0])
+@pytest.mark.parametrize("side", ["X", "Y", "S"])
+@pytest.mark.parametrize("op", OPS)
+def test_in_grid_refuses_sets_over_another_field(op, side, other):
+    # X, Y and the looked-up S must share one field, on every route
+    sets = {name: ElemSet(GroundField.prime(101), [0, 1, 2, 3])
+            for name in "XYS"}
+    sets[side] = ElemSet(other, [0, 1, 2, 3])
+    with pytest.raises(FieldMismatch, match="^field mismatch: "):
+        _in_grid(sets["X"], sets["Y"], op, sets["S"])
 
 
 @pytest.mark.parametrize("op", OPS)

@@ -1,11 +1,13 @@
-"""Source guards: no exactness in src/sumprod rests on an `assert`, and
-repfn reduces arrays mod p in one place.
+"""Source guards: no exactness in src/sumprod rests on an `assert`, repfn
+reduces arrays mod p in one place, and only repfn touches its int kernel.
 
 `python -O` strips every `assert` statement and makes `__debug__` False,
 so a check written either way vanishes from an optimised run. The first
 guard parses every module of the package and names, as file:line, each
 `assert` statement and each read of `__debug__`. The second names each
-np.remainder call of repfn.py outside `_mod`.
+np.remainder call of repfn.py outside `_mod`. The third names each
+reference to the int kernel's internals outside repfn.py, so that one
+module decides which inputs take the int64 paths.
 """
 
 import ast
@@ -72,3 +74,45 @@ def test_repfn_reduces_arrays_only_through_mod():
     # kernel goes through it
     found = remainder_calls(SRC / "repfn.py", SRC.parent)
     assert not found, "np.remainder outside repfn._mod: " + ", ".join(found)
+
+
+# the int kernel's internals: the fast-path rule, its grids and tables,
+# their mass check and reductions, and the heap release before large ones
+KERNEL = ("_int_fast_ok", "_grid", "_sorted_table", "_bucket_table",
+          "_check_mass", "_inverses", "_mod", "_release_heap")
+
+
+def kernel_references(path: Path, root: Path) -> list:
+    """file:line (relative to root) of each line of path that imports,
+    reads or looks up as an attribute a name of KERNEL."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id in KERNEL
+                    or isinstance(node, ast.Attribute) and node.attr in KERNEL
+                    or isinstance(node, ast.alias) and node.name in KERNEL})
+    return [f"{path.relative_to(root)}:{line}" for line in lines]
+
+
+def test_guard_names_each_kernel_reference(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .repfn import (_table,\n    _grid)\n"
+                     "from . import repfn\n"
+                     "x = repfn._mod(5, 3)  # _inverses\n"
+                     "y = _table, '_sorted_table', _gridded\n"
+                     "if _int_fast_ok: _check_mass(_release_heap)\n"
+                     "z = repfn._bucket_table\n")
+    assert kernel_references(probe, tmp_path) == [
+        "probe.py:2", "probe.py:4", "probe.py:6", "probe.py:7"]
+
+
+def test_only_repfn_touches_the_int_kernel():
+    # which inputs take the int64 paths is decided in repfn alone: every
+    # other module asks `_table`, `_in_grid`, `_membership_counts` or
+    # `_collision_spectrum`
+    files = sorted(path for path in SRC.rglob("*.py")
+                   if path.name != "repfn.py")
+    assert files
+    found = [hit for path in files
+             for hit in kernel_references(path, SRC.parent)]
+    assert not found, "int kernel internals outside repfn.py: " + \
+        ", ".join(found)

@@ -163,7 +163,10 @@ def test_determinism_modulo_timing(tmp_path):
         rows = _read_csv(tmp_path / d / "suite.csv")
         for r in rows:
             r.pop("elapsed_ms")
-        return rows
+        with open(tmp_path / d / "manifest.json") as fh:
+            # the digest pins what a run computes, not where it is written
+            digest = json.load(fh)["config_digest"]
+        return rows, digest
 
     assert run("a") == run("b")
 
