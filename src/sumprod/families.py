@@ -174,6 +174,10 @@ def local_search_min_ratio(seed_set: ElemSet, steps: int, rng_seed: int = 0,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (math.isfinite(t0) and t0 >= 0):
+        raise ValueError(f"t0 must be finite and >= 0, got {t0}")
+    if not 0 <= cooling <= 1:
+        raise ValueError(f"cooling must lie in [0, 1], got {cooling}")
     if len(seed_set) < 4:
         raise ValueError("need |seed| >= 4")
     if not seed_set.field.is_prime_mode:

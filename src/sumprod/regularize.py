@@ -47,10 +47,6 @@ class PopularityParams:
             raise ValueError(f"c1 must lie in (0,1), got {self.c1}")
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def popular_sums(A: ElemSet, eps, op: str = "add",
                  budget: Optional[int] = None) -> ElemSet:
     """P_A = {x in A∘A : r_{A∘A}(x) >= eps * |A|^2 / |A∘A|}, exact threshold."""
@@ -60,7 +56,7 @@ def popular_sums(A: ElemSet, eps, op: str = "add",
     def band(hist: np.ndarray) -> Tuple[int, int]:
         # every r(x) is at least 1; an empty table keeps nothing
         support = int(hist[1:].sum())  # |A∘A|
-        cutoff = _ceil_fraction(Fraction(eps) * len(A) ** 2 / support) \
+        cutoff = math.ceil(Fraction(eps) * len(A) ** 2 / support) \
             if support else 1
         return max(1, cutoff), hist.size
 
@@ -76,7 +72,7 @@ def popularity_rule(A: ElemSet, eps, theta=Fraction(2, 3),
     op = _RULE_OPS[rule]
     P = popular_sums(A, eps, op, budget)
     good = _membership_counts(A, A, P, op)
-    need = _ceil_fraction(Fraction(theta) * len(A))
+    need = math.ceil(Fraction(theta) * len(A))
     keep = [a for a, c in zip(A, good.tolist()) if c >= need]
     return ElemSet(A.field, keep, _canonical=True)
 
@@ -198,7 +194,7 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
         rc = _membership_counts(cand, cand, S, _TABLE_OP[op])
         # rc sums to sum_{s in S} r(s) >= |S| tau over <= n candidates, so
         # max(rc) >= |S| tau / n >= cutoff: C is never empty
-        cutoff = max(1, _ceil_fraction(Fraction(len(S) * tau, 2 * n * L)))
+        cutoff = max(1, math.ceil(Fraction(len(S) * tau, 2 * n * L)))
         mask = rc >= cutoff
         n_thr = int(mask.sum())
         lst = list(cand)

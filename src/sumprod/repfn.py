@@ -29,9 +29,9 @@ reduces to a spectrum or a level set is never held whole: its value range
 is cut into buckets of at most _BUCKET pairs, and each bucket is gathered
 from runs of the sorted operand and sorted on its own (`_bucket_table`).
 Div spectra and level sets of large tables take the same route over
-discrete logs. This is what makes fourth-moment energies of 10^4-element
-sets take seconds in bounded memory. Rational or oversized values fall
-back to an exact Counter.
+discrete logs, by `_table`'s one route step (`_div_logs`). This is what
+makes fourth-moment energies of 10^4-element sets take seconds in bounded
+memory. Rational or oversized values fall back to an exact Counter.
 
 Every array reduction mod p goes through one in-place helper, `_mod`,
 which takes x - (x // p) * p by numpy's vectorised division by a scalar,
@@ -1167,56 +1167,42 @@ def _logs_of(x: np.ndarray, table: _LogTable) -> np.ndarray:
     return logs
 
 
-def _div_logs(A: ElemSet,
-              B: ElemSet) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(logs of A∖{0}, logs of B), each sorted, when r_{A/B} is taken over
-    discrete logs, else None; the same array twice when A∖{0} has B's
-    contents.
+def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
+    """The route step of a large div spectrum or level set over discrete
+    logs, else None: (la, lb, M, half, band', finish).
 
-    B holds no 0 (see `_table`). The log path runs in prime mode when the
-    table has at least _LOG_MIN pairs, the shorter of A∖{0} and B at least
-    _LOG_SIDE elements (and one), and every prime factor of p-1 is at most
-    _LOG_MAX_FACTOR. Below those sizes the logs cost more than the sub
-    table saves.
+    r_{A/B}(g^s) = r_{la-lb}(s) over Z/(p-1), la and lb the sorted logs of
+    A∖{0} and B: the kernel builds their sub table mod M = p-1, half (la is
+    lb) when A∖{0} has B's contents. band' hands band the kernel's
+    histogram fixed and trimmed, and finish fixes a spectrum or maps a
+    level set back by s -> g^s. M is even, so in a half table the class
+    M/2 (the pairs a, -a with a/(-a) = -1) is one value hit 2h times, where
+    the kernel counts two values hit h times; a 0 in A adds the value 0,
+    hit |lb| times. A level set mapped back must hold as many distinct
+    values as its band of the fixed histogram, or ArithmeticError is raised.
+
+    `_table` asks it for the div tables `_int_fast_ok` takes, in prime mode
+    and with no 0 in B. It takes the route when the table has at least
+    _LOG_MIN pairs, the shorter of A∖{0} and B at least _LOG_SIDE elements
+    (and one), and every prime factor of p-1 is at most _LOG_MAX_FACTOR.
+    Below those sizes the logs cost more than the sub table saves.
     """
-    if not A.field.is_prime_mode or len(A) * len(B) < _LOG_MIN:
-        return None
-    a = A.ints[1:] if A.ints[0] == 0 else A.ints
-    if min(a.size, len(B)) < max(1, _LOG_SIDE):
-        return None
-    table = _log_table(A.field.p)
-    if table is None:
-        return None
-    if np.array_equal(a, B.ints):
-        logs = _discrete_logs(B.ints, table)
-        logs.sort()
-        return logs, logs
-    logs = _discrete_logs(np.concatenate((a, B.ints)), table)
-    return np.sort(logs[:a.size]), np.sort(logs[a.size:])
-
-
-def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
-               band=None):
-    """The "spectrum" (a histogram) or "level" (a `_Reduced`) of r_{A/B}
-    from the logs la of A∖{0} and lb of B (see `_div_logs`).
-
-    r_{A/B}(g^s) = r_{la-lb}(s) over Z/(p-1), a half sub table when la is
-    lb. M = p-1 is even, so there the class M/2 (the pairs a, -a with
-    a/(-a) = -1) is one value hit 2h times, where the kernel counts two
-    values hit h times; a 0 in A adds the value 0, hit |lb| times. Both
-    enter the histogram before the band is chosen. A level set is mapped
-    back by s -> g^s, sorted again, and must hold as many values as its
-    band of the histogram, or ArithmeticError is raised.
-    """
-    table = _log_table(A.field.p)
-    M, m = table.p - 1, lb.size
     zero = A.ints[0] == 0
-    half = la is lb
-    # h = #{L in lb : L + M/2 in lb, L < M/2}, the pairs {a, -a}
-    h = int(_sorted_lookup(lb, lb[lb < M // 2] + M // 2)[1].sum()) \
-        if half else 0
+    a = A.ints[1:] if zero else A.ints
+    if reduce not in ("spectrum", "level") or len(A) * len(B) < _LOG_MIN \
+            or min(a.size, len(B)) < max(1, _LOG_SIDE) \
+            or (table := _log_table(A.field.p)) is None:
+        return None
+    M, m = table.p - 1, len(B)
+    if np.array_equal(a, B.ints):
+        la = lb = np.sort(_discrete_logs(B.ints, table))
+        # h = #{L in lb : L + M/2 in lb, L < M/2}, the pairs {a, -a}
+        h = int(_sorted_lookup(lb, lb[lb < M // 2] + M // 2)[1].sum())
+    else:
+        logs = _discrete_logs(np.concatenate((a, B.ints)), table)
+        la, lb, h = np.sort(logs[:a.size]), np.sort(logs[a.size:]), 0
 
-    def fixed(hist):
+    def fix(hist):
         top = max(2 * h, m if zero else 0)
         hist = np.pad(hist, (0, max(0, top + 1 - hist.size)))
         if h:
@@ -1226,25 +1212,26 @@ def _over_logs(A: ElemSet, la: np.ndarray, lb: np.ndarray, reduce: str,
             hist[m] += 1
         return hist
 
-    if reduce == "spectrum":
-        return fixed(_sorted_table(la, lb, "sub", M, half, "spectrum"))
-    got = _sorted_table(la, lb, "sub", M, half, "level",
-                        lambda hist: band(_trim(fixed(hist))))
-    hist, s, (lo, hi) = _trim(fixed(got.hist)), got.values, got.band
-    if h:
-        s = s[s != M // 2]
-        if lo <= 2 * h < hi:
-            s = np.append(s, M // 2)
-    x = _pow_g(s, table, out=s)
-    if zero and lo <= m < hi:
-        x = np.append(x, 0)
-    x.sort()
-    runs, long = _region_spectrum(x)  # distinct: as many runs as values
-    if x.size != int(hist[lo:hi].sum()) or runs.sum() + len(long) != x.size:
-        raise ArithmeticError(f"a level set over logs mod {table.p} maps "
-                              f"back to {x.size} values, not the "
-                              f"{int(hist[lo:hi].sum())} of its band")
-    return _Reduced(hist, x, None, (lo, hi))
+    def finish(got):
+        if reduce == "spectrum":
+            return fix(got)
+        hist, s, (lo, hi) = _trim(fix(got.hist)), got.values, got.band
+        if h:
+            s = s[s != M // 2]
+            if lo <= 2 * h < hi:
+                s = np.append(s, M // 2)
+        x = _pow_g(s, table, out=s)
+        if zero and lo <= m < hi:
+            x = np.append(x, 0)
+        x.sort()
+        if x.size != int(hist[lo:hi].sum()) or (x[1:] == x[:-1]).any():
+            raise ArithmeticError(f"a level set over logs mod {table.p} "
+                                  f"maps back to {x.size} values, not the "
+                                  f"{int(hist[lo:hi].sum())} of its band")
+        return _Reduced(hist, x, None, (lo, hi))
+
+    return (la, lb, M, la is lb, lambda hist: band(_trim(fix(hist))),
+            finish)
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -1282,15 +1269,17 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
 
     Takes A and B through `_operands` (a 0 it drops from B for div has its
     |A| pairs recorded as excluded) and refuses a table above the budget.
-    Inputs `_int_fast_ok` accepts go to the int kernel `_sorted_table`, all
-    others to the exact object table. When B has A's contents, sub tables
-    and add/mul supports take the unordered pairs only. A large div
-    spectrum or level set is taken over discrete logs (see `_div_logs`):
-    r_{A/B} is r_{L_A - L_B} over Z/(p-1), half for a self table. Every
-    route returns the run-length histogram of the table it built, with the
-    values (and counts) asked for in a `_Reduced`, and that histogram must
-    hold the table's pairs: |A||B∖{0}|, or n(n+1)/2 for the i <= j half of
-    a self add/mul support (else ArithmeticError). Returns, by `reduce`:
+    Inputs `_int_fast_ok` accepts go to the int kernel `_sorted_table`, in
+    one call, all others to the exact object table. One route step first
+    rewrites the request for the kernel: when B has A's contents, sub
+    tables and add/mul supports take the unordered pairs only; a div table
+    multiplies by the inverses of B, or, if large and reduced to a spectrum
+    or level set, is a sub table of discrete logs mod p-1 whose result
+    `_div_logs` turns back into r_{A/B}'s. Both give the run-length
+    histogram of the table, with the values (and counts) asked for in a
+    `_Reduced`, and that histogram must hold the table's pairs: |A||B∖{0}|,
+    or n(n+1)/2 for the i <= j half of a self add/mul support (else
+    ArithmeticError). Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
       "spectrum"  hist[m] = #{x : r(x) = m};
@@ -1304,20 +1293,21 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     _check_budget(n, m, budget)
     pairs = n * m
     if n and m and _int_fast_ok(field, op, A.ints, B.ints):
-        logs = _div_logs(A, B) if op == "div" and reduce in (
-            "spectrum", "level") else None
+        # the route step: the kernel's request (a, b, kop, mod, half, band)
+        a, b, kop, mod = A.ints, B.ints, op, field.p
+        half = (op == "sub" or reduce == "support"
+                and op in ("add", "mul")) \
+            and (A is B or np.array_equal(a, b))
+        if half and op != "sub":
+            pairs = n * (n + 1) // 2
+        logs = _div_logs(A, B, reduce, band) if op == "div" else None
         if logs is not None:
-            got = _over_logs(A, *logs, reduce, band)
-        else:
-            a, b, kop, mod = A.ints, B.ints, op, field.p
-            half = (op == "sub" or reduce == "support"
-                    and op in ("add", "mul")) \
-                and (A is B or np.array_equal(a, b))
-            if half and op != "sub":
-                pairs = n * (n + 1) // 2
-            if op == "div":
-                b, kop = _inverses(b, mod), "mul"
-            got = _sorted_table(a, b, kop, mod, half, reduce, band)
+            a, b, mod, half, band, finish = logs
+            kop = "sub"
+        elif op == "div":
+            b, kop = _inverses(b, mod), "mul"
+        got = _sorted_table(a, b, kop, mod, half, reduce, band)
+        got = got if logs is None else finish(got)
     else:
         table = _object_table(A, B, op)
         got = _counter_spectrum(table)

@@ -29,18 +29,10 @@ def combine(A: ElemSet, B: ElemSet, op: str,
 
 def iterated_span(A: ElemSet, spec: SpanSpec,
                   budget: Optional[int] = None) -> ElemSet:
-    """kA - lA by left-fold of combine."""
-    k, l = spec.k, spec.l
-    acc = None
-    for _ in range(k):
-        acc = A if acc is None else combine(acc, A, "add", budget)
-    if l > 0 and acc is None:
-        # 0A - lA == -(lA); build lA then negate
-        neg = ElemSet(A.field, [A.field.neg(v) for v in A])
-        acc = neg
-        for _ in range(l - 1):
-            acc = combine(acc, neg, "add", budget)
-        return acc
-    for _ in range(l):
+    """kA - lA by left-fold of combine from A, or from {0} when k = 0."""
+    acc = A if spec.k else ElemSet(A.field, [0])
+    for _ in range(spec.k - 1):
+        acc = combine(acc, A, "add", budget)
+    for _ in range(spec.l):
         acc = combine(acc, A, "sub", budget)
     return acc

@@ -44,7 +44,10 @@ def _fitted(lhs, rhs_num, rhs_den=1) -> float:
 
 def check_pluennecke(A: ElemSet, k: int, l: int,
                      budget: Optional[int] = None) -> VerificationReport:
-    """|kA - lA| <= |A+A|^(k+l) / |A|^(k+l-1); a theorem, asserted exactly."""
+    """|kA - lA| <= |A+A|^(k+l) / |A|^(k+l-1); a theorem, asserted exactly.
+    Raises ValueError for an empty A, where the bound is 0/0."""
+    if len(A) == 0:
+        raise ValueError("Pluennecke-Ruzsa needs a nonempty set")
     t0 = time.perf_counter()
     span = iterated_span(A, SpanSpec(k, l), budget=budget)
     doubling = combine(A, A, "add", budget=budget)
@@ -314,7 +317,8 @@ def _set_product(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
     """product(text): the product of the sizes that text names as |S| or
     |S|^e, S being A, a set in aux, or A∘Y written "A+A", "AA", "A-Y" or
     "A/Y" (Y is A or in aux). A set whose size known does not give is built
-    with `combine` when first read, AA and A/A over A∖{0}, A/Y over Y∖{0}."""
+    with `combine` when first read, AA and A/A over A∖{0}, A/Y over Y∖{0}
+    (`combine` drops a 0 from a div right operand)."""
     sizes = {"A": len(A), **{y: len(Y) for y, Y in aux.items()}, **known}
 
     def size(name: str) -> int:
@@ -323,7 +327,6 @@ def _set_product(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
             y = name[1:] if op == "mul" else name[2:]
             X = A.remove_zero() if y == "A" and op in ("mul", "div") else A
             Y = X if y == "A" else aux[y]
-            Y = Y.remove_zero() if op == "div" else Y
             sizes[name] = len(combine(X, Y, op, budget=budget))
         return sizes[name]
     return lambda text: math.prod(size(name) ** int(e or 1) for name, e in

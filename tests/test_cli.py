@@ -77,6 +77,24 @@ def test_search_cli(tmp_path, capsys):
     assert code == 0 and "best_ratio=" in out
 
 
+def test_verify_cli_refuses_an_empty_set(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("# field prime 101\n")
+    assert main(["verify", "--lemma", "pluennecke", str(a)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--cooling", "nan"), ("--cooling", "1.5"), ("--cooling", "-0.1"),
+    ("--t0", "-1"), ("--t0", "nan"), ("--t0", "inf")])
+def test_search_cli_refuses_a_bad_schedule(tmp_path, capsys, flag, value):
+    a = tmp_path / "a.txt"
+    a.write_text("# field prime 1009\n" + "\n".join(map(str, range(1, 17))))
+    assert main(["search", str(a), "--steps", "3", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+
+
 def test_suite_cli_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lemmas": ["cauchy-schwarz"],

@@ -90,6 +90,23 @@ def test_search_deterministic():
     assert a.best == b.best and a.best_ratio == b.best_ratio
 
 
+@pytest.mark.parametrize("t0,cooling", [
+    (0.1, float("nan")), (0.1, float("inf")), (0.1, 1.001), (0.1, -0.5),
+    (-1.0, 0.999), (float("nan"), 0.999), (float("inf"), 0.999)])
+def test_search_refuses_a_bad_schedule(t0, cooling):
+    seed = ElemSet(GroundField.prime(1009), range(1, 17))
+    with pytest.raises(ValueError, match="t0" if cooling == 0.999
+                       else "cooling"):
+        local_search_min_ratio(seed, 5, t0=t0, cooling=cooling)
+
+
+@pytest.mark.parametrize("t0,cooling", [(0.0, 0.0), (0.0, 1.0), (2.0, 1.0)])
+def test_search_takes_schedules_at_the_bounds(t0, cooling):
+    seed = ElemSet(GroundField.prime(1009), range(1, 17))
+    st = local_search_min_ratio(seed, 5, t0=t0, cooling=cooling)
+    assert (st.t0, st.cooling) == (t0, cooling) and len(st.best) == 16
+
+
 def test_search_validation(c0):
     with pytest.raises(ValueError):
         local_search_min_ratio(ElemSet(GroundField.prime(101), [1, 2, 3, 4]),

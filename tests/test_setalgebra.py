@@ -1,11 +1,15 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import ElemSet, GroundField, SpanSpec, combine, iterated_span, \
-    rep_function
+from sumprod import BudgetExceeded, ElemSet, GroundField, SpanSpec, \
+    combine, iterated_span, rep_function
 from sumprod.repfn import _object_table
 
-from conftest import self_table_case
+from conftest import P31, self_table_case
 
 small_sets = st.lists(st.integers(-30, 30), min_size=1, max_size=10)
 
@@ -55,6 +59,46 @@ def test_support_matches_rep(xs, ys, op):
     assert combine(A, B, op) == rep_function(A, B, op).support()
 
 
+def object_span(A, k, l):
+    """kA - lA from every choice of k + l elements, by the field's ops."""
+    F, out = A.field, set()
+    for xs in itertools.product(list(A), repeat=k + l):
+        v = 0
+        for i, x in enumerate(xs):
+            v = F.add(v, x) if i < k else F.sub(v, x)
+        out.add(v)
+    return ElemSet(F, out)
+
+
+SPAN_SETS = {
+    "F101": (GroundField.prime(101), [0, 1, 5, 17, 50, 99]),
+    "F31": (GroundField.prime(P31),
+            [0, 3, P31 - 3] + random.Random(5).sample(range(1, P31), 4)),
+    "char0": (GroundField.char0(), [-7, 0, 2, 9, 40, 2**40]),
+    "char0-fractions": (GroundField.char0(),
+                        [Fraction(-1, 2), 0, Fraction(1, 3), 1, 4]),
+}
+
+
+@pytest.mark.parametrize("k,l", [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1),
+                                 (3, 0)])
+@pytest.mark.parametrize("name", list(SPAN_SETS))
+def test_span_matches_object_path(name, k, l):
+    # k = 0 folds from {0}, so 0A - lA takes the path of every other span
+    F, xs = SPAN_SETS[name]
+    A = ElemSet(F, xs)
+    assert iterated_span(A, SpanSpec(k, l)) == object_span(A, k, l)
+
+
+def test_zero_plus_span_builds_one_table(c0):
+    # {0} - A is a |A|-pair table, refused below that budget
+    A = ElemSet(c0, range(10))
+    assert sorted(iterated_span(A, SpanSpec(0, 1), budget=10)) == \
+        list(range(-9, 1))
+    with pytest.raises(BudgetExceeded):
+        iterated_span(A, SpanSpec(0, 1), budget=9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_sets, small_sets)
 def test_size_bounds(xs, ys):
@@ -65,7 +109,7 @@ def test_size_bounds(xs, ys):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_sets, st.integers(1, 2), st.integers(0, 2))
+@given(small_sets, st.integers(0, 2), st.integers(0, 2))
 def test_span_monotone_in_subset(xs, k, l):
     if k + l == 0:
         return

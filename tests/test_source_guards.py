@@ -7,7 +7,10 @@ guard parses every module of the package and names, as file:line, each
 `assert` statement and each read of `__debug__`. The second names each
 np.remainder call of repfn.py outside `_mod`. The third names each
 reference to the int kernel's internals outside repfn.py, so that one
-module decides which inputs take the int64 paths.
+module decides which inputs take the int64 paths. The fourth names each
+call of the pair kernel `_sorted_table` in repfn.py outside `_table` and
+`_collision_spectrum`, so that every route of a pair table is a step of
+`_table` before its one kernel call.
 """
 
 import ast
@@ -115,4 +118,43 @@ def test_only_repfn_touches_the_int_kernel():
     found = [hit for path in files
              for hit in kernel_references(path, SRC.parent)]
     assert not found, "int kernel internals outside repfn.py: " + \
+        ", ".join(found)
+
+
+def kernel_calls(path: Path, root: Path) -> list:
+    """file:line (relative to root) of each call of `_sorted_table` in path
+    outside the functions `_table` and `_collision_spectrum`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("_table", "_collision_spectrum")
+              for node in ast.walk(fn)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "_sorted_table"
+                   and id(node) not in inside)
+    return [f"{path.relative_to(root)}:{line}" for line in lines]
+
+
+def test_guard_names_each_kernel_call_outside_table(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _table(a):\n    return _sorted_table(a)\n"
+                     "def _collision_spectrum(x):\n"
+                     "    return _sorted_table(x)\n"
+                     "def _over(a):\n"
+                     "    return _sorted_table(a), _sorted_table(a, 1)\n"
+                     "f = _sorted_table  # a reference, not a call\n"
+                     "y = _sorted_table(2)\n")
+    assert kernel_calls(probe, tmp_path) == [
+        "probe.py:6", "probe.py:6", "probe.py:8"]
+
+
+def test_only_table_calls_the_pair_kernel():
+    # every route of a pair table (the inverses or the discrete logs of a
+    # div table, the half of a self table) rewrites the request in `_table`,
+    # which then calls the kernel once; the collision spectrum's X x (Y+Z)
+    # is the one other table
+    found = kernel_calls(SRC / "repfn.py", SRC.parent)
+    assert not found, "_sorted_table called outside _table: " + \
         ", ".join(found)
