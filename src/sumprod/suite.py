@@ -23,7 +23,7 @@ from typing import List
 from . import __version__
 from .families import probe_field, probe_set
 from .field import GroundField
-from .repfn import DEFAULT_BUDGET, BudgetExceeded
+from .repfn import DEFAULT_BUDGET, BudgetExceeded, table_memo
 from .report import ConstraintViolation
 from .verify import DEFAULT_P, LEMMAS, LemmaParams, run_lemma
 
@@ -166,8 +166,10 @@ def _run_cell(config: ExperimentConfig, lemma: str, family: str, n: int,
     params = LemmaParams(ceiling=config.fitted_ceiling,
                          slack_c=config.slack_c, floor=config.ratio_floor,
                          budget=config.table_budget, family=family)
-    reports = [run_lemma(lemma, sets, variant, params)
-               for variant in spec.variants]
+    # the variants of a cell ask for the same few tables: each is built once
+    with table_memo():
+        reports = [run_lemma(lemma, sets, variant, params)
+                   for variant in spec.variants]
     return [{
         "key": f"{lemma}-{family}-{n}-{idx}-{j}",
         "row": {

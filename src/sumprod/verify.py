@@ -73,7 +73,10 @@ def _require_p_budget(product: int, budget: int, what: str) -> None:
 def check_kmps(X: ElemSet, Y: ElemSet, Z: ElemSet,
                ceiling: float = DEFAULT_FITTED_CEILING,
                budget: Optional[int] = None) -> VerificationReport:
-    """Collision count of f(x,y,z) = x(y+z) against its incidence shape."""
+    """Collision count of f(x,y,z) = x(y+z) against its incidence shape.
+    Raises ValueError for an empty set, where the shape is 0."""
+    if not (len(X) and len(Y) and len(Z)):
+        raise ValueError("the KMPS collision count needs nonempty X, Y, Z")
     t0 = time.perf_counter()
     field = X.field
     if field.is_prime_mode:
@@ -82,7 +85,7 @@ def check_kmps(X: ElemSet, Y: ElemSet, Z: ElemSet,
     count = f_collision_count(X, Y, Z, budget=budget)
     sz = len(X) * len(Y) * len(Z)
     shape = sz ** 1.5 + max(len(X), min(len(Y), len(Z))) * sz
-    fitted = count / shape if shape else float("inf")
+    fitted = count / shape
     return VerificationReport(
         lemma="kmps-collision",
         inputs={"|X|": len(X), "|Y|": len(Y), "|Z|": len(Z),
@@ -96,7 +99,10 @@ def check_kmps(X: ElemSet, Y: ElemSet, Z: ElemSet,
 def check_sdz(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
               ceiling: float = DEFAULT_FITTED_CEILING,
               budget: Optional[int] = None) -> VerificationReport:
-    """Count of c = ab + d against the point-line incidence shape."""
+    """Count of c = ab + d against the point-line incidence shape.
+    Raises ValueError for an empty set."""
+    if not (len(A) and len(B) and len(C) and len(D)):
+        raise ValueError("the SDZ bilinear count needs nonempty A, B, C, D")
     t0 = time.perf_counter()
     field = A.field
     if field.is_prime_mode:
@@ -105,7 +111,7 @@ def check_sdz(A: ElemSet, B: ElemSet, C: ElemSet, D: ElemSet,
     count = bilinear_count(A, B, C, D, budget=budget)
     shape = (len(A) * len(B) * len(C)) ** 0.75 * len(D) ** 0.5 \
         + len(A) * len(D) + len(B) * len(C)
-    fitted = count / shape if shape else float("inf")
+    fitted = count / shape
     return VerificationReport(
         lemma="sdz-bilinear",
         inputs={"|A|": len(A), "|B|": len(B), "|C|": len(C), "|D|": len(D),

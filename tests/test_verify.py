@@ -1,4 +1,5 @@
 import contextlib
+import math
 from unittest import mock
 
 import pytest
@@ -191,7 +192,8 @@ def test_run_lemma_matches_the_direct_checks(fp):
 def test_every_lemma_refuses_or_reports_on_empty_sets(field):
     # an empty set is a bad input: a check refuses it with ValueError
     # (`sumprod verify` prints "error: ...") or reports on it; no other
-    # exception may escape
+    # exception may escape, and a report may not fail on a shape of 0
+    # (fitted = inf)
     from sumprod.verify import LEMMAS, LemmaParams, run_lemma
     for name, lem in LEMMAS.items():
         for variant in lem.variants:
@@ -201,6 +203,21 @@ def test_every_lemma_refuses_or_reports_on_empty_sets(field):
             except ValueError:
                 continue
             assert isinstance(rep, VerificationReport), (name, variant)
+            assert rep.passed or math.isfinite(rep.fitted_constant), \
+                (name, variant)
+
+
+@pytest.mark.parametrize("lemma", ["kmps", "sdz"])
+def test_counts_refuse_any_empty_set(lemma):
+    # one empty set of three (four) leaves no incidence shape to fit
+    from sumprod.verify import LEMMAS, LemmaParams, run_lemma
+    F = GroundField.prime(2**31 - 1)
+    arity = LEMMAS[lemma].arity
+    for empty in range(arity):
+        sets = [ElemSet(F, range(1, 9))] * arity
+        sets[empty] = ElemSet(F, [])
+        with pytest.raises(ValueError, match="nonempty"):
+            run_lemma(lemma, tuple(sets), None, LemmaParams())
 
 
 def test_main_check_and_sweep_share_the_ratios():
