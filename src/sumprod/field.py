@@ -131,9 +131,6 @@ class GroundField:
             raise ZeroDivisionError("division by zero")
         return self.canonical(Fraction(a) / Fraction(b))
 
-    def neg(self, a):
-        return (-a) % self.p if self.mode == "prime" else self.canonical(-a)
-
     def inv(self, a):
         return self.div(1, a)
 

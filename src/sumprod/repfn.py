@@ -34,10 +34,11 @@ makes fourth-moment energies of 10^4-element sets take seconds in bounded
 memory. Rational or oversized values fall back to an exact Counter.
 
 Inside a `table_memo` block (one suite cell), `_table` builds each table
-once: it keeps every table's histogram and, for tables of at most
-_MEMO_PAIRS pairs, the last support, rep table and level set, read-only,
-and serves a repeated request from them (`_memo_route`). Outside a block
-every call builds its table.
+of at most _MEMO_PAIRS pairs once, as its rep table, keeps that read-only
+and serves every reduction of the table from it (`_memo_route`): the
+spectrum is its histogram, the support its values and a level set a count
+filter. A larger table, and every table outside a block, is built on each
+call.
 
 Every array reduction mod p goes through one in-place helper, `_mod`,
 which takes x - (x // p) * p by numpy's vectorised division by a scalar,
@@ -333,13 +334,12 @@ def _release_heap() -> None:
 
 class _Reduced(NamedTuple):
     """A "support", "rep" or "level" reduction from a route of `_table`: the
-    run-length histogram of its table (trimmed), the sorted values kept,
-    their counts ("rep" only) and the band [lo, hi) they were kept from."""
+    run-length histogram of its table (trimmed), the sorted values kept and
+    their counts ("rep" only)."""
 
     hist: np.ndarray
     values: object
     counts: object
-    band: tuple
 
 
 def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
@@ -521,10 +521,10 @@ def _reduce(pieces: list, load, reduce: str,
     the int64 outputs at the offset the shares before it give, in one scan
     (`_run_starts`). A piece that writes a count other than its share
     raises RuntimeError. These return a `_Reduced` of the histogram
-    (trimmed to its largest multiplicity), the values, the counts and the
-    band. mirror = (n, p) marks a half sub table of n values: its classes c
-    are written forward, their negatives -c (p - c in F_p) after the
-    forward scan, and 0, hit n times; its histogram (a class count g is the
+    (trimmed to its largest multiplicity), the values and the counts.
+    mirror = (n, p) marks a half sub table of n values: its classes c are
+    written forward, their negatives -c (p - c in F_p) after the forward
+    scan, and 0, hit n times; its histogram (a class count g is the
     multiplicity of two values) is folded into that of r_{A-A}.
 
     `out`, if given, is the int64 buffer whose top bytes hold the pieces
@@ -617,7 +617,7 @@ def _reduce(pieces: list, load, reduce: str,
             vals[at_zero] = 0
             if counts is not None:
                 counts[at_zero] = n
-    return _Reduced(hist, vals[:total], counts, (blo, bhi))
+    return _Reduced(hist, vals[:total], counts)
 
 
 def _merge_spectra(parts: list, mirror) -> np.ndarray:
@@ -1189,12 +1189,13 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
     r_{A/B}(g^s) = r_{la-lb}(s) over Z/(p-1), la and lb the sorted logs of
     A∖{0} and B: the kernel builds their sub table mod M = p-1, half (la is
     lb) when A∖{0} has B's contents. band' hands band the kernel's
-    histogram fixed and trimmed, and finish fixes a spectrum or maps a
-    level set back by s -> g^s. M is even, so in a half table the class
-    M/2 (the pairs a, -a with a/(-a) = -1) is one value hit 2h times, where
-    the kernel counts two values hit h times; a 0 in A adds the value 0,
-    hit |lb| times. A level set mapped back must hold as many distinct
-    values as its band of the fixed histogram, or ArithmeticError is raised.
+    histogram fixed and trimmed and keeps the band it returns, and finish
+    fixes a spectrum or maps a level set of that band back by s -> g^s. M
+    is even, so in a half table the class M/2 (the pairs a, -a with
+    a/(-a) = -1) is one value hit 2h times, where the kernel counts two
+    values hit h times; a 0 in A adds the value 0, hit |lb| times. A level
+    set mapped back must hold as many distinct values as its band of the
+    fixed histogram, or ArithmeticError is raised.
 
     `_table` asks it for the div tables `_int_fast_ok` takes, in prime mode
     and with no 0 in B. It takes the route when the table has at least
@@ -1227,10 +1228,17 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
             hist[m] += 1
         return hist
 
+    lo = hi = None
+
+    def fixed_band(hist):
+        nonlocal lo, hi
+        lo, hi = band(_trim(fix(hist)))
+        return lo, hi
+
     def finish(got):
         if reduce == "spectrum":
             return fix(got)
-        hist, s, (lo, hi) = _trim(fix(got.hist)), got.values, got.band
+        hist, s = _trim(fix(got.hist)), got.values
         if h:
             s = s[s != M // 2]
             if lo <= 2 * h < hi:
@@ -1239,14 +1247,15 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
         if zero and lo <= m < hi:
             x = np.append(x, 0)
         x.sort()
-        if x.size != int(hist[lo:hi].sum()) or (x[1:] == x[:-1]).any():
+        # hi may be math.inf, which is no slice index
+        want = int(hist[lo:min(hi, hist.size)].sum())
+        if x.size != want or (x[1:] == x[:-1]).any():
             raise ArithmeticError(f"a level set over logs mod {table.p} "
                                   f"maps back to {x.size} values, not the "
-                                  f"{int(hist[lo:hi].sum())} of its band")
-        return _Reduced(hist, x, None, (lo, hi))
+                                  f"{want} of its band")
+        return _Reduced(hist, x, None)
 
-    return (la, lb, M, la is lb, lambda hist: band(_trim(fix(hist))),
-            finish)
+    return la, lb, M, la is lb, fixed_band, finish
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -1280,18 +1289,17 @@ def _check_mass(hist: np.ndarray, pairs: int, reduce: str) -> None:
 
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("table_memo",
                                                        default=None)
-_MEMO_PAIRS = 1 << 18  # pairs; a larger table keeps only its histogram
+_MEMO_PAIRS = 1 << 18  # pairs; a larger table is built on every call
 
 
 @contextlib.contextmanager
 def table_memo() -> Iterator[dict]:
-    """A cell-scoped memo: within the block, `_table` serves again what it
-    has built there.
+    """A cell-scoped memo: within the block, `_table` builds each table of
+    at most _MEMO_PAIRS pairs once.
 
     The memo maps (field, op, content digests of A and B after `_operands`)
-    to what is known of that table: its histogram, and, for a table of at
-    most _MEMO_PAIRS pairs, the last support, rep table and level set
-    reduced from it (see `_memo_route`). It lives in a context variable
+    to that table's rep table, read-only, and every reduction of the table
+    is served from it (see `_memo_route`). It lives in a context variable
     while the block runs and is cleared when it ends, so that nothing is
     served outside the block or kept after it. Yields the memo.
     """
@@ -1313,51 +1321,40 @@ def _digest(S: ElemSet) -> bytes:
                            person=b"exact").digest()
 
 
-def _frozen(got):
-    """got (a histogram or `_Reduced`) with every array read-only; the
-    histogram is a copy, the values and counts are frozen in place."""
-    if isinstance(got, np.ndarray):
-        got = got.copy()
-        got.flags.writeable = False
-        return got
-    for x in got[1:3]:
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
-    return got._replace(hist=_frozen(got.hist))
+def _level(rep: _Reduced, band) -> _Reduced:
+    """The level set of a rep table: its values x with lo <= r(x) < hi,
+    [lo, hi) = band(hist), beside a copy of its histogram."""
+    lo, hi = band(rep.hist)
+    counts = np.asarray(rep.counts, dtype=np.int64)
+    keep = (lo <= counts) & (counts < hi)
+    values = rep.values[keep] if isinstance(rep.values, np.ndarray) \
+        else tuple(x for x, k in zip(rep.values, keep) if k)
+    return _Reduced(rep.hist.copy(), values, None)
 
 
 def _memo_route(memo: dict, A: ElemSet, B: ElemSet, op: str, reduce: str,
                 band, build):
-    """build(band), `_table`'s route, or what the memo knows of its result.
+    """build(reduce, band), `_table`'s route, or its result served from the
+    memo.
 
-    A spectrum is served from the table's histogram, kept from any
-    reduction but a self add/mul support (which counts the i <= j pairs
-    only); a support or rep table from the last of the same reduction. A
-    level set calls band once, on the histogram of the last level set,
-    which is the one the route would hand it: if it returns that set's
-    band, the set is served, else the set is built with the returned band,
-    and band is not called again. Histograms are served as copies, and the
-    values and counts kept are read-only, so that a write to a served
-    result raises instead of changing what the memo serves.
+    A table of at most _MEMO_PAIRS pairs is built once, as its rep table,
+    which is kept read-only. A spectrum is served as a copy of its
+    histogram, a support or rep table as the rep table itself, and a level
+    set by one band call and a count filter (`_level`), as fresh arrays. A
+    larger table is built on every call, and nothing of it is kept.
     """
-    da, db = _digest(A), _digest(B)
-    entry = memo.setdefault((A.field, op, da, db), {})
-    if reduce == "spectrum" and "hist" in entry:
-        return entry["hist"].copy()
-    kept = entry.get(reduce)
-    if kept is not None:
-        if reduce != "level":
-            return kept
-        chosen = tuple(band(kept.hist))
-        if chosen == kept.band:
-            return kept._replace(hist=kept.hist.copy())
-        band = lambda hist: chosen
-    got = build(band)
-    if not (reduce == "support" and op in ("add", "mul") and da == db):
-        entry["hist"] = _frozen(got if reduce == "spectrum" else got.hist)
-    if reduce != "spectrum" and len(A) * len(B) <= _MEMO_PAIRS:
-        entry[reduce] = _frozen(got)
-    return got
+    if len(A) * len(B) > _MEMO_PAIRS:
+        return build(reduce, band)
+    key = (A.field, op, _digest(A), _digest(B))
+    if key not in memo:
+        memo[key] = build("rep", None)
+        for x in memo[key]:
+            if isinstance(x, np.ndarray):
+                x.flags.writeable = False
+    kept = memo[key]
+    if reduce == "spectrum":
+        return kept.hist.copy()
+    return _level(kept, band) if reduce == "level" else kept
 
 
 def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
@@ -1366,18 +1363,19 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
 
     Takes A and B through `_operands` (a 0 it drops from B for div has its
     |A| pairs recorded as excluded) and refuses a table above the budget.
-    Inside a `table_memo` block, a table already built there is served from
-    the memo (`_memo_route`). Otherwise inputs `_int_fast_ok` accepts go to
-    the int kernel `_sorted_table`, in one call, all others to the exact
-    object table. One route step first rewrites the request for the
-    kernel: when B has A's contents, sub tables and add/mul supports take
-    the unordered pairs only; a div table multiplies by the inverses of B,
-    or, if large and reduced to a spectrum or level set, is a sub table of
-    discrete logs mod p-1 whose result `_div_logs` turns back into
-    r_{A/B}'s. Both give the run-length histogram of the table, with the
-    values (and counts) asked for in a `_Reduced`, and that histogram must
-    hold the table's pairs: |A||B∖{0}|, or n(n+1)/2 for the i <= j half of
-    a self add/mul support (else ArithmeticError). Returns, by `reduce`:
+    Inside a `table_memo` block, a table of at most _MEMO_PAIRS pairs is
+    built once there and served from the memo (`_memo_route`). Otherwise
+    inputs `_int_fast_ok` accepts go to the int kernel `_sorted_table`, in
+    one call, all others to the exact object table. One route step first
+    rewrites the request for the kernel: when B has A's contents, sub
+    tables and add/mul supports take the unordered pairs only; a div table
+    multiplies by the inverses of B, or, if large and reduced to a spectrum
+    or level set, is a sub table of discrete logs mod p-1 whose result
+    `_div_logs` turns back into r_{A/B}'s. Both give the run-length
+    histogram of the table, with the values (and counts) asked for in a
+    `_Reduced`, and that histogram must hold the table's pairs: |A||B∖{0}|,
+    or n(n+1)/2 for the i <= j half of a self add/mul support (else
+    ArithmeticError). Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
       "spectrum"  hist[m] = #{x : r(x) = m};
@@ -1389,7 +1387,7 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     field, n, m = A.field, len(A), len(B)
     _check_budget(n, m, budget)
 
-    def build(band):
+    def build(reduce, band):
         pairs = n * m
         if n and m and _int_fast_ok(field, op, A.ints, B.ints):
             # the route step rewrites the request for the kernel
@@ -1411,17 +1409,16 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
             table = _object_table(A, B, op)
             got = _counter_spectrum(table)
             if reduce != "spectrum":
-                lo, hi = band(got) if reduce == "level" else (1, math.inf)
-                vals = tuple(sorted(x for x, c in table.items()
-                                    if lo <= c < hi))
-                got = _Reduced(got, vals, tuple(table[x] for x in vals),
-                               (lo, hi))
+                vals = tuple(sorted(table))
+                got = _Reduced(got, vals, tuple(table[x] for x in vals))
+                if reduce == "level":
+                    got = _level(got, band)
         _check_mass(got if reduce == "spectrum" else got.hist, pairs,
                     reduce)
         return got
 
     memo = _MEMO.get()
-    got = build(band) if memo is None \
+    got = build(reduce, band) if memo is None \
         else _memo_route(memo, A, B, op, reduce, band, build)
     if reduce == "spectrum":
         return got

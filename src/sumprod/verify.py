@@ -188,9 +188,11 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     The E stage is decided from the histogram of the A x F table: once its
     level mu is chosen, |E| is known, and when energy(A, E, 4) would exceed
     the budget (|A| x |E∖{0}| pairs, `_table`'s rule and message) the cell
-    reports final=skipped with |E| and mu, and E is never written out. The
-    p-constraints, whose A-E (A/E) table the same budget refuses, are then
-    skipped too.
+    reports final=skipped with |E| and mu. E is then never written out,
+    except that inside a suite cell an A x F table of at most
+    `repfn._MEMO_PAIRS` pairs is kept whole, as its rep table
+    (`repfn.table_memo`). The p-constraints, whose A-E (A/E) table the same
+    budget refuses, are then skipped too.
     """
     t0 = time.perf_counter()
     if variant not in ("additive", "multiplicative"):

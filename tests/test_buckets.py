@@ -152,7 +152,6 @@ def test_moduli_match_row_split(threads, bucket, mod):
                 assert np.array_equal(got.hist, level.hist)
                 assert got.values.dtype == np.int64
                 assert np.array_equal(got.values, level.values)
-                assert got.band == level.band == (lo, hi)
         assert kernel.call_count == 1 + len(levels)
 
 

@@ -7,7 +7,6 @@ unevenly), so that tiny tables take the threaded path too. They also shrink
 repfn._CHUNK, so that each worker reduces its slice in several pieces.
 """
 
-import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -152,16 +151,14 @@ def test_rle(dtype, flat):
         assert support.counts is None
         assert hist.tolist() == np.bincount(list(want.values()),
                                             minlength=2).tolist()
-        # every reduction carries the trimmed histogram and its band
+        # every reduction carries the trimmed histogram
         trimmed = np.bincount(list(want.values()), minlength=1).tolist()
         assert rep.hist.tolist() == support.hist.tolist() == trimmed
-        assert rep.band == support.band == (1, math.inf)
         for (lo, hi), level in levels.items():
             assert level.values.dtype == np.int64
             assert level.values.tolist() == [v for v in sorted(want)
                                              if lo <= want[v] < hi]
             assert level.hist.tolist() == trimmed
-            assert level.band == (lo, hi)
 
 
 # p = 101, n = 90: nearly every value repeats, so runs cross every cut

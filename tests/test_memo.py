@@ -1,20 +1,22 @@
 """The cell-scoped table memo, `repfn.table_memo`.
 
-Inside a `table_memo` block `_table` serves a table it has built there:
-a spectrum from the histogram of any reduction but a self add/mul support,
-a support or rep table from the same reduction, and a level set from the
-last level set, after one call of its band. These tests ask for every
-reduction of one table, in an order that hits and misses each kind, on
-every route (row split, threaded row split, value buckets, discrete logs,
-the object table), and compare each answer with the one the route gives
-outside a block, array lengths and dtypes included. They also check the
-budget, the band calls, read-only results and the scope: one memo per
-suite cell, empty once the cell ends, none outside a cell.
+Inside a `table_memo` block `_table` builds a table of at most
+_MEMO_PAIRS pairs once, as its rep table, and serves every reduction from
+it: a spectrum as a copy of its histogram, a support or rep table as the
+rep table itself, and a level set by one call of its band and a count
+filter. A larger table is built on every request. These tests ask for
+every reduction of one table, edge bands included, on every route (row
+split, threaded row split, value buckets, discrete logs, the object
+table), and compare each answer with the one the route gives outside a
+block, array lengths and dtypes included. They also count the builds and
+check the budget, the band calls, read-only results and the scope: one
+memo per suite cell, empty once the cell ends, none outside a cell.
 """
 
 import contextlib
 import csv
 import json
+import math
 import os
 from fractions import Fraction
 from unittest import mock
@@ -52,11 +54,22 @@ def band_b(hist):
     return 2, 4
 
 
-# one order of requests that misses and then hits every reduction
+def band_empty(hist):
+    # lo above the largest count
+    return hist.size, hist.size + 1
+
+
+def band_top(hist):
+    return hist.size - 1, math.inf
+
+
+# every reduction, each asked for at least twice, and level sets of four
+# bands; band_a is [1, hist.size), every count
 REQUESTS = [("spectrum", None), ("rep", None), ("support", None),
             ("level", band_a), ("spectrum", None), ("level", band_a),
-            ("level", band_b), ("level", band_b), ("support", None),
-            ("rep", None), ("spectrum", None)]
+            ("level", band_b), ("level", band_empty), ("level", band_b),
+            ("level", band_top), ("support", None), ("rep", None),
+            ("spectrum", None)]
 
 
 def plain(got):
@@ -125,29 +138,39 @@ def test_memo_serves_what_the_route_builds(route, op, name):
     A, B = named_tables()[name]
     with ROUTES[route]():
         builds = check_memo_matches_route(A, B, op)
-    # one build per miss: spectrum, rep, support, the first level set and
-    # the second band's; every later request is served
-    assert builds == 5
+    # the rep table, built at the first request, serves every other one
+    assert builds == 1
+
+
+@pytest.mark.parametrize("start", range(len(REQUESTS)))
+def test_any_first_request_builds_once(start):
+    A = random_set(FP, 25, seed=3)
+    requests = REQUESTS[start:] + REQUESTS[:start]
+    assert check_memo_matches_route(A, A, "sub", requests) == 1
 
 
 @pytest.mark.parametrize("reduce", ["support", "rep", "level"])
-def test_large_tables_keep_only_their_histogram(reduce):
+def test_large_tables_build_every_request(reduce):
     A = random_set(FP, 30, seed=1)
     requests = [(reduce, band_a), ("spectrum", None), (reduce, band_a),
                 ("spectrum", None)]
     with mock.patch.object(repfn, "_MEMO_PAIRS", len(A) ** 2 - 1):
-        assert check_memo_matches_route(A, A, "sub", requests) == 2
+        assert check_memo_matches_route(A, A, "sub", requests) == 4
+        with table_memo() as memo:
+            _table(A, A, "sub", reduce, band_a)
+            assert memo == {}
     with mock.patch.object(repfn, "_MEMO_PAIRS", len(A) ** 2):
         assert check_memo_matches_route(A, A, "sub", requests) == 1
 
 
 @pytest.mark.parametrize("op", ["add", "mul"])
-def test_self_support_serves_no_spectrum(op):
-    # the half table of a self add/mul support counts the i <= j pairs
+def test_self_support_and_spectrum_build_once(op):
+    # the route builds a self add/mul support from the i <= j pairs only;
+    # the memo's rep table holds every pair, so it serves the spectrum too
     A = ElemSet(FP, range(1, 20))
     requests = [("support", None), ("spectrum", None), ("support", None),
                 ("spectrum", None)]
-    assert check_memo_matches_route(A, A, op, requests) == 2
+    assert check_memo_matches_route(A, A, op, requests) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,10 +225,9 @@ def test_a_level_set_of_another_band_calls_band_once():
         _table(A, A, "sub", "level", band_a)
         with builds() as built:
             assert plain(_table(A, A, "sub", "level", other)) == want
-        assert built() == 1
-        # the set is built with the band `other` returned, not by `other`
-        assert len(calls) == 1
-        assert plain(_table(A, A, "sub", "level", band_b)) == want
+            assert plain(_table(A, A, "sub", "level", band_b)) == want
+        assert built() == 0
+    assert len(calls) == 1
 
 
 def test_a_refused_dyadic_slice_still_raises_on_a_hit():
@@ -229,6 +251,24 @@ def test_a_refused_dyadic_slice_still_raises_on_a_hit():
     assert again.support == kept.support
 
 
+def test_a_refused_first_slice_keeps_its_table():
+    # the first request of a block builds the rep table before the band
+    # refuses; the next request is served from it
+    A = ElemSet(FP, range(1, 64))
+    want = _dyadic_slice(A, None, 4, "add", None)
+
+    def refuse(t, size):
+        raise BudgetExceeded(f"level {t} holds {size} values")
+
+    with table_memo(), builds() as built:
+        with pytest.raises(BudgetExceeded, match="level"):
+            _dyadic_slice(A, None, 4, "add", None, chosen=refuse)
+        assert built() == 1
+        got = _dyadic_slice(A, None, 4, "add", None)
+        assert built() == 1
+    assert got == want
+
+
 def test_served_results_are_read_only_or_copies():
     A = ElemSet(FP, range(1, 30))
     with table_memo():
@@ -241,15 +281,18 @@ def test_served_results_are_read_only_or_copies():
                         served.count_histogram()):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 7
-        for T in (S, L, _table(A, A, "mul", "support")):
+        for T in (S, _table(A, A, "mul", "support")):
             with pytest.raises(ValueError, match="read-only"):
                 T.ints[0] = 7
-        # histograms are copies: a caller's write changes no later answer
-        want = spec.tolist()
+        # histograms and level sets are copies: a caller's write changes
+        # no later answer
+        want, level = spec.tolist(), L.ints.tolist()
         spec[:] = 0
         hist[:] = 0
+        L.ints[0] = 7
         assert _table(A, A, "mul", "spectrum").tolist() == want
-        assert _table(A, A, "mul", "level", band_a)[0].tolist() == want
+        hist, L = _table(A, A, "mul", "level", band_a)
+        assert hist.tolist() == want and L.ints.tolist() == level
 
 
 def test_object_rep_counts_are_a_tuple():
@@ -317,9 +360,9 @@ def test_one_memo_per_cell_empty_after_it(tmp_path):
         *request, build = args
         asked.append(1)
 
-        def counted(band):
+        def counted(reduce, band):
             built.append(1)
-            return build(band)
+            return build(reduce, band)
 
         return served(memo, *request, counted)
 
