@@ -191,7 +191,7 @@ def _int_fast_ok(field: GroundField, op: str, *arrays) -> bool:
     return all(int(np.abs(x).max(initial=0)) < bound for x in arrays)
 
 
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
+def _mod(x: np.ndarray, p: int, q: Optional[np.ndarray] = None) -> np.ndarray:
     """x mod p in [0, p), in place, for a C-contiguous int64 array x of any
     shape and sign and 0 < p < 2^31; returns x. Every array reduction of
     the int kernel goes through here.
@@ -204,17 +204,17 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     no temporary is larger than a chunk; an array of at most one chunk is
     reduced in one step, without the loop's views (2.0 against 3.1 µs on
     512 values). Floor division rounds toward -inf, so a negative x gets
-    the remainder `%` gives too.
+    the remainder `%` gives too; q, if given, is a reused chunk of quotients.
     """
     if not x.flags.c_contiguous:
         raise ValueError("_mod reduces a C-contiguous array in place")
-    if x.size <= _CHUNK:
+    if q is None and x.size <= _CHUNK:
         q = x // p
         q *= p
         x -= q
         return x
     flat = x.reshape(-1)
-    q = np.empty(min(flat.size, _CHUNK), dtype=x.dtype)
+    q = np.empty(min(flat.size, _CHUNK), dtype=x.dtype) if q is None else q
     for c in range(0, flat.size, _CHUNK):
         part = flat[c:c + _CHUNK]
         d = q[:part.size]
@@ -262,8 +262,8 @@ _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
 def _grid(x: np.ndarray, y: np.ndarray, op: str,
-          p: Optional[int]) -> np.ndarray:
-    """grid[i, j] = x[i] op y[j], reduced mod p in prime mode.
+          p: Optional[int], q: Optional[np.ndarray] = None) -> np.ndarray:
+    """grid[i, j] = x[i] op y[j], reduced mod p in prime mode (`_mod`'s q).
 
     div multiplies by the checked `_inverses(y, p)`, so a 0 in y raises.
     Exact only where `_int_fast_ok(field, op, x, y)` holds.
@@ -272,7 +272,7 @@ def _grid(x: np.ndarray, y: np.ndarray, op: str,
         y = _inverses(y, p)
         op = "mul"
     grid = _UFUNCS[op](x[:, None], y[None, :])
-    return grid if p is None else _mod(grid, p)
+    return grid if p is None else _mod(grid, p, q)
 
 
 def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
@@ -416,7 +416,9 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
 
     def fill(lo: int, hi: int) -> None:
         filled = int(offsets[lo])
+        q = np.empty(_CHUNK, np.int64) if op == "mul" and p else None
         for i0 in range(lo, hi, rows):
+            blk = row = None  # the last block goes before the next is made
             i1 = min(hi, i0 + rows)
             j0 = i0 + strict if half else 0
             if half and strict:
@@ -426,7 +428,7 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
                 blk = a[i0:i1, None] - b[None, j0:]
                 np.add(blk, p32, out=blk, where=blk < 0)
             else:
-                blk = _grid(a[i0:i1], b[j0:], op, p)
+                blk = _grid(a[i0:i1], b[j0:], op, p, q)
             if not half:
                 out[filled:filled + blk.size] = blk.ravel()
                 filled += blk.size

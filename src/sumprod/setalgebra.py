@@ -1,4 +1,5 @@
-"""Sum/difference/product/ratio sets and iterated spans kA - lA."""
+"""Sum/difference/product/ratio sets and iterated spans kA - lA by doubling,
+ending in kA's self-difference when k = l; each table charged |X||Y| pairs."""
 
 from __future__ import annotations
 
@@ -29,10 +30,16 @@ def combine(A: ElemSet, B: ElemSet, op: str,
 
 def iterated_span(A: ElemSet, spec: SpanSpec,
                   budget: Optional[int] = None) -> ElemSet:
-    """kA - lA by left-fold of combine from A, or from {0} when k = 0."""
-    acc = A if spec.k else ElemSet(A.field, [0])
-    for _ in range(spec.k - 1):
-        acc = combine(acc, A, "add", budget)
-    for _ in range(spec.l):
-        acc = combine(acc, A, "sub", budget)
-    return acc
+    """kA - lA as one table, kA's self-difference (a half sub table) if k = l,
+    with jA built by doubling: X + X for X = (j//2)A, then + A if j is odd
+    ({0} for j = 0). Each table must fit the budget: |A+A|^2 for 2A - 2A."""
+    def times(j: int) -> ElemSet:
+        if j < 2:
+            return A if j else ElemSet(A.field, [0])
+        X = times(j // 2)
+        X = combine(X, X, "add", budget)
+        return combine(X, A, "add", budget) if j % 2 else X
+
+    K = times(spec.k)
+    L = K if spec.l == spec.k else times(spec.l)
+    return combine(K, L, "sub", budget) if spec.l else K

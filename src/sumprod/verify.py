@@ -44,8 +44,9 @@ def _fitted(lhs, rhs_num, rhs_den=1) -> float:
 
 def check_pluennecke(A: ElemSet, k: int, l: int,
                      budget: Optional[int] = None) -> VerificationReport:
-    """|kA - lA| <= |A+A|^(k+l) / |A|^(k+l-1); a theorem, asserted exactly.
-    Raises ValueError for an empty A, where the bound is 0/0."""
+    """|kA - lA| <= |A+A|^(k+l) / |A|^(k+l-1), a theorem asserted exactly on
+    kA - lA built by doubling, which refuses 2A - 2A when |A+A|^2 pairs are
+    over budget. Raises ValueError for an empty A, where the bound is 0/0."""
     if len(A) == 0:
         raise ValueError("Pluennecke-Ruzsa needs a nonempty set")
     t0 = time.perf_counter()

@@ -1,15 +1,17 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import BudgetExceeded, ElemSet, GroundField, SpanSpec, \
-    combine, iterated_span, rep_function
+    combine, iterated_span, rep_function, setalgebra
 from sumprod.repfn import _object_table
 
-from conftest import P31, self_table_case
+from conftest import P31, edge_values, random_set, self_table_case, \
+    traced_peak
 
 small_sets = st.lists(st.integers(-30, 30), min_size=1, max_size=10)
 
@@ -80,14 +82,28 @@ SPAN_SETS = {
 }
 
 
+def fold_span(A, k, l):
+    """kA - lA as the left fold ((A + A) + ...) - A - ..., from {0} when
+    k = 0: one table a step."""
+    acc = A if k else ElemSet(A.field, [0])
+    for op in ["add"] * max(k - 1, 0) + ["sub"] * l:
+        acc = combine(acc, A, op)
+    return acc
+
+
 @pytest.mark.parametrize("k,l", [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1),
-                                 (3, 0)])
+                                 (3, 0), (1, 1), (2, 2), (3, 3), (3, 1),
+                                 (1, 3), (4, 0), (0, 4), (2, 3)])
 @pytest.mark.parametrize("name", list(SPAN_SETS))
 def test_span_matches_object_path(name, k, l):
-    # k = 0 folds from {0}, so 0A - lA takes the path of every other span
+    # kA and lA by doubling, then one table kA - lA (a self-difference
+    # when k = l), against every choice of k + l elements and against the
+    # fold; the F_p sets hold 0 and sums that wrap at p
     F, xs = SPAN_SETS[name]
     A = ElemSet(F, xs)
-    assert iterated_span(A, SpanSpec(k, l)) == object_span(A, k, l)
+    got = iterated_span(A, SpanSpec(k, l))
+    assert got == object_span(A, k, l)
+    assert got == fold_span(A, k, l)
 
 
 def test_zero_plus_span_builds_one_table(c0):
@@ -127,3 +143,64 @@ def test_self_combine_matches_object_path(case):
     A, B, op = case
     pairs = _object_table(A, B.remove_zero() if op == "div" else B, op)
     assert combine(A, B, op) == ElemSet(A.field, pairs.keys())
+
+
+@st.composite
+def span_case(draw):
+    field = draw(st.sampled_from([GroundField.char0(), GroundField.prime(3),
+                                  GroundField.prime(101),
+                                  GroundField.prime(P31)]))
+    A = ElemSet(field, draw(st.lists(edge_values(field), max_size=5)))
+    k, l = draw(st.sampled_from([(k, l) for k in range(5) for l in range(5)
+                                 if 1 <= k + l <= 4]))
+    return A, k, l
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_case())
+def test_span_matches_object_path_on_small_sets(case):
+    A, k, l = case
+    got = iterated_span(A, SpanSpec(k, l))
+    assert got == object_span(A, k, l)
+    assert got == fold_span(A, k, l)
+
+
+def test_two_two_span_builds_two_self_tables_within_budget(monkeypatch, fp):
+    # 2A - 2A is A+A and its self-difference, a mirrored half sub table of
+    # |A+A|(|A+A| - 1)/2 pairs; the fold's last table was
+    # |(A+A) - A| x |A|, 129,088 x 64 for a set like this one
+    A = random_set(fp, 64, seed=27)
+    want = fold_span(A, 2, 2)
+    calls, real = [], setalgebra._table
+
+    def spy(X, Y, op, *args, **kwargs):
+        calls.append((X, Y, op))
+        return real(X, Y, op, *args, **kwargs)
+
+    monkeypatch.setattr(setalgebra, "_table", spy)
+    got, peak = traced_peak(lambda: iterated_span(A, SpanSpec(2, 2)))
+    assert got == want
+    (X, Y, op), (X2, Y2, op2) = calls
+    assert (op, op2) == ("add", "sub")
+    assert X == A and Y == A
+    assert len(X2) == 2080 and X2 == Y2
+    # the self-difference's int64 buffer holds 2N + 1 = 4,322,161 slots
+    # (34.6 MB);
+    # under a profile or trace hook (the cProfile run) the values are
+    # copied out of it instead of shrunk in place (see `_sorted_table`)
+    hooked = sys.getprofile() is not None or sys.gettrace() is not None
+    assert peak < 40 * 2**20 + (8 * len(got) if hooked else 0)
+    budget = len(X2) ** 2
+    assert iterated_span(A, SpanSpec(2, 2), budget=budget) == want
+    with pytest.raises(BudgetExceeded, match="2080x2080"):
+        iterated_span(A, SpanSpec(2, 2), budget=budget - 1)
+
+
+def test_two_two_span_fits_where_the_fold_was_refused(fp):
+    A = random_set(fp, 16, seed=3)
+    doubled = combine(A, A, "add")
+    budget = len(doubled) ** 2
+    # the fold's last table, ((A+A) - A) x A, is over this budget
+    assert len(combine(doubled, A, "sub")) * len(A) > budget
+    assert iterated_span(A, SpanSpec(2, 2), budget=budget) == \
+        object_span(A, 2, 2)
