@@ -31,7 +31,11 @@ from runs of the sorted operand and sorted on its own (`_bucket_table`).
 Div spectra and level sets of large tables take the same route over
 discrete logs, by `_table`'s one route step (`_div_logs`). This is what
 makes fourth-moment energies of 10^4-element sets take seconds in bounded
-memory. Rational or oversized values fall back to an exact Counter.
+memory. The route step's other transport serves a large add/sub spectrum
+or level set in F_p whose sets a subgroup G of F_p^* fixes (subgroups,
+cosets and their unions): r_{A±B} is constant on the cosets of G, so it
+is counted from about |A||B|/|G| orbit representatives (`_orbits`).
+Rational or oversized values fall back to an exact Counter.
 
 Inside a `table_memo` block (one suite cell), `_table` builds each table
 of at most _MEMO_PAIRS pairs once, as its rep table, keeps that read-only
@@ -93,6 +97,8 @@ _LOG_SIDE = 256  # elements; a div table with a shorter side keeps them too
 _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
 _LOG_PIECE = 1 << 14  # values a log worker takes at a time
 _DENSE = 0.5  # share of equal adjacent pairs above which a piece is dense
+_ORBIT_MIN = 1 << 21  # pairs; smaller add/sub tables skip the orbit search
+_PROBE = 8  # values of a set looked up before the whole set is compared
 
 
 class BudgetExceeded(RuntimeError):
@@ -1184,6 +1190,17 @@ def _logs_of(x: np.ndarray, table: _LogTable) -> np.ndarray:
     return logs
 
 
+def _check_level(x: np.ndarray, hist: np.ndarray, lo: int, hi: float,
+                 what: str) -> None:
+    """Raise ArithmeticError unless the sorted values x of a transported
+    level set are distinct and as many as hist holds in [lo, hi)."""
+    # hi may be math.inf, which is no slice index
+    want = int(hist[lo:min(hi, hist.size)].sum())
+    if x.size != want or (x[1:] == x[:-1]).any():
+        raise ArithmeticError(f"{what} to {x.size} values, not the {want} "
+                              f"of its band")
+
+
 def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
     """The route step of a large div spectrum or level set over discrete
     logs, else None: (la, lb, M, half, band', finish).
@@ -1249,15 +1266,145 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
         if zero and lo <= m < hi:
             x = np.append(x, 0)
         x.sort()
-        # hi may be math.inf, which is no slice index
-        want = int(hist[lo:min(hi, hist.size)].sum())
-        if x.size != want or (x[1:] == x[:-1]).any():
-            raise ArithmeticError(f"a level set over logs mod {table.p} "
-                                  f"maps back to {x.size} values, not the "
-                                  f"{want} of its band")
+        _check_level(x, hist, lo, hi,
+                     f"a level set over logs mod {table.p} maps back")
         return _Reduced(hist, x, None)
 
     return la, lb, M, la is lb, fixed_band, finish
+
+
+_root = functools.lru_cache(maxsize=None)(primitive_root)
+_LOW = (1 << 31) - 1  # the residue bits of an orbit key
+
+
+def _invariant(s: np.ndarray, h: int, p: int) -> bool:
+    """h·s = s for sorted distinct residues s, exactly: the first _PROBE
+    products are looked up in s, and only then are all of them sorted and
+    compared with s."""
+    if not _sorted_lookup(s, _mod(s[:_PROBE] * h, p))[1].all():
+        return False
+    return np.array_equal(np.sort(_mod(s * h, p)), s)
+
+
+def _stabiliser(a: np.ndarray, b: np.ndarray, p: int) -> int:
+    """The order m of the largest subgroup G of F_p^* with G·a = a and
+    G·b = b, for sorted distinct nonzero residues a and b.
+
+    G acts freely, so m divides d = gcd(p-1, |a|, |b|). For each prime
+    power q^e of d the subgroups of order q^k, k = e, ..., 1, generated by
+    g^((p-1)/q^k), are tried down to the first that fixes both sets; m is
+    the product of the orders found.
+    """
+    m, g = 1, _root(p)
+    for q, e in _factorize(math.gcd(p - 1, a.size, b.size)).items():
+        for k in range(e, 0, -1):
+            h = pow(g, (p - 1) // q**k, p)
+            if _invariant(a, h, p) and _invariant(b, h, p):
+                m *= q**k
+                break
+    return m
+
+
+def _orbit_runs(v: np.ndarray, m: int,
+                p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, counts): the orbits of the subgroup of order m | p-1 that
+    the nonzero residues in v (int64, 0s are skipped) fall in, each by its
+    least member in v and the number of v in it.
+
+    Each value is keyed by v^m mod p, which two nonzero residues share
+    exactly when they lie in one coset of that subgroup, and the packed
+    key << 31 | v are sorted once, so that each run of one key is an
+    orbit and begins with its least value.
+    """
+    packed = np.empty_like(v)
+    for c in range(0, v.size, _CHUNK):
+        part, out = v[c:c + _CHUNK], packed[c:c + _CHUNK]
+        np.left_shift(_pow_mod(part, m, p), 31, out=out)
+        out |= part
+    packed.sort()
+    # 0 alone has the key 0
+    packed = packed[np.searchsorted(packed, 1):]
+    starts = np.flatnonzero(np.diff(packed >> 31, prepend=-1))
+    return packed[starts] & _LOW, np.diff(starts, append=packed.size)
+
+
+def _cosets(s: np.ndarray, m: int, p: int) -> np.ndarray:
+    """One member of each coset of the order-m subgroup in the nonzero
+    residues s; ArithmeticError unless s is a union of whole cosets.
+
+    A key v^m is shared by gcd(m, p-1) residues, m for m | p-1, so s is a
+    union of whole cosets exactly when it meets s.size / m keys; for
+    m ∤ p-1 it meets more, and this raises.
+    """
+    first, _ = _orbit_runs(s, m, p)
+    if first.size * m != s.size:
+        raise ArithmeticError(f"a set is not a union of cosets of the "
+                              f"subgroup of order {m} mod {p}")
+    return first
+
+
+def _orbits(A: ElemSet, B: ElemSet, op: str, reduce: str, band):
+    """The orbit transport of a large add/sub spectrum or level set over
+    F_p: the `_Reduced` (the histogram for "spectrum"), else None.
+
+    If the subgroup G of order m > 1 fixes A∖{0} and B∖{0}
+    (`_stabiliser`), then r_{A±B}(gx) = r_{A±B}(x) for g in G, because
+    (a, b) -> (ga, gb) maps the pairs of x onto those of gx. Each orbit
+    of pairs with a nonzero member holds m pairs, and one representative
+    of each is built: a member of each coset in A∖{0} (`_cosets`) against
+    all of B, and 0 against a member of each coset in B∖{0} when 0 is in
+    A, about |A||B|/m pairs. Grouped by the cosets their values fall in
+    (`_orbit_runs`), they give r on each coset of nonzero values: c
+    representatives make m values hit c times. r(0) = |A ∩ B| for sub and
+    |A ∩ (−B)| for add is looked up. A level set expands its chosen
+    orbits by G's elements, and must hold exactly as many distinct values
+    as its band of the histogram, or ArithmeticError is raised; each set's
+    cosets are checked whole, so that a wrong m raises too.
+
+    `_table` asks it for the add/sub spectra and level sets in prime mode
+    of at least _ORBIT_MIN pairs. It declines (None) when A∖{0} or B∖{0}
+    is empty, when m = 1, and when the representatives number more than
+    _BUCKET, so that no array of the route holds more values than a
+    value bucket.
+    """
+    p, a, b = A.field.p, A.ints, B.ints
+    if reduce not in ("spectrum", "level") or a.size * b.size < _ORBIT_MIN:
+        return None
+    # the sorted residues hold 0 first, if at all
+    zero = bool(a[0] == 0)
+    a0, b0 = a[zero:], b[int(b[0] == 0):]
+    if not (a0.size and b0.size):
+        return None
+    m = _stabiliser(a0, b0, p)
+    if m == 1 or a0.size // m * b.size + (b0.size // m if zero else 0) \
+            > _BUCKET:
+        return None
+    ra, rb = _cosets(a0, m, p), _cosets(b0, m, p)
+    v = _grid(ra, b, op, p).ravel()
+    if zero:
+        # 0 + b = b, 0 - b = -b
+        v = np.concatenate((v, rb if op == "add" else p - rb))
+    first, counts = _orbit_runs(v, m, p)
+    small, big = sorted((a, b), key=len)
+    r0 = int(_sorted_lookup(big, small if op == "sub"
+                            else _mod(-small, p))[1].sum())
+    hist = np.bincount(counts, minlength=2) * m
+    if r0:
+        hist = np.pad(hist, (0, max(0, r0 + 1 - hist.size)))
+        hist[r0] += 1
+    if reduce == "spectrum":
+        return hist
+    hist = _trim(hist)
+    lo, hi = band(hist)
+    chosen = first[(lo <= counts) & (counts < hi)]
+    G = _geometric(pow(_root(p), (p - 1) // m, p), m, p)
+    x = _mod(chosen[:, None] * G, p).ravel()
+    if r0 and lo <= r0 < hi:
+        x = np.append(x, 0)
+    x.sort()
+    _check_level(x, hist, lo, hi,
+                 f"a level set over orbits of order {m} mod {p} expands")
+    return _Reduced(hist, x, None)
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -1373,7 +1520,10 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     tables and add/mul supports take the unordered pairs only; a div table
     multiplies by the inverses of B, or, if large and reduced to a spectrum
     or level set, is a sub table of discrete logs mod p-1 whose result
-    `_div_logs` turns back into r_{A/B}'s. Both give the run-length
+    `_div_logs` turns back into r_{A/B}'s. The other transport serves a
+    large add/sub spectrum or level set in F_p whose sets a subgroup of
+    F_p^* fixes from its orbit representatives (`_orbits`), and the
+    kernel is not called. All give the run-length
     histogram of the table, with the values (and counts) asked for in a
     `_Reduced`, and that histogram must hold the table's pairs: |A||B∖{0}|,
     or n(n+1)/2 for the i <= j half of a self add/mul support (else
@@ -1392,21 +1542,25 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     def build(reduce, band):
         pairs = n * m
         if n and m and _int_fast_ok(field, op, A.ints, B.ints):
-            # the route step rewrites the request for the kernel
+            # the route step: the orbit transport serves the request, or it
+            # is rewritten for the kernel
             a, b, kop, mod = A.ints, B.ints, op, field.p
             half = (op == "sub" or reduce == "support"
                     and op in ("add", "mul")) \
                 and (A is B or np.array_equal(a, b))
             if half and op != "sub":
                 pairs = n * (n + 1) // 2
+            got = _orbits(A, B, op, reduce, band) \
+                if op in ("add", "sub") and field.is_prime_mode else None
             logs = _div_logs(A, B, reduce, band) if op == "div" else None
             if logs is not None:
                 a, b, mod, half, band, finish = logs
                 kop = "sub"
             elif op == "div":
                 b, kop = _inverses(b, mod), "mul"
-            got = _sorted_table(a, b, kop, mod, half, reduce, band)
-            got = got if logs is None else finish(got)
+            if got is None:
+                got = _sorted_table(a, b, kop, mod, half, reduce, band)
+                got = got if logs is None else finish(got)
         else:
             table = _object_table(A, B, op)
             got = _counter_spectrum(table)
@@ -1466,6 +1620,8 @@ def count_spectrum(A: ElemSet, B: ElemSet, op: str,
     bucket of at most _BUCKET pairs at a time, so energies of 10^4-element
     sets take a few bucket-sized buffers. Large div spectra are taken over
     discrete logs (see `_div_logs`): r_{A/B} is r_{L_A - L_B} over
-    Z/(p-1), which is bucketed too.
+    Z/(p-1), which is bucketed too. A large add/sub spectrum of sets that
+    a subgroup G of F_p^* fixes is counted over orbit representatives,
+    about |A||B|/|G| pairs (see `_orbits`).
     """
     return _table(A, B, op, "spectrum", budget=budget)

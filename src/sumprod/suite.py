@@ -78,8 +78,10 @@ class ExperimentConfig:
                               f"{self.out_dir!r}")
         if self.table_budget <= 0:
             raise ConfigError("table_budget must be positive")
-        if self.slack_c <= 0:
-            raise ConfigError("slack_c must be positive")
+        # each is a divisor or a bound of every cell it applies to
+        for name in ("slack_c", "fitted_ceiling", "ratio_floor"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.sets_per_cell < 1:
             raise ConfigError("sets_per_cell must be >= 1")
         for lem in self.lemmas:

@@ -129,6 +129,24 @@ def test_config_errors():
         ExperimentConfig.from_json('{"warp": 9}')
 
 
+@pytest.mark.parametrize("name", ["slack_c", "fitted_ceiling",
+                                  "ratio_floor"])
+@pytest.mark.parametrize("value", [0, 0.0, -1.0])
+def test_config_refuses_nonpositive_bounds(name, value):
+    # ratio_floor = 0 divided every main cell by zero, and a negative
+    # fitted_ceiling failed every kmps cell; both are refused up front
+    with pytest.raises(ConfigError, match=f"{name} must be positive"):
+        ExperimentConfig.from_json(json.dumps({name: value}))
+    with pytest.raises(ConfigError, match=f"{name} must be positive"):
+        ExperimentConfig(**{name: value}).validate()
+
+
+def test_config_digest_of_the_defaults_is_pinned():
+    # the bound checks add no field, so a config's digest stays as it was
+    assert ExperimentConfig().digest() == (
+        "14bdd28f4d19d44564cc2134d217c770bc6182da22bfc4357b05ef805495d73b")
+
+
 def test_config_json_roundtrip_and_digest():
     cfg = ExperimentConfig(lemmas=["main"], sizes=[16])
     cfg2 = ExperimentConfig.from_json(cfg.to_json())
