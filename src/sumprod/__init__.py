@@ -1,4 +1,6 @@
-"""Sum-product experiment toolkit over F_p and char-zero ground sets."""
+"""Sum-product experiment toolkit over F_p and char-zero ground sets.
+
+`sumprod.energy` is the function `energy`, not the module (README, Tests)."""
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,8 @@ from .energy import ENERGY_OPS, dyadic_slice, energy
 from .families import (FAMILY_KINDS, FamilySpec, gen_family,
                        local_search_min_ratio)
 from .field import ElemSet, GroundField, read_set_file, render_set
-from .regularize import check_regular, default_slack, xue_regularize
+from .regularize import (DEFAULT_SLACK_C, check_regular, default_slack,
+                         xue_regularize)
 from .repfn import OPS, BudgetExceeded, _parse_budget
 from .report import ConstraintViolation
 from .setalgebra import SpanSpec, combine, iterated_span
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("--k", type=float, default=4.0)
     p.add_argument("--op", choices=ENERGY_OPS, default="add")
-    p.add_argument("--slack-c", type=float, default=64.0)
+    p.add_argument("--slack-c", type=float, default=DEFAULT_SLACK_C)
     p.set_defaults(func=_cmd_regularize)
 
     p = add_parser("count", help="exact equation-solution counts")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--op", choices=ENERGY_OPS, default="add")
     p.add_argument("--variant", help="default: the lemma's first variant")
-    p.add_argument("--slack-c", type=float, default=64.0)
+    p.add_argument("--slack-c", type=float, default=DEFAULT_SLACK_C)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(func=_cmd_verify)
 

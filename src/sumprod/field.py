@@ -8,6 +8,7 @@ numpy int64 view for the fast counting kernels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
@@ -63,8 +64,10 @@ def _factorize(n: int) -> dict:
     return out
 
 
+@functools.cache
 def primitive_root(p: int) -> int:
-    """Smallest generator of F_p^*."""
+    """Smallest generator of F_p^*, found once per p: the log table, the
+    orbit route and `families.subgroup_of_order` share the cache."""
     factors = _factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
@@ -130,9 +133,6 @@ class GroundField:
         if b == 0:
             raise ZeroDivisionError("division by zero")
         return self.canonical(Fraction(a) / Fraction(b))
-
-    def inv(self, a):
-        return self.div(1, a)
 
     def describe(self) -> str:
         return f"prime:{self.p}" if self.mode == "prime" else "char0"

@@ -21,6 +21,7 @@ from .energy import _TABLE_OP, dyadic_slice, energy
 from .repfn import _membership_counts, _table
 from .report import VerificationReport
 
+DEFAULT_SLACK_C = 64.0  # c of the default polylog slack c * log2(n)^3
 # rule name -> (pair op for the popular set, table of popular values)
 _RULE_OPS = {
     "popular-sums": "add",
@@ -230,7 +231,7 @@ def _finish_decomposition(A: ElemSet, B: ElemSet, C: ElemSet, S: ElemSet,
         notes=notes)
 
 
-def default_slack(n: int, c: float = 64.0) -> float:
+def default_slack(n: int, c: float = DEFAULT_SLACK_C) -> float:
     """K = c * log2(n)^3, the polylog allowance used by the checkers.
 
     Raises ValueError unless c is a positive finite number: a NaN K fails

@@ -6,8 +6,8 @@ point, `_table`: `rep_function`, `count_spectrum`, `setalgebra.combine`
 and the level sets of `energy` and `regularize` each ask it for one
 reduction. It owns the budget check and the choice between the int
 kernel and the exact object table, which also takes every empty table.
-Every route returns its table's run-length histogram, so `_table` checks
-the mass of every table in one place.
+Every route returns a `_Reduced` of its table's run-length histogram, so
+`_table` checks the mass of every table in one place.
 
 The hot path (prime mode / int-valued sets) has two producers of sorted
 pieces of whole runs, in value order, and one reducer, `_reduce`, that
@@ -34,8 +34,9 @@ makes fourth-moment energies of 10^4-element sets take seconds in bounded
 memory. The route step's other transport serves a large add/sub spectrum
 or level set in F_p whose sets a subgroup G of F_p^* fixes (subgroups,
 cosets and their unions): r_{A±B} is constant on the cosets of G, so it
-is counted from about |A||B|/|G| orbit representatives (`_orbits`).
-Rational or oversized values fall back to an exact Counter.
+is counted from about |A||B|/|G| orbit representatives (`_orbits`); both
+add a value the kernel never builds by `_one_more` and finish level sets
+by `_finish_level`. Rational or oversized values fall back to a Counter.
 
 Inside a `table_memo` block (one suite cell), `_table` builds each table
 of at most _MEMO_PAIRS pairs once, as its rep table, keeps that read-only
@@ -98,7 +99,6 @@ _LOG_MAX_FACTOR = 1 << 16  # largest prime factor of p-1 the log tables allow
 _LOG_PIECE = 1 << 14  # values a log worker takes at a time
 _DENSE = 0.5  # share of equal adjacent pairs above which a piece is dense
 _ORBIT_MIN = 1 << 21  # pairs; smaller add/sub tables skip the orbit search
-_PROBE = 8  # values of a set looked up before the whole set is compared
 
 
 class BudgetExceeded(RuntimeError):
@@ -339,9 +339,9 @@ def _release_heap() -> None:
 
 
 class _Reduced(NamedTuple):
-    """A "support", "rep" or "level" reduction from a route of `_table`: the
-    run-length histogram of its table (trimmed), the sorted values kept and
-    their counts ("rep" only)."""
+    """What every route of `_table` returns: the run-length histogram of its
+    table (trimmed unless it is a spectrum), the sorted values kept (None
+    for a spectrum) and their counts ("rep" only)."""
 
     hist: np.ndarray
     values: object
@@ -360,11 +360,10 @@ def _sorted_table(a: np.ndarray, b: np.ndarray, op: str, p: Optional[int],
     a shifted subtraction plus one conditional add of p (`where=`) instead
     of a modulo, and mul reduces its int64 block with `_mod`. A half table
     copies one slice per row of each block, with no mask. The table itself
-    is never returned; `_reduce` turns it into
-    `reduce`: "spectrum" (the run-length histogram) or a `_Reduced` of that
-    histogram and "support" (the sorted distinct int64 values), "rep"
-    (those values and their int64 counts) or "level" (the sorted int64
-    values x with lo <= r(x) < hi, where [lo, hi) = band(hist)). A half
+    is never returned; `_reduce` turns it into the `_Reduced` that `reduce`
+    names: "spectrum", "support" (sorted distinct int64 values), "rep"
+    (with int64 counts) or "level" (the values x with lo <= r(x) < hi,
+    [lo, hi) = band(hist)). A half
     sub table is mirrored into r_{A-A}: r(0) = |A| and r(c) = r(-c) = g(c),
     the class count, so each of its reductions, the histogram too, is that
     of r_{A-A}; a half add/mul histogram is that of the i <= j pairs.
@@ -522,8 +521,9 @@ def _reduce(pieces: list, load, reduce: str,
     `run` maps a function over the pieces (the builtin map, or a pool's).
     Each piece's part of the run-length histogram is taken first, in one
     scan (`_region_spectrum`), and the parts are merged. "spectrum" returns
-    that histogram. The others keep the runs whose length lies in a band
-    [lo, hi): band(hist) for "level", [1, ∞) for "support" and "rep", so
+    `_Reduced(hist, None, None)`, untrimmed. The others keep the runs
+    whose length lies in a band [lo, hi): band(hist) for "level", [1, ∞)
+    for "support" and "rep", so
     that a piece's share is its runs in the band. Then each piece that
     holds band runs writes their values (and for "rep" their counts) into
     the int64 outputs at the offset the shares before it give, in one scan
@@ -548,7 +548,7 @@ def _reduce(pieces: list, load, reduce: str,
     parts = list(run(load, pieces, [_region_spectrum] * len(pieces)))
     hist = _merge_spectra(parts, mirror)
     if reduce == "spectrum":
-        return hist
+        return _Reduced(hist, None, None)
     hist = _trim(hist)
     blo, bhi = band(hist) if reduce == "level" else (1, math.inf)
     # the runs of each piece whose length lies in [lo, hi), all shorter
@@ -632,7 +632,7 @@ def _merge_spectra(parts: list, mirror) -> np.ndarray:
     """The run-length histogram of a table from the (hist, long) parts of
     its pieces (see `_region_spectrum`). mirror = (n, p) marks a half sub
     table of n values: a class count g is the multiplicity of both c and
-    -c, and 0 is hit n times."""
+    -c, and 0 is hit n times (`_one_more`)."""
     size = max([2] + [h.size for h, _ in parts]
                + [max(long, default=0) + 1 for _, long in parts])
     hist = np.zeros(size, dtype=np.int64)
@@ -640,10 +640,13 @@ def _merge_spectra(parts: list, mirror) -> np.ndarray:
         hist[:h.size] += h
         for length in long:
             hist[length] += 1
-    if mirror is not None:
-        n = mirror[0]
-        hist = np.pad(2 * hist, (0, max(0, n + 1 - hist.size)))
-        hist[n] += 1
+    return hist if mirror is None else _one_more(2 * hist, mirror[0])
+
+
+def _one_more(hist: np.ndarray, c: int) -> np.ndarray:
+    """A copy of hist with one more value, hit c times."""
+    hist = np.pad(hist, (0, max(0, c + 1 - hist.size)))
+    hist[c] += 1
     return hist
 
 
@@ -1201,6 +1204,17 @@ def _check_level(x: np.ndarray, hist: np.ndarray, lo: int, hi: float,
                               f"of its band")
 
 
+def _finish_level(x: np.ndarray, r0: int, hist: np.ndarray, lo: int,
+                  hi: float, what: str) -> _Reduced:
+    """The `_Reduced` of a transported level set: its nonzero values x and
+    0 if r(0) = r0 > 0 lies in [lo, hi), sorted, checked (`_check_level`)."""
+    if r0 and lo <= r0 < hi:
+        x = np.append(x, 0)
+    x.sort()
+    _check_level(x, hist, lo, hi, what)
+    return _Reduced(hist, x, None)
+
+
 def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
     """The route step of a large div spectrum or level set over discrete
     logs, else None: (la, lb, M, half, band', finish).
@@ -1209,12 +1223,12 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
     A∖{0} and B: the kernel builds their sub table mod M = p-1, half (la is
     lb) when A∖{0} has B's contents. band' hands band the kernel's
     histogram fixed and trimmed and keeps the band it returns, and finish
-    fixes a spectrum or maps a level set of that band back by s -> g^s. M
-    is even, so in a half table the class M/2 (the pairs a, -a with
-    a/(-a) = -1) is one value hit 2h times, where the kernel counts two
-    values hit h times; a 0 in A adds the value 0, hit |lb| times. A level
-    set mapped back must hold as many distinct values as its band of the
-    fixed histogram, or ArithmeticError is raised.
+    fixes the kernel's `_Reduced` and maps a level set of that band back
+    by s -> g^s. M is even, so in a half table the class M/2 (the pairs
+    a, -a with a/(-a) = -1) is one value hit 2h times, where the kernel
+    counts two values hit h times; a 0 in A adds the value 0, hit |lb|
+    times (`_one_more`). A level set mapped back must hold as many
+    distinct values as its band of the fixed histogram (`_finish_level`).
 
     `_table` asks it for the div tables `_int_fast_ok` takes, in prime mode
     and with no 0 in B. It takes the route when the table has at least
@@ -1238,14 +1252,10 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
         la, lb, h = np.sort(logs[:a.size]), np.sort(logs[a.size:]), 0
 
     def fix(hist):
-        top = max(2 * h, m if zero else 0)
-        hist = np.pad(hist, (0, max(0, top + 1 - hist.size)))
         if h:
+            hist = _one_more(hist, 2 * h)
             hist[h] -= 2
-            hist[2 * h] += 1
-        if zero:
-            hist[m] += 1
-        return hist
+        return _one_more(hist, m) if zero else hist
 
     lo = hi = None
 
@@ -1255,35 +1265,21 @@ def _div_logs(A: ElemSet, B: ElemSet, reduce: str, band):
         return lo, hi
 
     def finish(got):
+        hist, s = fix(got.hist), got.values
         if reduce == "spectrum":
-            return fix(got)
-        hist, s = _trim(fix(got.hist)), got.values
+            return _Reduced(hist, None, None)
         if h:
             s = s[s != M // 2]
             if lo <= 2 * h < hi:
                 s = np.append(s, M // 2)
-        x = _pow_g(s, table, out=s)
-        if zero and lo <= m < hi:
-            x = np.append(x, 0)
-        x.sort()
-        _check_level(x, hist, lo, hi,
-                     f"a level set over logs mod {table.p} maps back")
-        return _Reduced(hist, x, None)
+        return _finish_level(_pow_g(s, table, out=s), m if zero else 0,
+                             _trim(hist), lo, hi,
+                             f"a level set over logs mod {table.p} maps back")
 
     return la, lb, M, la is lb, fixed_band, finish
 
 
-_root = functools.lru_cache(maxsize=None)(primitive_root)
 _LOW = (1 << 31) - 1  # the residue bits of an orbit key
-
-
-def _invariant(s: np.ndarray, h: int, p: int) -> bool:
-    """h·s = s for sorted distinct residues s, exactly: the first _PROBE
-    products are looked up in s, and only then are all of them sorted and
-    compared with s."""
-    if not _sorted_lookup(s, _mod(s[:_PROBE] * h, p))[1].all():
-        return False
-    return np.array_equal(np.sort(_mod(s * h, p)), s)
 
 
 def _stabiliser(a: np.ndarray, b: np.ndarray, p: int) -> int:
@@ -1292,14 +1288,14 @@ def _stabiliser(a: np.ndarray, b: np.ndarray, p: int) -> int:
 
     G acts freely, so m divides d = gcd(p-1, |a|, |b|). For each prime
     power q^e of d the subgroups of order q^k, k = e, ..., 1, generated by
-    g^((p-1)/q^k), are tried down to the first that fixes both sets; m is
-    the product of the orders found.
+    h = g^((p-1)/q^k), are tried down to the first that fixes both sets
+    (all of h·s, sorted, equals s); m is the product of the orders found.
     """
-    m, g = 1, _root(p)
+    m, g = 1, primitive_root(p)
     for q, e in _factorize(math.gcd(p - 1, a.size, b.size)).items():
         for k in range(e, 0, -1):
             h = pow(g, (p - 1) // q**k, p)
-            if _invariant(a, h, p) and _invariant(b, h, p):
+            if all(np.array_equal(np.sort(_mod(s * h, p)), s) for s in (a, b)):
                 m *= q**k
                 break
     return m
@@ -1345,7 +1341,7 @@ def _cosets(s: np.ndarray, m: int, p: int) -> np.ndarray:
 
 def _orbits(A: ElemSet, B: ElemSet, op: str, reduce: str, band):
     """The orbit transport of a large add/sub spectrum or level set over
-    F_p: the `_Reduced` (the histogram for "spectrum"), else None.
+    F_p: its `_Reduced`, else None.
 
     If the subgroup G of order m > 1 fixes A∖{0} and B∖{0}
     (`_stabiliser`), then r_{A±B}(gx) = r_{A±B}(x) for g in G, because
@@ -1356,10 +1352,11 @@ def _orbits(A: ElemSet, B: ElemSet, op: str, reduce: str, band):
     A, about |A||B|/m pairs. Grouped by the cosets their values fall in
     (`_orbit_runs`), they give r on each coset of nonzero values: c
     representatives make m values hit c times. r(0) = |A ∩ B| for sub and
-    |A ∩ (−B)| for add is looked up. A level set expands its chosen
-    orbits by G's elements, and must hold exactly as many distinct values
-    as its band of the histogram, or ArithmeticError is raised; each set's
-    cosets are checked whole, so that a wrong m raises too.
+    |A ∩ (−B)| for add is looked up and enters the histogram as one more
+    value (`_one_more`). A level set expands its chosen orbits by G's
+    elements, and must hold exactly as many distinct values as its band
+    of the histogram, or ArithmeticError is raised (`_finish_level`);
+    each set's cosets are checked whole, so that a wrong m raises too.
 
     `_table` asks it for the add/sub spectra and level sets in prime mode
     of at least _ORBIT_MIN pairs. It declines (None) when A∖{0} or B∖{0}
@@ -1389,22 +1386,16 @@ def _orbits(A: ElemSet, B: ElemSet, op: str, reduce: str, band):
     r0 = int(_sorted_lookup(big, small if op == "sub"
                             else _mod(-small, p))[1].sum())
     hist = np.bincount(counts, minlength=2) * m
-    if r0:
-        hist = np.pad(hist, (0, max(0, r0 + 1 - hist.size)))
-        hist[r0] += 1
+    hist = _one_more(hist, r0) if r0 else hist
     if reduce == "spectrum":
-        return hist
+        return _Reduced(hist, None, None)
     hist = _trim(hist)
     lo, hi = band(hist)
     chosen = first[(lo <= counts) & (counts < hi)]
-    G = _geometric(pow(_root(p), (p - 1) // m, p), m, p)
-    x = _mod(chosen[:, None] * G, p).ravel()
-    if r0 and lo <= r0 < hi:
-        x = np.append(x, 0)
-    x.sort()
-    _check_level(x, hist, lo, hi,
-                 f"a level set over orbits of order {m} mod {p} expands")
-    return _Reduced(hist, x, None)
+    G = _geometric(pow(primitive_root(p), (p - 1) // m, p), m, p)
+    return _finish_level(
+        _mod(chosen[:, None] * G, p).ravel(), r0, hist, lo, hi,
+        f"a level set over orbits of order {m} mod {p} expands")
 
 
 def _object_table(A: ElemSet, B: ElemSet, op: str) -> Counter:
@@ -1502,7 +1493,7 @@ def _memo_route(memo: dict, A: ElemSet, B: ElemSet, op: str, reduce: str,
                 x.flags.writeable = False
     kept = memo[key]
     if reduce == "spectrum":
-        return kept.hist.copy()
+        return _Reduced(kept.hist.copy(), None, None)
     return _level(kept, band) if reduce == "level" else kept
 
 
@@ -1523,11 +1514,11 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
     `_div_logs` turns back into r_{A/B}'s. The other transport serves a
     large add/sub spectrum or level set in F_p whose sets a subgroup of
     F_p^* fixes from its orbit representatives (`_orbits`), and the
-    kernel is not called. All give the run-length
-    histogram of the table, with the values (and counts) asked for in a
-    `_Reduced`, and that histogram must hold the table's pairs: |A||B∖{0}|,
-    or n(n+1)/2 for the i <= j half of a self add/mul support (else
-    ArithmeticError). Returns, by `reduce`:
+    kernel is not called. Every route, the memo and the object table give
+    a `_Reduced` of the table's histogram and the values (and counts) asked
+    for, none for a spectrum; its histogram must hold the table's pairs:
+    |A||B∖{0}|, or n(n+1)/2 for the i <= j half of a self add/mul support
+    (else ArithmeticError). Returns, by `reduce`:
       "support"   the ElemSet {a ∘ b};
       "rep"       the RepFn r_{A∘B};
       "spectrum"  hist[m] = #{x : r(x) = m};
@@ -1563,21 +1554,20 @@ def _table(A: ElemSet, B: ElemSet, op: str, reduce: str, band=None,
                 got = got if logs is None else finish(got)
         else:
             table = _object_table(A, B, op)
-            got = _counter_spectrum(table)
+            got = _Reduced(_counter_spectrum(table), None, None)
             if reduce != "spectrum":
                 vals = tuple(sorted(table))
-                got = _Reduced(got, vals, tuple(table[x] for x in vals))
+                got = _Reduced(got.hist, vals, tuple(table[x] for x in vals))
                 if reduce == "level":
                     got = _level(got, band)
-        _check_mass(got if reduce == "spectrum" else got.hist, pairs,
-                    reduce)
+        _check_mass(got.hist, pairs, reduce)
         return got
 
     memo = _MEMO.get()
     got = build(reduce, band) if memo is None \
         else _memo_route(memo, A, B, op, reduce, band, build)
     if reduce == "spectrum":
-        return got
+        return got.hist
     if reduce == "rep":
         return RepFn(field, op, got.values, got.counts,
                      0 if zero is None else n, got.hist)
@@ -1595,7 +1585,7 @@ def _collision_spectrum(X: ElemSet, Y: ElemSet, Z: ElemSet) -> np.ndarray:
         sums = _grid(Y.ints, Z.ints, "add", field.p).ravel()
         if _int_fast_ok(field, "mul", X.ints, sums):
             hist = _sorted_table(X.ints, sums, "mul", field.p, False,
-                                 "spectrum")
+                                 "spectrum").hist
     if hist is None:
         hist = _counter_spectrum(Counter(
             field.mul(x, field.add(y, z)) for x in X for y in Y for z in Z))

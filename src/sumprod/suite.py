@@ -23,9 +23,11 @@ from typing import List
 from . import __version__
 from .families import probe_field, probe_set
 from .field import GroundField
+from .regularize import DEFAULT_SLACK_C
 from .repfn import DEFAULT_BUDGET, BudgetExceeded, table_memo
 from .report import ConstraintViolation
-from .verify import DEFAULT_P, LEMMAS, LemmaParams, run_lemma
+from .verify import (DEFAULT_FITTED_CEILING, DEFAULT_P, DEFAULT_RATIO_FLOOR,
+                     LEMMAS, LemmaParams, run_lemma)
 
 CSV_COLUMNS = ("lemma", "family", "n", "p", "lhs", "rhs_shape",
                "fitted_constant", "slack", "pass", "elapsed_ms")
@@ -48,11 +50,11 @@ class ExperimentConfig:
     lemmas: List[str] = dc_field(
         default_factory=lambda: ["pluennecke", "cauchy-schwarz"])
     sets_per_cell: int = 1
-    slack_c: float = 64.0
+    slack_c: float = DEFAULT_SLACK_C
     table_budget: int = DEFAULT_BUDGET
     seed: int = 0
-    fitted_ceiling: float = 16.0
-    ratio_floor: float = 0.25
+    fitted_ceiling: float = DEFAULT_FITTED_CEILING
+    ratio_floor: float = DEFAULT_RATIO_FLOOR
     out_dir: str = "suite-out"
 
     def validate(self) -> None:

@@ -21,13 +21,15 @@ from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
 from .families import (OPERATOR_COMBOS, probe_field, probe_set,
                        sum_product_ratios)
-from .regularize import (PopularityParams, check_regular, default_slack,
-                         popular_sums, regu_iterate, xue_regularize)
+from .regularize import (DEFAULT_SLACK_C, PopularityParams, check_regular,
+                         default_slack, popular_sums, regu_iterate,
+                         xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
 
 DEFAULT_FITTED_CEILING = 16.0
+DEFAULT_RATIO_FLOOR = 0.25  # the main theorem's sum-product ratio floor
 DEFAULT_P = 2**31 - 1  # |A| <= 2^15 then satisfies |A| << sqrt(p) with headroom
 
 
@@ -136,7 +138,7 @@ MIXED_CONSTRAINTS = {"E4+E2x": "iii", "E4xE2+": "iv", "E4xE4+": "i",
 
 
 def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
-                       slack_c: float = 64.0,
+                       slack_c: float = DEFAULT_SLACK_C,
                        budget: Optional[int] = None) -> VerificationReport:
     """Mixed energy products E_4(B) E_k(C,U)^(4/k) against |A|^7 |U|^(1+4/k).
 
@@ -178,7 +180,7 @@ def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
 
 def check_rss_proposition(A: ElemSet, variant: str = "additive",
                           params: Optional[PopularityParams] = None,
-                          slack_c: float = 64.0,
+                          slack_c: float = DEFAULT_SLACK_C,
                           budget: Optional[int] = None) -> VerificationReport:
     """Full double-counting pipeline for the fourth-moment proposition.
 
@@ -367,7 +369,7 @@ def _p_constraints(A: ElemSet, aux: Dict[str, ElemSet], known: Dict[str, int],
                         n * p ** 2)]
 
 
-def check_main_theorem(A: ElemSet, floor: float = 0.25,
+def check_main_theorem(A: ElemSet, floor: float = DEFAULT_RATIO_FLOOR,
                        budget: Optional[int] = None,
                        family: Optional[str] = None) -> VerificationReport:
     """The smallest of A's sum-product ratios against the floor."""
@@ -384,7 +386,7 @@ def check_main_theorem(A: ElemSet, floor: float = 0.25,
 def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
                        sizes=(16, 32, 64, 128, 256, 512, 1024),
                        p: int = DEFAULT_P, seed: int = 0,
-                       floor: float = 0.25,
+                       floor: float = DEFAULT_RATIO_FLOOR,
                        budget: Optional[int] = None) -> dict:
     """Sweep probe families; record the min sum-product ratio over all four
     operator combinations. Cells violating |A| <= sqrt(p)/2 are skipped."""
@@ -417,8 +419,8 @@ class LemmaParams:
     k: int = 2
     l: int = 2
     ceiling: float = DEFAULT_FITTED_CEILING
-    slack_c: float = 64.0
-    floor: float = 0.25
+    slack_c: float = DEFAULT_SLACK_C
+    floor: float = DEFAULT_RATIO_FLOOR
     budget: Optional[int] = None
     family: Optional[str] = None
 

@@ -140,11 +140,11 @@ def test_moduli_match_row_split(threads, bucket, mod):
     cases = [(a, a, "sub", True), (a, b, "sub", False), (b, a, "add", False),
              (a, a, "add", False)]
     for x, y, op, half in cases:
-        want = row_split(x, y, op, mod, half, "spectrum")
+        want = row_split(x, y, op, mod, half, "spectrum").hist
         levels = [row_split(x, y, op, mod, half, "level", lambda h, b=b: b)
                   for b in bands(want)]
         with bucketed(threads, bucket), spy_buckets() as kernel:
-            got = repfn._sorted_table(x, y, op, mod, half, "spectrum")
+            got = repfn._sorted_table(x, y, op, mod, half, "spectrum").hist
             assert np.array_equal(got, want)
             for (lo, hi), level in zip(bands(want), levels):
                 got = repfn._sorted_table(x, y, op, mod, half, "level",

@@ -148,3 +148,24 @@ def test_hoelder_chain(xs):
     e2 = int(energy(A, A, 2, "add").value)
     supp = len(combine(A, A, "sub"))
     assert e43 <= supp ** (1 / 3) * e2 ** (2 / 3) * (1 + 1e-12)
+
+
+def test_energy_name_is_the_function_and_the_module_is_imported_by_path():
+    # the package re-exports the function `energy` under its submodule's
+    # name, so `sumprod.energy` (and `import sumprod.energy as E`) is the
+    # function; a spy on the module must reach it by its import path
+    import importlib
+    import inspect
+    from unittest import mock
+
+    import sumprod
+    module = importlib.import_module("sumprod.energy")
+    assert inspect.ismodule(module) and module.__name__ == "sumprod.energy"
+    assert inspect.isfunction(sumprod.energy)
+    assert sumprod.energy is module.energy is energy
+    A = ElemSet(GroundField.prime(101), [1, 2, 3, 5, 8, 13])
+    with mock.patch("sumprod.energy._table", wraps=module._table) as spy:
+        got = dyadic_slice(A, A, 4, "add")
+    assert spy.call_count == 1
+    assert spy.call_args.args[2:4] == ("sub", "level")
+    assert got == dyadic_slice(A, A, 4, "add")

@@ -39,9 +39,45 @@ def test_gen_validation(c0, fp):
         gen_family(FamilySpec(kind="subgroup", n=5, field=GroundField.prime(7)))
 
 
+def smallest_generator(p):
+    """The least g whose powers are all of F_p^*, by listing them."""
+    for g in range(1, p):
+        powers, x = set(), 1
+        for _ in range(p - 1):
+            x = x * g % p
+            powers.add(x)
+        if len(powers) == p - 1:
+            return g
+
+
+def prime_factors(n):
+    """The primes dividing n, by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
 def test_primitive_root():
     assert primitive_root(7) == 3
-    assert pow(primitive_root(P31), (P31 - 1) // 2, P31) != 1
+    for p in range(3, 300, 2):
+        if prime_factors(p) == {p}:
+            assert primitive_root(p) == smallest_generator(p), p
+    # P31, and p - 1 = 2^9 * 3 * 23 * 89 * 683 and 2^5 * 67108859: g
+    # generates F_p^* (no g^((p-1)/q) is 1) and no smaller value does
+    for p in (P31, 2147483137, 2147483489):
+        g, qs = primitive_root(p), prime_factors(p - 1)
+        assert all(pow(g, (p - 1) // q, p) != 1 for q in qs)
+        assert all(any(pow(h, (p - 1) // q, p) == 1 for q in qs)
+                   for h in range(2, g))
+    # a second call is served from the cache
+    before = primitive_root.cache_info()
+    assert primitive_root(2147483489) == g
+    after = primitive_root.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_prime_with_subgroup():

@@ -140,7 +140,8 @@ def test_rle(dtype, flat):
         with mock.patch.object(repfn, "_CHUNK", 2):
             rep = _sort_reduce(table.copy(), edges, "rep", None, map)
             support = _sort_reduce(table.copy(), edges, "support", None, map)
-            hist = _sort_reduce(table.copy(), edges, "spectrum", None, map)
+            hist = _sort_reduce(table.copy(), edges, "spectrum", None,
+                                map).hist
             levels = {band: _sort_reduce(table.copy(), edges, "level", None,
                                          map, lambda h, band=band: band)
                       for band in [(1, 2), (2, 4), (3, 9), (1, 9), (6, 9)]}

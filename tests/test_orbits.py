@@ -72,7 +72,7 @@ def stabiliser_order(S, p):
     """The order of the largest subgroup of F_p^* that fixes S∖{0}, by
     brute force over the divisors of p - 1."""
     units = {x for x in S.ints.tolist() if x}
-    g = repfn._root(p)
+    g = repfn.primitive_root(p)
     best = 1
     for d in range(1, len(units) + 1):
         if (p - 1) % d == 0 and len(units) % d == 0:
@@ -180,12 +180,13 @@ def test_stabiliser_against_brute_force():
 @pytest.mark.parametrize("p,m", ORDERS)
 def test_probed_values_do_not_decide(p, m):
     # cosets of G below, and m values at the top of F_p that are no coset:
-    # the first values of the set, which are probed, are fixed by G, but
-    # the set is not
-    T = union_of_cosets(p, m, -(-2 * repfn._PROBE // m), seed=m)
+    # the first 8 values of the set are fixed by G, but the set is not, so
+    # a lookup of a prefix cannot decide
+    prefix = 8
+    T = union_of_cosets(p, m, -(-2 * prefix // m), seed=m)
     S = ElemSet(T.field, T.ints.tolist() + list(range(p - m, p)))
-    h = pow(repfn._root(p), (p - 1) // m, p)
-    probed = S.ints[:repfn._PROBE].tolist()
+    h = pow(repfn.primitive_root(p), (p - 1) // m, p)
+    probed = S.ints[:prefix].tolist()
     assert all(x * h % p in set(S.ints.tolist()) for x in probed)
     assert stabiliser_order(S, p) < m
     for op in ("add", "sub"):

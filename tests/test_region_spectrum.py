@@ -165,7 +165,8 @@ def test_run_shapes_match_unique_counts(case, threads, path):
         if blocks is not None:
             assert [c.size for c in _run_chunks(flat)] == blocks
         assert trimmed(spectrum_of(flat, 16)) == trimmed(want)
-        assert trimmed(reduce_in(flat, threads, "spectrum")) == trimmed(want)
+        assert trimmed(reduce_in(flat, threads, "spectrum").hist) == \
+            trimmed(want)
         got = reduce_in(flat, threads, "rep")
     assert np.array_equal(got.values, values)
     assert np.array_equal(got.counts, counts)

@@ -10,7 +10,9 @@ reference to the int kernel's internals outside repfn.py, so that one
 module decides which inputs take the int64 paths. The fourth names each
 call of the pair kernel `_sorted_table` in repfn.py outside `_table` and
 `_collision_spectrum`, so that every route of a pair table is a step of
-`_table` before its one kernel call.
+`_table` before its one kernel call. The fifth names each call of
+`_check_level` in repfn.py outside `_finish_level`, so that every
+transported level set is finished by that one helper.
 """
 
 import ast
@@ -157,4 +159,39 @@ def test_only_table_calls_the_pair_kernel():
     # is the one other table
     found = kernel_calls(SRC / "repfn.py", SRC.parent)
     assert not found, "_sorted_table called outside _table: " + \
+        ", ".join(found)
+
+
+def level_checks(path: Path, root: Path) -> list:
+    """file:line (relative to root) of each call of `_check_level` in path
+    outside the function `_finish_level`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_finish_level"
+              for node in ast.walk(fn)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "_check_level"
+                   and id(node) not in inside)
+    return [f"{path.relative_to(root)}:{line}" for line in lines]
+
+
+def test_guard_names_each_level_check_outside_the_finish(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _finish_level(x):\n    _check_level(x)\n"
+                     "def _orbits(x):\n"
+                     "    if x:\n        _check_level(x, 1)\n"
+                     "    return _finish_level(x)\n"
+                     "f = _check_level  # a reference, not a call\n"
+                     "_check_level(2), _check_level(3)\n")
+    assert level_checks(probe, tmp_path) == [
+        "probe.py:5", "probe.py:8", "probe.py:8"]
+
+
+def test_only_the_finish_checks_a_transported_level_set():
+    # the log and orbit transports, and any later route, append r(0),
+    # sort, check and wrap a level set in `_finish_level`
+    found = level_checks(SRC / "repfn.py", SRC.parent)
+    assert not found, "_check_level called outside _finish_level: " + \
         ", ".join(found)
