@@ -10,10 +10,9 @@ from .repfn import BudgetExceeded, RepFn, count_spectrum, rep_function
 from .setalgebra import SpanSpec, combine, iterated_span
 from .energy import (DyadicSlice, Moment, cauchy_schwarz_check,
                      dyadic_extract, energy, energy_rep)
-from .regularize import (PopularityParams, RegularDecomposition,
-                         ReguCertificate, check_regular, default_slack,
-                         popular_sums, popularity_rule, regu_iterate,
-                         xue_regularize)
+from .regularize import (RegularDecomposition, ReguCertificate,
+                         check_regular, default_slack, popular_sums,
+                         popularity_rule, regu_iterate, xue_regularize)
 from .counting import (bilinear_count, count_energy_equiv, f_collision_count,
                        tautological_count)
 from .families import (FamilySpec, SearchState, gen_family,

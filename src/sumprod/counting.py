@@ -16,6 +16,8 @@ from .repfn import (BudgetExceeded, _check_budget, _collision_spectrum,
                     _exact_dot, _in_grid, _sorted_lookup, rep_function,
                     table_budget)
 
+_ORACLE_MAX_N = 64  # largest set `count_energy_equiv` walks
+
 
 def f_collision_count(X: ElemSet, Y: ElemSet, Z: ElemSet,
                       budget: Optional[int] = None) -> int:
@@ -99,17 +101,17 @@ def _pair_popularity_square_sum(pairs_from: ElemSet, B: ElemSet, D: ElemSet,
     return _exact_dot(gi, gi)
 
 
-def count_energy_equiv(A: ElemSet, op: str = "add", k: int = 2,
-                       oracle_budget: int = 64) -> int:
+def count_energy_equiv(A: ElemSet, op: str = "add", k: int = 2) -> int:
     """Direct-loop count of 2k-tuples realising equal op-combinations.
 
     Brute-force oracle for energy(); k=2 walks all quadruples, k=4 enumerates
     the pair list and counts repeats with list.count. No table contraction.
+    Raises BudgetExceeded above _ORACLE_MAX_N elements.
     """
     if k not in (2, 4):
         raise ValueError("oracle supports k in {2, 4}")
-    if len(A) > oracle_budget:
-        raise BudgetExceeded(f"|A|={len(A)} above oracle budget {oracle_budget}")
+    if len(A) > _ORACLE_MAX_N:
+        raise BudgetExceeded(f"|A|={len(A)} above oracle budget {_ORACLE_MAX_N}")
     field = A.field
     elems = list(A)
     if op == "mul":

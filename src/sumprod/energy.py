@@ -51,14 +51,22 @@ def _spectrum_moment(hist: np.ndarray, k: float) -> Moment:
     return Moment(k, "", value, False, rel, support)
 
 
-def _energy_args(A: ElemSet, B: Optional[ElemSet], k: float,
-                 op: str) -> ElemSet:
-    """Refuse what E_k(A, B) is not defined for; returns B (A if None)."""
+def _check_op(op: str) -> None:
     if op not in ENERGY_OPS:
         raise ValueError(f"energy op must be add or mul, got {op!r}")
+
+
+def _check_k(k: float) -> None:
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"energy exponent must be a positive finite "
                          f"number, got {k}")
+
+
+def _energy_args(A: ElemSet, B: Optional[ElemSet], k: float,
+                 op: str) -> ElemSet:
+    """Refuse what E_k(A, B) is not defined for; returns B (A if None)."""
+    _check_op(op)
+    _check_k(k)
     if B is None:
         B = A
     if len(A) == 0 or len(B) == 0:
@@ -83,6 +91,7 @@ def energy(A: ElemSet, B: Optional[ElemSet] = None, k: float = 2.0,
 def energy_rep(A: ElemSet, B: Optional[ElemSet] = None, op: str = "add",
                budget: Optional[int] = None) -> RepFn:
     """The representation function whose k-th moments are E_k(A,B)."""
+    _check_op(op)
     if B is None:
         B = A
     return rep_function(A, B, _TABLE_OP[op], budget=budget)
@@ -162,17 +171,11 @@ def _certified(support: ElemSet, hist: np.ndarray, t: int, score,
 def dyadic_extract(r: RepFn, k: float) -> DyadicSlice:
     """Pick the level t maximizing |{d : r(d) in [t,2t)}| * t^k (see
     `_dyadic_level`) and extract {d : r(d) in [t,2t)} from r."""
+    _check_k(k)
     hist = r.count_histogram()
     t, score = _dyadic_level(hist, k)
     counts = np.asarray(r.counts, dtype=np.int64)
-    mask = (counts >= t) & (counts < 2 * t)
-    if isinstance(r.values, np.ndarray):
-        support = ElemSet._from_sorted_array(
-            r.field, r.values[mask].astype(np.int64, copy=False))
-    else:
-        support = ElemSet(
-            r.field, [v for v, keep in zip(r.values, mask.tolist()) if keep],
-            _canonical=True)
+    support = r.support().select((counts >= t) & (counts < 2 * t))
     return _certified(support, hist, t, score, k)
 
 
@@ -207,8 +210,7 @@ def cauchy_schwarz_check(A: ElemSet, op: str = "add",
                          budget: Optional[int] = None) -> VerificationReport:
     """|A|^4 <= E(A)|A+A| (additive) resp. |A|^4 <= E^x(A)|AA|; exact sides."""
     t0 = time.perf_counter()
-    if op not in ENERGY_OPS:
-        raise ValueError(f"op must be add or mul, got {op!r}")
+    _check_op(op)
     if op == "mul":
         A = A.remove_zero()
     if len(A) == 0:

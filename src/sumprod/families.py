@@ -26,8 +26,6 @@ class FamilySpec:
     base: int = 1
     ratio: int = 2
     seed: int = 0
-    lo: Optional[int] = None        # random kind, char-zero sampling range
-    hi: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,7 +82,10 @@ def probe_set(kind: str, n: int, field: GroundField, seed: int) -> ElemSet:
 
 
 def gen_family(spec: FamilySpec) -> ElemSet:
-    """Deterministic set of exactly n elements."""
+    """Deterministic set of exactly n elements: an AP start + i*step, an
+    interval from start, a GP base*ratio^i, the subgroup of order n of F_p^*,
+    or n distinct values drawn with random.Random(seed) from F_p (from
+    [0, max(100 n^2, 1000)) in char 0)."""
     field = spec.field
     n = spec.n
     if field.is_prime_mode and n > field.p:
@@ -110,9 +111,7 @@ def gen_family(spec: FamilySpec) -> ElemSet:
         if field.is_prime_mode:
             vals = rng.sample(range(field.p), n)
         else:
-            lo = spec.lo if spec.lo is not None else 0
-            hi = spec.hi if spec.hi is not None else max(100 * n * n, 1000)
-            vals = rng.sample(range(lo, hi), n)
+            vals = rng.sample(range(max(100 * n * n, 1000)), n)
 
     S = ElemSet(field, vals)
     if len(S) != n:
@@ -165,12 +164,13 @@ class SearchState:
 
 def local_search_min_ratio(seed_set: ElemSet, steps: int, rng_seed: int = 0,
                            t0: float = 0.1, cooling: float = 0.999,
-                           addop: str = "add", mulop: str = "mul",
                            budget: Optional[int] = None) -> SearchState:
-    """Anneal single-element swaps to minimize the sum-product ratio.
+    """Anneal single-element swaps to minimize the add/mul sum-product
+    ratio max{|A+A|, |AA|} / |A|^(5/4).
 
     Move: drop a uniform member, insert a uniform non-member residue;
     Metropolis acceptance with geometric cooling. Deterministic given seeds.
+    Raises ValueError for a seed set of all p residues, which has no move.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -183,10 +183,13 @@ def local_search_min_ratio(seed_set: ElemSet, steps: int, rng_seed: int = 0,
     if not seed_set.field.is_prime_mode:
         raise ValueError("search explores residues; prime mode required")
     p = seed_set.field.p
+    if len(seed_set) == p:
+        raise ValueError(f"the seed set is all of F_{p}: no residue to "
+                         f"swap in")
     rng = random.Random(rng_seed)
 
     current = set(seed_set.elements())
-    ratio = sum_product_ratio(seed_set, addop, mulop, budget=budget)
+    ratio = sum_product_ratio(seed_set, budget=budget)
     best, best_ratio = frozenset(current), ratio
     temp = t0
     for _ in range(steps):
@@ -199,7 +202,7 @@ def local_search_min_ratio(seed_set: ElemSet, steps: int, rng_seed: int = 0,
         trial.discard(out)
         trial.add(cand)
         trial_set = ElemSet(seed_set.field, trial)
-        trial_ratio = sum_product_ratio(trial_set, addop, mulop, budget=budget)
+        trial_ratio = sum_product_ratio(trial_set, budget=budget)
         delta = trial_ratio - ratio
         if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
             current, ratio = trial, trial_ratio

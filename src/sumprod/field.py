@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -247,13 +248,23 @@ class ElemSet:
             return bool(np.all(other._arr[idx] == self._arr))
         return set(self.elements()) <= set(other.elements())
 
+    def select(self, mask) -> "ElemSet":
+        """The elements at which the boolean mask, one entry per element in
+        sorted order, is True."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self),):
+            raise ValueError(f"mask of shape {mask.shape} for a set of "
+                             f"{len(self)} elements")
+        if self._arr is not None:
+            return ElemSet._from_sorted_array(self.field, self._arr[mask])
+        return ElemSet(self.field, compress(self._objs, mask.tolist()),
+                       _canonical=True)
+
     def remove_zero(self) -> "ElemSet":
         if 0 not in self:
             return self
-        if self._arr is not None:
-            keep = self._arr[self._arr != 0]
-            return ElemSet._from_sorted_array(self.field, keep)
-        return ElemSet(self.field, [v for v in self if v != 0])
+        return self.select([v != 0 for v in self._objs]
+                           if self._arr is None else self._arr != 0)
 
 
 def _format_element(v: Element) -> str:

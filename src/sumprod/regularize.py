@@ -18,34 +18,14 @@ import numpy as np
 
 from .field import ElemSet
 from .energy import _TABLE_OP, dyadic_slice, energy
-from .repfn import _membership_counts, _table
+from .repfn import OPS, _membership_counts, _table
 from .report import VerificationReport
 
 DEFAULT_SLACK_C = 64.0  # c of the default polylog slack c * log2(n)^3
-# rule name -> (pair op for the popular set, table of popular values)
-_RULE_OPS = {
-    "popular-sums": "add",
-    "popular-differences": "sub",
-    "popular-products": "mul",
-    "popular-ratios": "div",
-}
-
-
-@dataclass(frozen=True)
-class PopularityParams:
-    """Parameters of the popularity rule R_eps and its iteration schedule."""
-
-    eps: Optional[float] = None   # None: use c1 / log2|A|
-    theta: Fraction = Fraction(2, 3)
-    c1: float = 0.5
-
-    def __post_init__(self):
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if not 0 < self.theta < 1:
-            raise ValueError(f"theta must lie in (0,1), got {self.theta}")
-        if not 0 < self.c1 < 1:
-            raise ValueError(f"c1 must lie in (0,1), got {self.c1}")
+# the popularity rule keeps a when a∘b is popular for >= THETA |A| of the b;
+# its iteration runs at eps = C1 / log2|A| and keeps |B| >= (1 - C1)|A|
+THETA = Fraction(2, 3)
+C1 = 0.5
 
 
 def popular_sums(A: ElemSet, eps, op: str = "add",
@@ -64,18 +44,15 @@ def popular_sums(A: ElemSet, eps, op: str = "add",
     return _table(A, A, op, "level", band, budget)[1]
 
 
-def popularity_rule(A: ElemSet, eps, theta=Fraction(2, 3),
-                    rule: str = "popular-sums",
+def popularity_rule(A: ElemSet, eps, op: str = "add",
                     budget: Optional[int] = None) -> ElemSet:
-    """R_eps(A) = {a in A : |{b in A : a∘b in P_A}| >= theta |A|}."""
+    """R_eps(A) = {a in A : |{b in A : a∘b in P_A}| >= THETA |A|}, P_A the
+    popular set `popular_sums(A, eps, op)` and ∘ any of add, sub, mul, div."""
     if len(A) == 0:
         raise ValueError("popularity rule on an empty set")
-    op = _RULE_OPS[rule]
     P = popular_sums(A, eps, op, budget)
     good = _membership_counts(A, A, P, op)
-    need = math.ceil(Fraction(theta) * len(A))
-    keep = [a for a, c in zip(A, good.tolist()) if c >= need]
-    return ElemSet(A.field, keep, _canonical=True)
+    return A.select(good >= math.ceil(THETA * len(A)))
 
 
 @dataclass
@@ -91,27 +68,25 @@ class ReguCertificate:
     size_guarantee_ok: bool   # |B| >= (1 - c1)|A|
 
 
-def regu_iterate(A: ElemSet, s: float = 4 / 3,
-                 params: Optional[PopularityParams] = None,
-                 rule: str = "popular-sums",
+def regu_iterate(A: ElemSet, s: float = 4 / 3, op: str = "add",
                  budget: Optional[int] = None
                  ) -> Tuple[ElemSet, ReguCertificate]:
-    """Find B ⊆ A with |B| >= (1-c1)|A| whose energy survives one more refinement.
+    """Find B ⊆ A with |B| >= (1 - C1)|A| whose energy survives one more
+    refinement.
 
-    Iterates X -> R_eps(X) while E_s drops by more than a factor 1/2, keeping
-    the best measured ratio; aborts to best-seen after ceil(log2 |A|) rounds or
-    as soon as the size guarantee would break.
+    Iterates X -> R_eps(X) under op at eps = C1 / log2|A|, which lies in
+    (0, 1/8] since |A| >= 16, while E_s drops by more than a factor 1/2: the
+    additive E_s for add and sub, the multiplicative one for mul and div.
+    Keeps the best measured ratio; aborts to best-seen after ceil(log2 |A|)
+    rounds or as soon as the size guarantee would break.
     """
     if len(A) < 16:
         raise ValueError(f"|A| = {len(A)} too small for the eps schedule")
-    if rule not in _RULE_OPS:
-        raise ValueError(f"unknown rule {rule!r}")
-    params = params or PopularityParams()
-    eps = params.eps if params.eps is not None else params.c1 / math.log2(len(A))
-    if not 0 < eps < 1:
-        raise ValueError(f"eps schedule gives eps={eps}, not in (0,1)")
-    energy_op = "mul" if _RULE_OPS[rule] in ("mul", "div") else "add"
-    min_size = (1 - params.c1) * len(A)
+    if op not in OPS:
+        raise ValueError(f"unknown op {op!r}")
+    eps = C1 / math.log2(len(A))
+    energy_op = "mul" if op in ("mul", "div") else "add"
+    min_size = (1 - C1) * len(A)
 
     X = A
     ex = float(energy(X, X, s, energy_op, budget=budget).value)
@@ -119,7 +94,7 @@ def regu_iterate(A: ElemSet, s: float = 4 / 3,
     max_rounds = math.ceil(math.log2(len(A)))
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        Y = popularity_rule(X, eps, params.theta, rule, budget)
+        Y = popularity_rule(X, eps, op, budget)
         if len(Y) == 0:
             break
         ey = float(energy(Y, Y, s, energy_op, budget=budget).value)
@@ -134,7 +109,7 @@ def regu_iterate(A: ElemSet, s: float = 4 / 3,
         best = (0.0, A, ElemSet.empty(A.field), rounds)
     c2, B, refined, used = best
     cert = ReguCertificate(
-        eps=eps, s=s, c1=params.c1, c2=c2, rounds=used, refined=refined,
+        eps=eps, s=s, c1=C1, c2=c2, rounds=used, refined=refined,
         size_guarantee_ok=len(B) >= min_size or B is A)
     return B, cert
 
@@ -198,16 +173,14 @@ def xue_regularize(A: ElemSet, k: float = 4.0, op: str = "add",
         cutoff = max(1, math.ceil(Fraction(len(S) * tau, 2 * n * L)))
         mask = rc >= cutoff
         n_thr = int(mask.sum())
-        lst = list(cand)
         if best is None or n_thr > best[0]:
-            C = ElemSet(A.field,
-                        [c for c, m in zip(lst, mask.tolist()) if m],
-                        _canonical=True)
-            best = (n_thr, cand, C, S, tau, rnd, sl.energy_value, rc[mask])
+            best = (n_thr, cand, cand.select(mask), S, tau, rnd,
+                    sl.energy_value, rc[mask])
         if n_thr >= len(cand) / 2:
             break
-        order = np.argsort(rc, kind="stable")
-        cand = ElemSet(A.field, [lst[i] for i in order[len(order) // 2:]])
+        upper = np.zeros(len(cand), dtype=bool)
+        upper[np.argsort(rc, kind="stable")[len(cand) // 2:]] = True
+        cand = cand.select(upper)
 
     _, B, C, S, tau, rnd, e_val, rc_C = best
     return _finish_decomposition(A, B, C, S, tau, op, k, rnd, e_val, rc_C)

@@ -21,9 +21,8 @@ from .energy import _dyadic_slice, cauchy_schwarz_check, dyadic_slice, energy
 from .field import ElemSet, GroundField
 from .families import (OPERATOR_COMBOS, probe_field, probe_set,
                        sum_product_ratios)
-from .regularize import (DEFAULT_SLACK_C, PopularityParams, check_regular,
-                         default_slack, popular_sums, regu_iterate,
-                         xue_regularize)
+from .regularize import (DEFAULT_SLACK_C, check_regular, default_slack,
+                         popular_sums, regu_iterate, xue_regularize)
 from .repfn import BudgetExceeded, _check_budget
 from .report import ConstraintCheck, ConstraintViolation, VerificationReport
 from .setalgebra import SpanSpec, combine, iterated_span
@@ -179,14 +178,16 @@ def check_mixed_energy(A: ElemSet, U: ElemSet, variant: str,
 
 
 def check_rss_proposition(A: ElemSet, variant: str = "additive",
-                          params: Optional[PopularityParams] = None,
                           slack_c: float = DEFAULT_SLACK_C,
                           budget: Optional[int] = None) -> VerificationReport:
     """Full double-counting pipeline for the fourth-moment proposition.
 
-    Clause (a): the exact tautological-count lower bound |D| t ceil(2|B|/3)^2
-    forced by the popularity rule. Clause (b): the proposition's final
-    inequality within polylog slack. Dyadic levels (t, nu, mu) are reported.
+    B and its refinement C = R_eps(B) come from `regu_iterate` under add
+    (additive) or mul (multiplicative), at the rule's fixed constants
+    theta = 2/3 and c1 = 1/2. Clause (a): the exact tautological-count lower
+    bound |D| t ceil(2|B|/3)^2 forced by the popularity rule. Clause (b): the
+    proposition's final inequality within polylog slack. Dyadic levels
+    (t, nu, mu) are reported.
 
     The E stage is decided from the histogram of the A x F table: once its
     level mu is chosen, |E| is known, and when energy(A, E, 4) would exceed
@@ -206,7 +207,6 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
     if len(A) < 16:
         raise ValueError(f"|A| = {len(A)} below the pipeline minimum 16")
 
-    rule = "popular-sums" if add else "popular-products"
     cop = "add" if add else "mul"      # combining operator, energy flavour
     n = len(A)
     K = default_slack(n, slack_c)
@@ -219,7 +219,7 @@ def check_rss_proposition(A: ElemSet, variant: str = "additive",
             passed=False, notes=f"degenerate: {why}",
             elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
-    B, cert = regu_iterate(A, 4 / 3, params, rule, budget)
+    B, cert = regu_iterate(A, 4 / 3, cop, budget)
     C = cert.refined
     if len(C) == 0:
         return degenerate("popularity rule emptied B")
@@ -386,10 +386,10 @@ def check_main_theorem(A: ElemSet, floor: float = DEFAULT_RATIO_FLOOR,
 def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
                        sizes=(16, 32, 64, 128, 256, 512, 1024),
                        p: int = DEFAULT_P, seed: int = 0,
-                       floor: float = DEFAULT_RATIO_FLOOR,
                        budget: Optional[int] = None) -> dict:
     """Sweep probe families; record the min sum-product ratio over all four
-    operator combinations. Cells violating |A| <= sqrt(p)/2 are skipped."""
+    operator combinations against DEFAULT_RATIO_FLOOR. Cells violating
+    |A| <= sqrt(p)/2 are skipped."""
     cells = []
     for kind in families:
         for size in sizes:
@@ -406,8 +406,9 @@ def main_theorem_probe(families=("ap", "gp", "random", "subgroup"),
                           "status": "ok"})
     overall_min = min((c["min"] for c in cells if "min" in c),
                       default=float("inf"))
-    return {"cells": cells, "min_ratio": overall_min, "floor": floor,
-            "pass": overall_min >= floor}
+    return {"cells": cells, "min_ratio": overall_min,
+            "floor": DEFAULT_RATIO_FLOOR,
+            "pass": overall_min >= DEFAULT_RATIO_FLOOR}
 
 
 # -- the lemma registry: what the suite and `sumprod verify` run ---------------

@@ -77,6 +77,14 @@ def test_search_cli(tmp_path, capsys):
     assert code == 0 and "best_ratio=" in out
 
 
+def test_search_cli_refuses_a_seed_of_all_residues(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("# field prime 5\n" + "\n".join(map(str, range(5))))
+    assert main(["search", str(a), "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "all of F_5" in err
+
+
 def test_verify_cli_refuses_an_empty_set(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("# field prime 101\n")

@@ -47,6 +47,24 @@ def test_energy_refuses_exponent_not_positive_finite(c0, k):
         dyadic_slice(A, A, k, "mul")
 
 
+@pytest.mark.parametrize("k", [0, -1, float("nan"), float("inf")])
+def test_dyadic_extract_refuses_what_dyadic_slice_refuses(k):
+    A = ElemSet(GroundField.prime(101), range(1, 20))
+    with pytest.raises(ValueError, match="positive finite"):
+        dyadic_slice(A, A, k, "add")
+    with pytest.raises(ValueError, match="positive finite"):
+        dyadic_extract(energy_rep(A, A, "add"), k)
+
+
+def test_energy_rep_refuses_an_op_energy_refuses(c0):
+    A = ElemSet(c0, [1, 2])
+    for op in ("sub", "div", "pow"):
+        with pytest.raises(ValueError, match="add or mul"):
+            energy_rep(A, A, op)
+    # unlike energy, it takes empty sets: their table is empty
+    assert len(energy_rep(ElemSet.empty(c0), A, "mul")) == 0
+
+
 def test_energy_accepts_small_k(c0):
     A = ElemSet(c0, [0, 1, 2])
     m = energy(A, A, 0.5, "add")

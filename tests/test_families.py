@@ -149,3 +149,9 @@ def test_search_validation(c0):
                                -1)
     with pytest.raises(ValueError):
         local_search_min_ratio(ElemSet(c0, [1, 2, 3, 4]), 10)
+
+
+def test_search_refuses_a_seed_of_all_residues():
+    # no residue is left to swap in, so the move loop would never end
+    with pytest.raises(ValueError, match="all of F_5"):
+        local_search_min_ratio(ElemSet(GroundField.prime(5), range(5)), 1)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +62,26 @@ def test_set_ops(c0):
     b = ElemSet(c0, [2, 3])
     assert b.issubset(ElemSet(c0, [0, 1, 2, 3])) and not b.issubset(a)
     assert sorted(a.remove_zero()) == [1, 2]
+
+
+@pytest.mark.parametrize("values", [
+    [0, 3, 7, -2, 10], [Fraction(1, 2), 0, 3, Fraction(-5, 3), 2**70]])
+@pytest.mark.parametrize("pick", ["all", "none", "some", "odd"])
+def test_select_keeps_the_masked_elements(c0, values, pick):
+    S = ElemSet(c0, values)
+    elems = S.elements()
+    mask = {"all": [True] * len(S), "none": [False] * len(S),
+            "some": [i % 2 == 0 for i in range(len(S))],
+            "odd": [i % 2 == 1 for i in range(len(S))]}[pick]
+    want = ElemSet(c0, [v for v, m in zip(elems, mask) if m])
+    got = S.select(np.asarray(mask))
+    assert got == want and got.elements() == want.elements()
+    assert (got.ints is None) == (want.ints is None)
+
+
+def test_select_refuses_a_mask_of_another_length(c0):
+    with pytest.raises(ValueError, match="mask"):
+        ElemSet(c0, [1, 2, 3]).select([True, False])
 
 
 @pytest.mark.parametrize("F", [GroundField.prime(101), GroundField.char0()])

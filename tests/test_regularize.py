@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -55,6 +56,26 @@ def test_rule_outputs_are_subsets(xs, eps):
     from sumprod import combine
     assert popular_sums(A, eps).issubset(combine(A, A, "add"))
     assert popularity_rule(A, eps).issubset(A)
+
+
+def _brute_rule(A, eps, op):
+    """R_eps(A) at theta = 2/3 from its definition; div skips b = 0."""
+    fop = getattr(A.field, op)
+    right = [b for b in A if not (op == "div" and b == 0)]
+    r = Counter(fop(a, b) for a in A for b in right)
+    P = {x for x, c in r.items() if c >= Fraction(eps) * len(A) ** 2 / len(r)}
+    return ElemSet(A.field, [a for a in A if sum(fop(a, b) in P for b in right)
+                             >= Fraction(2, 3) * len(A)])
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("field,xs", [
+    (GroundField.char0(), [0, 1, 2, 3, 4, 6, 8, 12, -3, Fraction(1, 2)]),
+    (GroundField.prime(101), [0, 1, 2, 4, 8, 16, 32, 64, 27, 54, 99])])
+def test_popularity_rule_vs_brute_force(op, field, xs):
+    A = ElemSet(field, xs)
+    for eps in (Fraction(1, 8), Fraction(3, 4), 1, Fraction(3, 2), 3):
+        assert popularity_rule(A, eps, op) == _brute_rule(A, eps, op), eps
 
 
 def test_regu_iterate_size_guarantee(fp):
@@ -164,7 +185,7 @@ def test_membership_counts_char0_mul_does_not_wrap(c0):
     # P_A = {0}: 0 is hit three times, 2^64 once; only 0 has two products
     # in P_A, 2^32 has one
     A = ElemSet(c0, [0, 2**32])
-    assert popularity_rule(A, Fraction(9, 10), rule="popular-products") \
+    assert popularity_rule(A, Fraction(9, 10), op="mul") \
         == ElemSet(c0, [0])
 
 
